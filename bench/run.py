@@ -11,10 +11,12 @@ until ``--seconds`` have gone by.  Every job is checked against the answer
 its construction fixed, and a job that runs again must repeat its machine
 output byte for byte.
 
-``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` spends half the
-time untraced and half with spans around every layer's public functions,
-and prints the per-layer metrics.  The last line of standard output is one
-JSON object: ``{"correct", "attempted", "failed", "metrics"}``.
+``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` runs one
+warm-up pass, then alternates untraced passes with passes that put spans
+around every layer's public functions, and prints the per-layer metrics;
+a line before the last gives each job group's self-time shares.  The last
+line of standard output is one JSON object: ``{"correct", "attempted",
+"failed", "metrics"}``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from time import perf_counter
 
 from checks import check_cli, check_lib, output_digest
 from spans import LAYERS, Tracer, inclusive_times, self_times
-from workloads import WORKLOADS
+from workloads import JOB_GROUPS, WORKLOADS
 
 BENCH = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH)
@@ -52,15 +54,14 @@ SETUP_CODE = (
 # enough jobs that at least ten lie beyond the 90th percentile
 MIN_JOBS = 100
 # alternations of the --jobs 1 / --jobs 2 phi-suite walls behind cli.jobs2_speedup
-SPEEDUP_REPEATS = 2
+SPEEDUP_REPEATS = 3
 
-# per-layer groups that each workload was chosen to stress: ingest (parse,
-# validate) with certify (checkers), cone (phi, chain oracle) with emit
-# (writers, search, constructions)
+# span-group prefixes of the layers each job group was chosen to stress
 FOCUS = {
-    "ingest-certify": ("io.parse_family", "metric.validate_metric", "covers.", "decomposition.check_"),
-    "cone-emit": ("cone.", "phisuite.", "io.write", "decomposition.search_decomposition",
-                  "constructions.", "metric.construct"),
+    "ingest": ("io.parse_family", "metric.validate_metric"),
+    "certify": ("covers.", "decomposition.check_"),
+    "cone": ("cone.", "phisuite."),
+    "emit": ("io.write", "decomposition.search_decomposition", "constructions.", "metric.construct"),
 }
 
 
@@ -102,6 +103,8 @@ class Runner:
                 y = io.parse_family(fh.read()).members[0]
             rho = cone.parse_rho(args["rho"])
             self.calls.append(self._lib_call(job["cmd"][4:], rho, y, args))
+        self.tracer = None  # while set, each job's spans are filed under its group
+        self.group_spans: dict[str, list] = {}
         self.first: dict[str, tuple] = {}  # job id -> (digest, output, document path)
         self.matched: dict[str, int] = {}
         self.attempted = 0
@@ -124,12 +127,15 @@ class Runner:
         """One pass over the jobs; returns the wall time of each job."""
         times = []
         for job, call in zip(self.jobs, self.calls):
+            first_span = len(self.tracer.spans) if self.tracer else 0
             t0 = perf_counter()
             try:
                 result = call()
             except Exception as exc:  # a job that raises counts as failed
                 result = exc
             times.append(perf_counter() - t0)
+            if self.tracer:  # a job's spans, worker threads' too, end before it returns
+                self.group_spans.setdefault(job["group"], []).extend(self.tracer.spans[first_span:])
             self._record(job, result)
         return times
 
@@ -232,15 +238,50 @@ def end_to_end(runner: Runner, seconds: float, setup) -> dict:
     }
 
 
-def per_layer(runner: Runner, seconds: float, setup, workload: str) -> tuple[dict, bool]:
-    untraced = run_passes(runner, seconds / 2.0)
+def interleaved_passes(runner: Runner, tracer: Tracer, seconds: float):
+    """Untraced and traced passes in the order U T T U, repeated, until
+    ``seconds`` have gone by and both kinds have run equally often, so that
+    drift of the machine's speed falls on both kinds alike."""
+    untraced, traced = [], []
+    start = perf_counter()
+    k = 0
+    while k < 2 or k % 2 or perf_counter() - start < seconds:
+        if k % 4 in (1, 2):
+            tracer.install()
+            runner.tracer = tracer
+            try:
+                traced.append(runner.run_pass())
+            finally:
+                runner.tracer = None
+                tracer.uninstall()
+        else:
+            untraced.append(runner.run_pass())
+        k += 1
+    return untraced, traced
+
+
+def group_shares(runner: Runner, k: int) -> dict:
+    """Per job group: self seconds per pass of each layer, their shares,
+    and the share held by the layers the group was chosen for."""
+    out = {}
+    for group, spans in sorted(runner.group_spans.items()):
+        own = self_times(spans)
+        total = sum(own.values())
+        out[group] = {
+            "focus_layers": list(FOCUS[group]),
+            "focus_share": sum(v for g, v in own.items() if g.startswith(FOCUS[group])) / total,
+            "self_s": {g: v / k for g, v in sorted(own.items(), key=lambda x: -x[1])},
+            "self_share": {g: v / total for g, v in sorted(own.items(), key=lambda x: -x[1])},
+        }
+    return out
+
+
+def per_layer(runner: Runner, seconds: float, setup, workload: str) -> tuple[dict, dict, bool]:
+    start = perf_counter()
+    runner.run_pass()  # warm-up, in neither half of the overhead ratio
     jobs1_s, jobs2_s, same = phi_suite_speedup(runner)  # 0 where no phi-suite job runs
     tracer = Tracer()
-    tracer.install()
-    try:
-        traced = run_passes(runner, seconds / 2.0)
-    finally:
-        tracer.uninstall()
+    untraced, traced = interleaved_passes(runner, tracer, seconds - (perf_counter() - start))
     runner.verify()
     k = len(traced)
     own = {g: v / k for g, v in self_times(tracer.spans).items()}
@@ -255,6 +296,7 @@ def per_layer(runner: Runner, seconds: float, setup, workload: str) -> tuple[dic
     numpy_s, coarsekit_s = setup
     cd_total, cd_calls = inclusive.get("cone.cone_distance", (0.0, 0))
     found, attempts = c.get("decomposition.search_found", 0), c.get("decomposition.search_attempts", 0)
+    focus = tuple(p for group, _ in JOB_GROUPS[workload] for p in FOCUS[group])
     m = {
         "setup.numpy_import_s": (statistics.median(numpy_s), "s"),
         "setup.coarsekit_import_s": (statistics.median(coarsekit_s), "s"),
@@ -277,12 +319,16 @@ def per_layer(runner: Runner, seconds: float, setup, workload: str) -> tuple[dic
         "cone.cone_distance.per_call_us": (1e6 * cd_total / cd_calls if cd_calls else 0.0, "us"),
         "trace.overhead_ratio": (traced_wall / (sum(map(sum, untraced)) / len(untraced)), "ratio"),
         "trace.self_sum_ratio": (sum(own.values()) / traced_wall, "ratio"),
-        "trace.focus_share": (sum(v for g, v in own.items() if g.startswith(FOCUS[workload]))
+        "trace.focus_share": (sum(v for g, v in own.items() if g.startswith(focus))
                               / sum(own.values()), "ratio"),
     }
+    groups = group_shares(runner, k)
+    for group in FOCUS:  # 0 for the groups of the other workload
+        m[f"trace.{group}.focus_share"] = (groups[group]["focus_share"] if group in groups else 0.0,
+                                           "ratio")
     for group in LAYERS:
         m[f"{group}.self_s"] = (own.get(group, 0.0), "s")
-    return m, same
+    return m, groups, same
 
 
 def main(argv=None) -> int:
@@ -309,8 +355,9 @@ def main(argv=None) -> int:
             return 2
         with open(os.path.join(workdir, "manifest.json"), encoding="utf-8") as fh:
             runner = Runner(json.load(fh))
+        groups = None
         if args.trace:
-            metrics, consistent = per_layer(runner, args.seconds, setup, args.workload)
+            metrics, groups, consistent = per_layer(runner, args.seconds, setup, args.workload)
         else:
             metrics, consistent = end_to_end(runner, args.seconds, setup), True
     finally:
@@ -319,6 +366,8 @@ def main(argv=None) -> int:
         print("FAILED " + err)
     if not consistent:
         print("FAILED phi-suite machine output differs between --jobs 1 and --jobs 2")
+    if groups is not None:
+        print("groups " + json.dumps(groups))
     print(json.dumps({
         "correct": runner.failed == 0 and consistent,
         "attempted": runner.attempted,

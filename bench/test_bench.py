@@ -4,8 +4,8 @@
 
 They check that a seed fixes the inputs, that another seed keeps the size
 profile and job mix, that the work counters repeat exactly across two runs
-of one seed, that self-time attribution adds up, and that the known-answer
-checks reject a wrong output.
+of one seed, that self-time attribution adds up (per layer and per job
+group), and that the known-answer checks reject a wrong output.
 """
 
 from __future__ import annotations
@@ -64,8 +64,17 @@ def _traced_counters(workload, seed):
     done = subprocess.run([sys.executable, os.path.join(BENCH, "run.py"), "--workload", workload,
                            "--seed", str(seed), "--seconds", "0.1", "--trace", "1"],
                           capture_output=True, text=True, timeout=600, check=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     assert result["correct"], done.stdout
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    groups = json.loads(next(line for line in lines if line.startswith("groups "))[len("groups "):])
+    # every traced second of a job is filed under that job's group
+    assert sorted(groups) == sorted(g for g, _ in workloads.JOB_GROUPS[workload])
+    layer_total = sum(v for k, v in metrics.items() if k.endswith(".self_s"))
+    assert sum(sum(g["self_s"].values()) for g in groups.values()) == pytest.approx(layer_total)
+    for name, g in groups.items():
+        assert metrics[f"trace.{name}.focus_share"] == g["focus_share"]
     return {k: v["value"] for k, v in result["metrics"].items() if v["unit"] in ("count", "B")}
 
 

@@ -216,6 +216,7 @@ class InputSet:
         self.seed = seed
         self.dir = os.path.abspath(workdir)
         self.rng = np.random.default_rng([seed, WORKLOADS.index(workload)])
+        self.group = ""  # the job group (ingest, certify, cone, emit) being built
         self.jobs: list[dict] = []
         os.makedirs(os.path.join(self.dir, "in"), exist_ok=True)
         os.makedirs(os.path.join(self.dir, "out"), exist_ok=True)
@@ -233,12 +234,12 @@ class InputSet:
         argv = [str(a) for a in argv] + ["--format", "machine"]
         if out is not None:
             argv += ["--out", out]
-        self.jobs.append({"id": job_id, "cmd": argv[0], "argv": argv, "out": out,
-                          "expect": expect, "counts": counts})
+        self.jobs.append({"id": job_id, "group": self.group, "cmd": argv[0], "argv": argv,
+                          "out": out, "expect": expect, "counts": counts})
 
     def lib(self, job_id: str, fn: str, args: dict, expect: dict, counts: dict):
-        self.jobs.append({"id": job_id, "cmd": "lib:" + fn, "lib": args, "out": None,
-                          "expect": expect, "counts": counts})
+        self.jobs.append({"id": job_id, "group": self.group, "cmd": "lib:" + fn, "lib": args,
+                          "out": None, "expect": expect, "counts": counts})
 
     def manifest(self) -> dict:
         order = self.rng.permutation(len(self.jobs)).tolist()
@@ -466,7 +467,8 @@ def build_cone(b: InputSet) -> None:
     ytext = family_text("base", [("Y", labels, d)])
     ypath = b.file("base.txt", ytext)
     table_path = b.file("rho_table.txt", "".join(f"{s!r} {v!r}\n" for s, v in TABLE_ROWS))
-    b.cli("phi-suite", ["phi-suite", "--samples", 100, "--seed", b.seed, "--jobs", 2],
+    # the CLI's default sample count, the size the ROADMAP times the suite at
+    b.cli("phi-suite", ["phi-suite", "--samples", 1000, "--seed", b.seed, "--jobs", 2],
           {"exit": 0, "verdict": "pass", "check": "phi-suite", "properties": 63}, {})
     for literal in CONE_RHOS:
         arg = f"table:{table_path}" if literal == "table" else literal
@@ -601,14 +603,18 @@ def build_emit(b: InputSet) -> None:
               out=b.out(f"decompose{k}"))
 
 
-JOB_GROUPS = {"ingest-certify": (build_ingest, build_certify), "cone-emit": (build_cone, build_emit)}
+JOB_GROUPS = {
+    "ingest-certify": (("ingest", build_ingest), ("certify", build_certify)),
+    "cone-emit": (("cone", build_cone), ("emit", build_emit)),
+}
 
 
 def generate(workload: str, seed: int, workdir: str) -> dict:
     """Write the inputs of one workload under ``workdir`` and return its
     manifest (also written as ``workdir/manifest.json``)."""
     b = InputSet(workload, seed, workdir)
-    for build in JOB_GROUPS[workload]:
+    for group, build in JOB_GROUPS[workload]:
+        b.group = group
         build(b)
     manifest = b.manifest()
     with open(os.path.join(b.dir, "manifest.json"), "w", encoding="utf-8") as fh:
