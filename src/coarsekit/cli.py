@@ -39,8 +39,13 @@ def parallel_map(fn, items, jobs: int):
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CoarsekitError(f"cannot read {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise CoarsekitError(f"cannot read {path!r}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load_family(path: str) -> metric_mod.MetricFamily:

@@ -137,17 +137,20 @@ def parse_rho(literal: str, table_loader=None) -> RhoFunction:
     if ":" not in literal:
         raise StructuralError(f"bad rho literal {literal!r}")
     kind, _, body = literal.partition(":")
-    if kind == "const":
-        return RhoFunction.constant(float(body))
-    if kind == "affine":
-        m, _, l = body.partition(",")
-        return RhoFunction.affine(float(m), float(l))
-    if kind == "step":
-        pairs = []
-        for chunk in body.split(","):
-            s, _, v = chunk.partition(":")
-            pairs.append((float(s), float(v)))
-        return RhoFunction.step(pairs)
+    try:
+        if kind == "const":
+            return RhoFunction.constant(float(body))
+        if kind == "affine":
+            m, _, l = body.partition(",")
+            return RhoFunction.affine(float(m), float(l))
+        if kind == "step":
+            pairs = []
+            for chunk in body.split(","):
+                s, _, v = chunk.partition(":")
+                pairs.append((float(s), float(v)))
+            return RhoFunction.step(pairs)
+    except ValueError:
+        raise StructuralError(f"bad rho literal {literal!r}") from None
     if kind == "table":
         if table_loader is None:
             raise StructuralError("table rho requires a file loader")

@@ -4,7 +4,8 @@ Shared lexical rules: tokens are whitespace-separated, ``#`` starts a
 comment, blank lines are ignored, and point labels are arbitrary
 non-whitespace tokens other than the literal ``:`` and ``->`` separators.
 Numbers written as integer literals are stored exactly (float64 holds them
-exactly at desk scale); ``inf`` is the explicit unbounded sentinel.
+exactly at desk scale); ``inf`` is the explicit unbounded sentinel and
+``nan`` is rejected.  The point labels of a family member are unique.
 
 Grammars (one document per file):
 
@@ -58,6 +59,7 @@ line/column diagnostics.  Every writer/parser pair round-trips exactly.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -76,34 +78,42 @@ from .metric import FiniteMetricSpace, GroupAction, MetricFamily, PointSubset
 from .report import fmt_num
 
 _TOKEN = re.compile(r"\S+")
+_INTEGER = re.compile(r"[+-]?\d+")
 
 
 class _Doc:
-    """Scanned document: non-empty lines of (token, column) with line numbers."""
+    """Scanned document: the non-blank lines, comments stripped, with line
+    numbers.  A line is split into (token, column) pairs only when a parser
+    takes it, so a bulk reader of ``lines`` pays nothing per token."""
 
     def __init__(self, text: str):
-        self.rows: list[tuple[int, list[tuple[str, int]]]] = []
+        self.lines: list[tuple[int, str]] = []
         for ln, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0]
-            toks = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(body)]
-            if toks:
-                self.rows.append((ln, toks))
+            body = raw.partition("#")[0]
+            if body and not body.isspace():
+                self.lines.append((ln, body))
         self.pos = 0
 
     def eof(self) -> bool:
-        return self.pos >= len(self.rows)
+        return self.pos >= len(self.lines)
+
+    def line_no(self) -> int:
+        """Line number of the next row; one past the last row at the end."""
+        if self.eof():
+            return self.lines[-1][0] + 1 if self.lines else 1
+        return self.lines[self.pos][0]
 
     def peek_key(self) -> str | None:
         if self.eof():
             return None
-        return self.rows[self.pos][1][0][0]
+        return _TOKEN.search(self.lines[self.pos][1]).group()
 
     def take(self) -> tuple[int, list[tuple[str, int]]]:
         if self.eof():
-            raise ParseError("unexpected end of document", self.rows[-1][0] + 1 if self.rows else 1)
-        row = self.rows[self.pos]
+            raise ParseError("unexpected end of document", self.line_no())
+        ln, body = self.lines[self.pos]
         self.pos += 1
-        return row
+        return ln, [(m.group(), m.start() + 1) for m in _TOKEN.finditer(body)]
 
     def expect(self, key: str) -> tuple[int, list[tuple[str, int]]]:
         ln, toks = self.take()
@@ -113,14 +123,19 @@ class _Doc:
 
 
 def _num(tok: str, ln: int, col: int) -> float:
+    """A number token: ``inf`` is the unbounded sentinel, integer literals
+    are converted exactly, and nan in any spelling is rejected."""
     if tok == "inf":
-        return float("inf")
+        return math.inf
     try:
-        if re.fullmatch(r"[+-]?\d+", tok):
-            return float(int(tok))
-        return float(tok)
+        v = float(int(tok)) if _INTEGER.fullmatch(tok) else float(tok)
     except ValueError:
         raise ParseError(f"not a number: {tok!r}", ln, col) from None
+    except OverflowError:
+        raise ParseError(f"number out of range: {tok!r}", ln, col) from None
+    if math.isnan(v):
+        raise ParseError(f"nan is not accepted as a number: {tok!r}", ln, col)
+    return v
 
 
 def _int(tok: str, ln: int, col: int) -> int:
@@ -150,14 +165,72 @@ def _split_colon(toks, ln):
 
 # family documents
 
+def _fmt_row(row: np.ndarray) -> str:
+    """One row of a triangular block, byte-identical to ``fmt_num`` per entry.
+
+    A row of finite whole numbers below 1e15 prints as integers in one go;
+    any other row goes entry by entry through ``fmt_num``.
+    """
+    if (np.abs(row) < 1e15).all() and (row == np.floor(row)).all():
+        return " ".join(map(str, row.astype(np.int64).tolist()))
+    return " ".join(map(fmt_num, row.tolist()))
+
+
 def write_family(family: MetricFamily) -> str:
     lines = [f"family {family.id}"]
     for m in family.members:
         lines.append(f"member {m.id}" + (" pseudo" if m.pseudo else ""))
         lines.append("points " + " ".join(m.points))
-        for i in range(1, m.n):
-            lines.append(" ".join(fmt_num(m.dist[i, j]) for j in range(i)))
+        lines.extend(_fmt_row(m.dist[i, :i]) for i in range(1, m.n))
     return "\n".join(lines) + "\n"
+
+
+def _bulk_block(doc: _Doc, n: int) -> np.ndarray | None:
+    """The n - 1 rows of a triangular block as one vector, row after row.
+
+    Returns None, consuming nothing, when some row needs ``_scan_block``:
+    the block is cut short or ragged, a token is not a number, or a value
+    is not finite or is -0.0 (``_num`` reads the literal ``-0`` as +0.0).
+    """
+    bodies = doc.lines[doc.pos:doc.pos + n - 1]
+    if len(bodies) != n - 1:
+        return None
+    tokens: list[str] = []
+    for i, (_, body) in enumerate(bodies, start=1):
+        row = body.split()
+        if len(row) != i:
+            return None
+        tokens += row
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or np.signbit(values[values == 0.0]).any():
+        return None
+    doc.pos += n - 1
+    return values
+
+
+def _scan_block(doc: _Doc, n: int, member_id: str) -> np.ndarray:
+    """Token-by-token read of a triangular block with line/column diagnostics."""
+    values: list[float] = []
+    for i in range(1, n):
+        ln, row = doc.take()
+        if row[0][0] in ("member", "family"):
+            raise ParseError(
+                f"triangular block for {member_id!r} ended early (row {i} of {n - 1})",
+                ln,
+                row[0][1],
+            )
+        if len(row) != i:
+            col = row[min(i, len(row) - 1)][1] if len(row) > i else row[-1][1]
+            raise ParseError(
+                f"ragged block: row {i} of member {member_id!r} needs {i} numbers, found {len(row)}",
+                ln,
+                col,
+            )
+        values.extend(_num(tok, ln, col) for tok, col in row)
+    return np.array(values, dtype=np.float64)
 
 
 def parse_family(text: str) -> MetricFamily:
@@ -177,26 +250,21 @@ def parse_family(text: str) -> MetricFamily:
         labels = [t for t, _ in toks[1:]]
         if not labels:
             raise ParseError("member has no points", ln, toks[0][1])
+        seen: set[str] = set()
+        for label, col in toks[1:]:
+            if label in seen:
+                raise ParseError(f"duplicate point label {label!r}", ln, col)
+            seen.add(label)
         n = len(labels)
+        values = _bulk_block(doc, n)
+        if values is None:
+            values = _scan_block(doc, n, member_id)
+        # Both triangles get the same value by index, so every bit of a
+        # parsed entry (the sign of -0.0 included) is stored as read.
         d = np.zeros((n, n), dtype=np.float64)
-        for i in range(1, n):
-            ln, row = doc.take()
-            if row[0][0] in ("member", "family"):
-                raise ParseError(
-                    f"triangular block for {member_id!r} ended early (row {i} of {n - 1})",
-                    ln,
-                    row[0][1],
-                )
-            if len(row) != i:
-                col = row[min(i, len(row) - 1)][1] if len(row) > i else row[-1][1]
-                raise ParseError(
-                    f"ragged block: row {i} of member {member_id!r} needs {i} numbers, found {len(row)}",
-                    ln,
-                    col,
-                )
-            for j, (tok, col) in enumerate(row):
-                v = _num(tok, ln, col)
-                d[i, j] = d[j, i] = v
+        lower = np.tril_indices(n, -1)
+        d[lower] = values
+        d.T[lower] = values
         members.append(FiniteMetricSpace(member_id, tuple(labels), d, pseudo=pseudo))
     return MetricFamily(fam_id, tuple(members))
 
@@ -393,7 +461,7 @@ def _parse_cover_elements(doc: _Doc, member: FiniteMetricSpace) -> Cover:
         elements.append(PointSubset(member.id, _labels_to_indices(tail, member, ln)))
     has_colors = [c for c in colors if c is not None]
     if has_colors and len(has_colors) != len(colors):
-        raise ParseError("either all or no elements of a cover carry colors", doc.rows[doc.pos - 1][0])
+        raise ParseError("either all or no elements of a cover carry colors", doc.lines[doc.pos - 1][0])
     return Cover(
         member.id,
         tuple(elements),
@@ -554,8 +622,7 @@ def parse_decomposition_certificate(
         pieces = piece_family(partial, family)
         child = parse_decomposition_certificate(doc, pieces, stop_keys)
         return DecompositionCertificate(fam_id, r, n, tuple(members), child=child)
-    ln = doc.rows[doc.pos][0] if not doc.eof() else (doc.rows[-1][0] + 1 if doc.rows else 1)
-    raise ParseError("certificate needs 'leaf-bound <num>' or 'child'", ln)
+    raise ParseError("certificate needs 'leaf-bound <num>' or 'child'", doc.line_no())
 
 
 # fibering witnesses

@@ -30,8 +30,8 @@ def _frozen_array(values) -> np.ndarray:
 class FiniteMetricSpace:
     """A labeled point set with a full symmetric distance matrix.
 
-    ``pseudo=True`` permits zero distances between distinct points; by
-    default they are an axiom violation.
+    Point labels are unique.  ``pseudo=True`` permits zero distances between
+    distinct points; by default they are an axiom violation.
     """
 
     id: str
@@ -42,6 +42,12 @@ class FiniteMetricSpace:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "dist", _frozen_array(self.dist))
+        if len(set(self.points)) != len(self.points):
+            seen: set[str] = set()
+            for p in self.points:
+                if p in seen:
+                    raise StructuralError(f"space {self.id!r} repeats the point label {p!r}")
+                seen.add(p)
 
     @property
     def n(self) -> int:
@@ -182,12 +188,16 @@ class ValidationReport:
         return not self.violations
 
 
+_TILE_ROWS = 64
+
+
 def validate_metric(space: FiniteMetricSpace, tol: float = 0.0) -> ValidationReport:
     """Check every metric axiom and report each violation with a witness.
 
     Dimension mismatch between the matrix and the point list is a
     StructuralError, not an axiom violation.  ``tol`` loosens the triangle
     and symmetry comparisons (used for numerically constructed spaces).
+    A NaN entry is a ``nan`` violation; no comparison involving it fails.
     """
     d = space.dist
     n = space.n
@@ -212,31 +222,54 @@ def validate_metric(space: FiniteMetricSpace, tol: float = 0.0) -> ValidationRep
     neg = np.argwhere(d < 0)
     for i, j in neg:
         out.append(Violation("negative", (int(i), int(j)), f"d = {d[i, j]} < 0"))
+    for i, j in np.argwhere(np.isnan(d)).tolist():
+        out.append(Violation("nan", (i, j), f"d({space.points[i]},{space.points[j]}) = nan"))
     if not space.pseudo:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if d[i, j] == 0.0 and d[j, i] == 0.0:
-                    out.append(
-                        Violation(
-                            "zero_distance",
-                            (i, j),
-                            f"distinct points {space.points[i]},{space.points[j]} at distance 0",
-                        )
-                    )
-    # d[i,k] <= d[i,j] + d[j,k] for all i,j,k; vectorized per intermediate j.
-    for j in range(n):
-        slack = d - (d[:, j][:, None] + d[j, :][None, :])
-        bad = np.argwhere(slack > tol)
-        for i, k in bad:
+        zero = d == 0.0
+        for i, j in np.argwhere(np.triu(zero & zero.T, 1)).tolist():
             out.append(
                 Violation(
-                    "triangle",
-                    (int(i), int(j), int(k)),
-                    f"d({space.points[i]},{space.points[k]}) = {d[i, k]} > "
-                    f"{d[i, j]} + {d[j, k]} via {space.points[j]}",
+                    "zero_distance",
+                    (i, j),
+                    f"distinct points {space.points[i]},{space.points[j]} at distance 0",
                 )
             )
+    for i, j, k in _triangle_witnesses(d, tol):
+        out.append(
+            Violation(
+                "triangle",
+                (i, j, k),
+                f"d({space.points[i]},{space.points[k]}) = {d[i, k]} > "
+                f"{d[i, j]} + {d[j, k]} via {space.points[j]}",
+            )
+        )
     return ValidationReport(space.id, tuple(out))
+
+
+def _triangle_witnesses(d: np.ndarray, tol: float) -> list[tuple[int, int, int]]:
+    """Every (i, j, k) with d[i,k] - (d[i,j] + d[j,k]) > tol, ordered by j,
+    then i, then k.
+
+    The slack is computed in place for a tile of rows against each
+    intermediate point j in turn, so the tile stays in cache across all j;
+    witnesses are gathered only from a slab that has a hit.
+    """
+    n = d.shape[0]
+    slack = np.empty((min(n, _TILE_ROWS), n))
+    hit = np.empty(slack.shape, dtype=bool)
+    found: list[tuple[int, int, int]] = []
+    for lo in range(0, n, _TILE_ROWS):
+        rows = d[lo:lo + _TILE_ROWS]
+        s = slack[:len(rows)]
+        h = hit[:len(rows)]
+        for j in range(n):
+            np.add(rows[:, j, None], d[j], out=s)
+            np.subtract(rows, s, out=s)
+            np.greater(s, tol, out=h)
+            if h.any():
+                found.extend((j, lo + i, k) for i, k in np.argwhere(h).tolist())
+    found.sort()
+    return [(i, j, k) for j, i, k in found]
 
 
 def validate_action(action: GroupAction, space: FiniteMetricSpace) -> None:

@@ -8,11 +8,20 @@ distances and quotient minima then compare exactly, with no rounding slack.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 
 import numpy as np
 
-from coarsekit.metric import FiniteMetricSpace, GroupAction, MetricFamily, PointSubset
+from coarsekit.errors import ParseError, StructuralError
+from coarsekit.metric import (
+    FiniteMetricSpace,
+    GroupAction,
+    MetricFamily,
+    PointSubset,
+    ValidationReport,
+    Violation,
+)
 
 
 def line_space(values, space_id="line", labels=None):
@@ -189,3 +198,145 @@ def random_cover_sets(rng, space, elements=4):
         if i not in covered:
             sets.append((i,))
     return sets
+
+
+# Reference ingest: the token-by-token family parser and the
+# one-intermediate-point-at-a-time triangle check, kept as the oracles that
+# the bulk reader in coarsekit.io and the tiled check in coarsekit.metric
+# must agree with.
+
+_TOKEN = re.compile(r"\S+")
+
+
+class ScannedDoc:
+    """Every non-empty line of a document as (token, column) pairs."""
+
+    def __init__(self, text: str):
+        self.rows: list[tuple[int, list[tuple[str, int]]]] = []
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            body = raw.split("#", 1)[0]
+            toks = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(body)]
+            if toks:
+                self.rows.append((ln, toks))
+        self.pos = 0
+
+    def eof(self) -> bool:
+        return self.pos >= len(self.rows)
+
+    def take(self) -> tuple[int, list[tuple[str, int]]]:
+        if self.eof():
+            raise ParseError("unexpected end of document", self.rows[-1][0] + 1 if self.rows else 1)
+        row = self.rows[self.pos]
+        self.pos += 1
+        return row
+
+    def expect(self, key: str) -> tuple[int, list[tuple[str, int]]]:
+        ln, toks = self.take()
+        if toks[0][0] != key:
+            raise ParseError(f"expected {key!r}, found {toks[0][0]!r}", ln, toks[0][1])
+        return ln, toks
+
+
+def scanned_num(tok: str, ln: int, col: int) -> float:
+    if tok == "inf":
+        return float("inf")
+    try:
+        if re.fullmatch(r"[+-]?\d+", tok):
+            return float(int(tok))
+        return float(tok)
+    except ValueError:
+        raise ParseError(f"not a number: {tok!r}", ln, col) from None
+
+
+def scanned_parse_family(text: str) -> MetricFamily:
+    """parse_family one token at a time, every entry through scanned_num."""
+    doc = ScannedDoc(text)
+    ln, toks = doc.expect("family")
+    if len(toks) != 2:
+        raise ParseError("family header needs exactly one id", ln, toks[0][1])
+    fam_id = toks[1][0]
+    members: list[FiniteMetricSpace] = []
+    while not doc.eof():
+        ln, toks = doc.expect("member")
+        if len(toks) not in (2, 3) or (len(toks) == 3 and toks[2][0] != "pseudo"):
+            raise ParseError("member line is 'member <id> [pseudo]'", ln, toks[0][1])
+        member_id = toks[1][0]
+        pseudo = len(toks) == 3
+        ln, toks = doc.expect("points")
+        labels = [t for t, _ in toks[1:]]
+        if not labels:
+            raise ParseError("member has no points", ln, toks[0][1])
+        n = len(labels)
+        d = np.zeros((n, n), dtype=np.float64)
+        for i in range(1, n):
+            ln, row = doc.take()
+            if row[0][0] in ("member", "family"):
+                raise ParseError(
+                    f"triangular block for {member_id!r} ended early (row {i} of {n - 1})",
+                    ln,
+                    row[0][1],
+                )
+            if len(row) != i:
+                col = row[min(i, len(row) - 1)][1] if len(row) > i else row[-1][1]
+                raise ParseError(
+                    f"ragged block: row {i} of member {member_id!r} needs {i} numbers, found {len(row)}",
+                    ln,
+                    col,
+                )
+            for j, (tok, col) in enumerate(row):
+                v = scanned_num(tok, ln, col)
+                d[i, j] = d[j, i] = v
+        members.append(FiniteMetricSpace(member_id, tuple(labels), d, pseudo=pseudo))
+    return MetricFamily(fam_id, tuple(members))
+
+
+def looped_validate_metric(space: FiniteMetricSpace, tol: float = 0.0) -> ValidationReport:
+    """validate_metric with a Python loop for zero distances and a fresh
+    n x n slack matrix per intermediate point j.  Has no nan check."""
+    d = space.dist
+    n = space.n
+    if d.ndim != 2 or d.shape != (n, n):
+        raise StructuralError(
+            f"space {space.id!r}: matrix shape {d.shape} does not match {n} points"
+        )
+    out: list[Violation] = []
+    for i in range(n):
+        if d[i, i] != 0.0:
+            out.append(Violation("diagonal", (i,), f"d({space.points[i]},{space.points[i]}) = {d[i, i]}"))
+    asym = np.argwhere(np.abs(d - d.T) > tol)
+    for i, j in asym:
+        if i < j:
+            out.append(
+                Violation(
+                    "symmetry",
+                    (int(i), int(j)),
+                    f"d({space.points[i]},{space.points[j]}) = {d[i, j]} but d({space.points[j]},{space.points[i]}) = {d[j, i]}",
+                )
+            )
+    neg = np.argwhere(d < 0)
+    for i, j in neg:
+        out.append(Violation("negative", (int(i), int(j)), f"d = {d[i, j]} < 0"))
+    if not space.pseudo:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if d[i, j] == 0.0 and d[j, i] == 0.0:
+                    out.append(
+                        Violation(
+                            "zero_distance",
+                            (i, j),
+                            f"distinct points {space.points[i]},{space.points[j]} at distance 0",
+                        )
+                    )
+    for j in range(n):
+        slack = d - (d[:, j][:, None] + d[j, :][None, :])
+        bad = np.argwhere(slack > tol)
+        for i, k in bad:
+            out.append(
+                Violation(
+                    "triangle",
+                    (int(i), int(j), int(k)),
+                    f"d({space.points[i]},{space.points[k]}) = {d[i, k]} > "
+                    f"{d[i, j]} + {d[j, k]} via {space.points[j]}",
+                )
+            )
+    return ValidationReport(space.id, tuple(out))

@@ -59,6 +59,39 @@ def test_parse_error_exits_two(files):
     assert "line 5" in out
 
 
+@pytest.mark.parametrize("name, content", [("absent.txt", None), ("latin1.txt", b"family \xe9\n")])
+def test_unreadable_input_file_exits_two(files, name, content):
+    _, tmp = files
+    if content is not None:
+        (tmp / name).write_bytes(content)
+    out, code = run(["validate", str(tmp / name)])
+    assert code == 2
+    assert out.startswith("error: cannot read") and name in out
+
+
+@pytest.mark.parametrize("literal", ["affine:1", "step:1"])
+def test_malformed_rho_literal_exits_two(literal):
+    out, code = run(["phi", "--rho", literal, "--t", "0", "--r", "1"])
+    assert code == 2
+    assert f"bad rho literal '{literal}'" in out
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("family f\nmember m\npoints a b\n" + "1" * 400 + "\n", "line 4, column 1"),
+        ("family f\nmember m\npoints a b c\nnan\n1 1\n", "line 4, column 1"),
+        ("family f\nmember m\npoints a a\n1\n", "line 3, column 10"),
+    ],
+    ids=["out-of-range-integer", "nan", "repeated-label"],
+)
+def test_rejected_family_document_exits_two(files, text, where):
+    save, _ = files
+    out, code = run(["validate", save("fam.txt", text)])
+    assert code == 2
+    assert where in out
+
+
 def test_components_lists_blocks(files):
     save, _ = files
     fam = family_of(line_space([0, 1, 5, 6], space_id="s"), family_id="F")

@@ -33,6 +33,7 @@ from coarsekit.io import (
 )
 from coarsekit.maps import FamilyMap, MapFunction
 from coarsekit.metric import FiniteMetricSpace, MetricFamily, PointSubset
+from coarsekit.report import fmt_num
 from support import family_of, integer_points_space, line_space
 
 
@@ -67,6 +68,46 @@ def test_bad_number_diagnostics_carry_column():
     with pytest.raises(ParseError) as err:
         parse_family(text)
     assert err.value.line == 4 and err.value.column == 1
+
+
+@pytest.mark.parametrize("tok", ["nan", "NaN", "-nan", "+NAN", "nAn"])
+def test_nan_is_rejected_with_line_and_column(tok):
+    text = f"family f\nmember m\npoints a b c\n1\n1  {tok}\n"
+    with pytest.raises(ParseError) as err:
+        parse_family(text)
+    assert (err.value.line, err.value.column) == (5, 4)
+    assert "nan" in str(err.value)
+    with pytest.raises(ParseError):
+        parse_rho_table(f"0 1\n2 {tok}\n")
+
+
+def test_duplicate_label_is_rejected_at_second_occurrence():
+    with pytest.raises(ParseError) as err:
+        parse_family("family f\nmember m\npoints a b  a\n1\n1 1\n")
+    assert (err.value.line, err.value.column) == (3, 13)
+    assert "duplicate point label 'a'" in str(err.value)
+
+
+def test_write_family_matches_fmt_num_per_entry():
+    # Each special value sits in a row of otherwise whole numbers.
+    lower = [
+        [7.0],
+        [-0.0, 3.0],
+        [1e15 - 1, 2.0, -0.0],
+        [1e15, 1.0, 2.0, 3.0],
+        [1e16, 1.0, 2.0, 3.0, 4.0],
+        [np.inf, 1.0, 2.0, 3.0, 4.0, 5.0],
+        [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 1 / 3],
+    ]
+    n = len(lower) + 1
+    d = np.zeros((n, n))
+    for i, row in enumerate(lower, start=1):
+        d[i, :i] = d[:i, i] = row
+    fam = MetricFamily("f", (FiniteMetricSpace("m", tuple(f"p{k}" for k in range(n)), d),))
+    rows = [" ".join(fmt_num(v) for v in row) for row in lower]
+    assert rows[:3] == ["7", "0 3", "999999999999999 2 0"]
+    header = "family f\nmember m\npoints " + " ".join(fam.members[0].points) + "\n"
+    assert write_family(fam) == header + "\n".join(rows) + "\n"
 
 
 def test_comments_and_blank_lines_ignored():

@@ -56,6 +56,16 @@ class TestValidate:
         assert not validate_metric(space_from_matrix(rows)).ok
         assert validate_metric(space_from_matrix(rows, pseudo=True)).ok
 
+    def test_nan_entry_is_reported_with_witness(self):
+        s = space_from_matrix([[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]])
+        rep = validate_metric(s)
+        assert [(v.kind, v.witness) for v in rep.violations] == [("nan", (0, 1)), ("nan", (1, 0))]
+        assert rep.violations[0].detail == "d(a,b) = nan"
+
+    def test_repeated_label_is_structural(self):
+        with pytest.raises(StructuralError, match="repeats the point label 'a'"):
+            FiniteMetricSpace("s", ("a", "b", "a"), np.zeros((3, 3)))
+
 
 def negation_action(space):
     # points must be ordered -k..k; negation reverses the order
