@@ -3,8 +3,8 @@ reports, and exit codes 0 (all verdicts pass), 1 (a verdict failed or a
 construction was refused), 2 (parse or structural error).
 
 Reports echo semantic arguments only; execution flags (--jobs, --format)
-never appear in machine output, which is required to be byte-identical
-across worker counts.  There is no environment-variable configuration.
+never appear in machine output.  Every command runs serially: --jobs is
+accepted and has no effect.  There is no environment-variable configuration.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import covers as covers_mod
 from . import decomposition as dec_mod
@@ -27,15 +26,6 @@ from .report import Report, Verdict, fmt_num
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
-
-
-def parallel_map(fn, items, jobs: int):
-    """Order-preserving map; worker count never changes the result."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _read(path: str) -> str:
@@ -115,19 +105,7 @@ def cmd_cover_check(args, report: Report) -> int:
     report.add("command", "cover-check")
     report.add("family", fam.id)
     report.add("n", cert.n)
-
-    def check_entry(k_entry):
-        k, entry = k_entry
-        single = covers_mod.AsdimCertificate(cert.family_id, cert.n, (entry,))
-        v = covers_mod.check_asdim_certificate(single, fam, args.tolerance)
-        items = tuple(
-            i.__class__(i.path.replace("entry0", f"entry{k}"), i.passed, i.detail)
-            for i in v.items
-        )
-        return Verdict(items)
-
-    parts = parallel_map(check_entry, enumerate(cert.entries), args.jobs)
-    v = Verdict(tuple(i for p in parts for i in p.items))
+    v = covers_mod.check_asdim_certificate(cert, fam, args.tolerance)
     report.extend_verdict("check", v)
     return _finish_verdict(report, v)
 
@@ -140,21 +118,7 @@ def cmd_an_check(args, report: Report) -> int:
     report.add("n", cert.n)
     report.add("M", cert.slope)
     report.add("b", cert.offset)
-
-    def check_entry(k_entry):
-        k, entry = k_entry
-        single = covers_mod.ANControlCertificate(
-            cert.family_id, cert.n, cert.slope, cert.offset, (entry,)
-        )
-        v = covers_mod.check_an_control(single, fam, args.tolerance)
-        items = tuple(
-            i.__class__(i.path.replace("entry0", f"entry{k}"), i.passed, i.detail)
-            for i in v.items
-        )
-        return Verdict(items)
-
-    parts = parallel_map(check_entry, enumerate(cert.entries), args.jobs)
-    v = Verdict(tuple(i for p in parts for i in p.items))
+    v = covers_mod.check_an_control(cert, fam, args.tolerance)
     report.extend_verdict("check", v)
     return _finish_verdict(report, v)
 
@@ -344,12 +308,7 @@ def cmd_phi_suite(args, report: Report) -> int:
     report.add("command", "phi-suite")
     report.add("samples", args.samples)
     report.add("seed", args.seed)
-
-    def run_one(rho):
-        return run_phi_suite([rho], samples=args.samples, seed=args.seed)
-
-    parts = parallel_map(run_one, rhos, args.jobs)
-    v = Verdict(tuple(i for p in parts for i in p.items))
+    v = run_phi_suite(rhos, samples=args.samples, seed=args.seed)
     report.extend_verdict("property", v)
     for item in v.items:
         report.text(("PASS " if item.passed else "FAIL ") + item.path)
@@ -428,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerance", type=float, default=metric_mod.DEFAULT_TOL,
                         help="absolute tolerance for certificate comparisons")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    common.add_argument("--jobs", type=int, default=1, help="worker count (never changes results)")
+    common.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; every command runs serially")
     common.add_argument("--out", default=None, help="write emitted documents to this file")
 
     parser = argparse.ArgumentParser(prog="coarsekit", description=__doc__)

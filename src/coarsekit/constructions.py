@@ -14,16 +14,17 @@ from .decomposition import (
     DecompositionCertificate,
     MemberDecomposition,
     RPartition,
-    UnionFind,
     r_components,
 )
 from .errors import PreconditionError
+from .generators import star_space
 from .maps import FamilyMap, MapFunction
 from .metric import (
     FiniteMetricSpace,
     PointSubset,
+    UnionFind,
     neighborhood,
-    set_distance,
+    separation,
 )
 from .report import fmt_num
 
@@ -149,21 +150,7 @@ class RayTree:
 
 
 def build_ray_tree(space_id: str, ray_ids: tuple[str, ...], depth: int) -> RayTree:
-    labels = ["root"]
-    coords: list[tuple[int, int]] = [(-1, 0)]
-    for j, rid in enumerate(ray_ids):
-        for m in range(1, depth + 1):
-            labels.append(f"r{rid}:{m}")
-            coords.append((j, m))
-    n = len(labels)
-    d = np.zeros((n, n), dtype=np.float64)
-    for a in range(n):
-        ja, ma = coords[a]
-        for b in range(a + 1, n):
-            jb, mb = coords[b]
-            dd = abs(ma - mb) if (ja == jb or ma == 0 or mb == 0) else ma + mb
-            d[a, b] = d[b, a] = dd
-    tree = FiniteMetricSpace(f"{space_id}|raytree", tuple(labels), d)
+    tree = star_space(f"{space_id}|raytree", "root", ray_ids, depth)
     return RayTree("root", ray_ids, depth, tree)
 
 
@@ -220,46 +207,32 @@ def ray_tree_embed(
         rem = [
             PointSubset(space.id, tuple(set(p.indices) - shell_set)) for p in pieces
         ]
-        for a in range(len(pieces)):
-            for b in range(a + 1, len(pieces)):
-                if not rem[a].indices or not rem[b].indices:
-                    continue
-                shared = set(rem[a].indices) & set(rem[b].indices)
-                d = set_distance(space, rem[a], rem[b])
-                if shared or d <= n:
-                    wa = sorted(shared)[0] if shared else None
-                    witness = (
-                        f"point {space.points[wa]!r} lies in remainders of pieces {a} and {b}"
-                        if wa is not None
-                        else f"remainders of pieces {a} and {b} at distance {fmt_num(d)} <= {n}"
-                    )
-                    raise PreconditionError(
-                        f"separation hypothesis fails at n = {n}: {witness}"
-                    )
-    shell_index = [0] * space.n
-    for i in range(space.n):
-        for n, sh in enumerate(shells, start=1):
-            if i in set(sh.indices):
-                shell_index[i] = n
-                break
+        dist, bad = separation(space, rem, n)
+        if bad is not None:
+            a, b = bad
+            shared = set(rem[a].indices) & set(rem[b].indices)
+            witness = (
+                f"point {space.points[min(shared)]!r} lies in remainders of pieces {a} and {b}"
+                if shared
+                else f"remainders of pieces {a} and {b} at distance {fmt_num(dist[bad])} <= {n}"
+            )
+            raise PreconditionError(f"separation hypothesis fails at n = {n}: {witness}")
+    # a point first reached by shell(n + 1) lies outside shell(n), so the
+    # check above leaves it in exactly one piece
+    shell_index = np.zeros(space.n, dtype=int)
+    for n in range(len(shells), 0, -1):
+        shell_index[list(shells[n - 1].indices)] = n
+    owner = np.zeros(space.n, dtype=int)
+    for j, p in enumerate(pieces):
+        owner[list(p.indices)] = j
     depth = len(shells) + 1
     ray_ids = tuple(str(j) for j in range(len(pieces)))
     tree = build_ray_tree(space.id, ray_ids, depth)
     label_index = {lbl: k for k, lbl in enumerate(tree.space.points)}
-    assignment = []
-    piece_sets = [set(p.indices) for p in pieces]
-    for i in range(space.n):
-        level = shell_index[i] - 1
-        if level == 0:
-            assignment.append(label_index["root"])
-            continue
-        owners = [j for j, ps in enumerate(piece_sets) if i in ps]
-        if len(owners) != 1:
-            raise PreconditionError(
-                f"point {space.points[i]!r} at level {level} lies in pieces {owners}; "
-                "the verified hypothesis should have excluded this"
-            )
-        assignment.append(label_index[f"r{owners[0]}:{level}"])
+    assignment = [
+        label_index["root" if n == 1 else f"r{j}:{n - 1}"]
+        for n, j in zip(shell_index.tolist(), owner.tolist())
+    ]
     fmap = FamilyMap(
         space.id,
         tree.space.id,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .metric import (
     PointSubset,
     product,
     quotient_with_map,
-    set_distance,
+    separation,
     subset_diameter,
 )
 from .report import CheckItem, Verdict, fmt_num, verdict
@@ -99,35 +100,39 @@ def mesh(cover: Cover, space: FiniteMetricSpace) -> float:
 
 def greedy_color(cover: Cover, space: FiniteMetricSpace, r: float, n: int) -> Cover | None:
     """Color an uncolored cover with colors 0..n so that each color class is
-    r-disjoint, assigning greedily in element order.  None when some element
-    admits no color."""
+    r-disjoint, assigning each element, in order, the first color none of
+    whose elements lies within r of it.  None when some element admits no
+    color."""
     validate_cover(cover, space)
-    classes: list[list[PointSubset]] = [[] for _ in range(n + 1)]
+    dist, _ = separation(space, cover.elements, r)
+    near = ~(dist > r)  # a NaN distance does not separate
     colors: list[int] = []
-    for el in cover.elements:
-        placed = None
-        for c in range(n + 1):
-            if all(set_distance(space, el, other) > r for other in classes[c]):
-                placed = c
-                break
+    for k in range(len(cover.elements)):
+        taken = {colors[j] for j in np.flatnonzero(near[k, :k])}
+        placed = next((c for c in range(n + 1) if c not in taken), None)
         if placed is None:
             return None
-        classes[placed].append(el)
         colors.append(placed)
     return Cover(cover.space_id, cover.elements, tuple(colors))
 
 
+class _CoverLookup:
+    """``cover_for`` through an id -> cover dict built on first use; the
+    first cover listed for an id wins."""
+
+    @cached_property
+    def _by_member(self) -> dict[str, Cover]:
+        return dict(reversed(self.covers))
+
+    def cover_for(self, member_id: str) -> Cover | None:
+        return self._by_member.get(member_id)
+
+
 @dataclass(frozen=True)
-class AsdimEntry:
+class AsdimEntry(_CoverLookup):
     lam: float
     mesh_bound: float
     covers: tuple[tuple[str, Cover], ...]
-
-    def cover_for(self, member_id: str) -> Cover | None:
-        for mid, cov in self.covers:
-            if mid == member_id:
-                return cov
-        return None
 
 
 @dataclass(frozen=True)
@@ -207,15 +212,9 @@ def check_asdim_certificate(
 
 
 @dataclass(frozen=True)
-class ANEntry:
+class ANEntry(_CoverLookup):
     scale: float
     covers: tuple[tuple[str, Cover], ...]
-
-    def cover_for(self, member_id: str) -> Cover | None:
-        for mid, cov in self.covers:
-            if mid == member_id:
-                return cov
-        return None
 
 
 @dataclass(frozen=True)
@@ -266,25 +265,19 @@ def check_an_control(
                     CheckItem(path + ".colors", False, f"colors outside 0..{cert.n}")
                 )
                 continue
-            disj_ok = True
             for c in range(cert.n + 1):
                 cls = [e for e, col in zip(cov.elements, cov.colors) if col == c]
-                for a, b in itertools.combinations(cls, 2):
-                    d = set_distance(member, a, b)
-                    overlap = set(a.indices) & set(b.indices)
-                    if overlap or d <= r - tol:
-                        items.append(
-                            CheckItem(
-                                path + f".disjoint.color{c}",
-                                False,
-                                f"elements at distance {fmt_num(d)} <= R = {fmt_num(r)}",
-                            )
+                dist, bad = separation(member, cls, r)
+                if bad is not None:
+                    items.append(
+                        CheckItem(
+                            path + f".disjoint.color{c}",
+                            False,
+                            f"elements at distance {fmt_num(dist[bad])} <= R = {fmt_num(r)}",
                         )
-                        disj_ok = False
-                        break
-                if not disj_ok:
+                    )
                     break
-            if disj_ok:
+            else:
                 items.append(CheckItem(path + ".disjoint", True))
             ms = mesh(cov, member)
             if ms > bound + tol:

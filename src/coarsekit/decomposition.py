@@ -10,13 +10,13 @@ construction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .covers import AsdimCertificate, Cover, check_asdim_certificate
+from .covers import AsdimCertificate, Cover, check_asdim_certificate, greedy_color
 from .errors import PreconditionError, StructuralError
 from .maps import FamilyMap, MapFunction, preimage_family, validate_map
 from .metric import (
@@ -24,43 +24,13 @@ from .metric import (
     FiniteMetricSpace,
     MetricFamily,
     PointSubset,
+    UnionFind,
     ball,
     point_to_set_distance,
-    set_distance,
+    separation,
     subset_diameter,
 )
 from .report import CheckItem, Verdict, fmt_num, verdict
-
-
-class UnionFind:
-    """Array-based union-find with path compression."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-    def blocks(self) -> list[tuple[int, ...]]:
-        groups: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            groups.setdefault(self.find(i), []).append(i)
-        return [tuple(groups[r]) for r in sorted(groups)]
 
 
 @dataclass(frozen=True)
@@ -73,15 +43,20 @@ class RPartition:
     blocks: tuple[tuple[int, ...], ...]
 
 
-def r_components(space: FiniteMetricSpace, r: float) -> RPartition:
-    """Connected components of the relation d(x, y) <= r via union-find."""
+def r_components(space: FiniteMetricSpace, r: float, indices=None) -> RPartition:
+    """Connected components of the relation d(x, y) <= r via union-find,
+    over the given sorted point indices (by default every point)."""
     if r < 0:
         raise PreconditionError("scale r must be >= 0")
-    uf = UnionFind(space.n)
-    ii, jj = np.nonzero(np.triu(space.dist <= r, k=1))
+    idx = np.arange(space.n) if indices is None else np.asarray(indices, dtype=np.intp)
+    ks = np.arange(len(idx))
+    ii, jj = np.nonzero((space.dist[idx[:, None], idx] <= r) & (ks[:, None] < ks))
+    uf = UnionFind(len(idx))
     for a, b in zip(ii.tolist(), jj.tolist()):
         uf.union(a, b)
-    return RPartition(space.id, float(r), tuple(uf.blocks()))
+    ids = idx.tolist()
+    blocks = tuple(tuple(ids[i] for i in blk) for blk in uf.blocks())
+    return RPartition(space.id, float(r), blocks)
 
 
 def piece_id(member_id: str, color: int, index: int) -> str:
@@ -116,11 +91,12 @@ class DecompositionCertificate:
                 "certificate needs exactly one of leaf_bound or child"
             )
 
+    @cached_property
+    def _by_member(self) -> dict[str, MemberDecomposition]:
+        return {m.member_id: m for m in reversed(self.members)}
+
     def member_entry(self, member_id: str) -> "MemberDecomposition | None":
-        for m in self.members:
-            if m.member_id == member_id:
-                return m
-        return None
+        return self._by_member.get(member_id)
 
     def depth(self) -> int:
         return 1 if self.child is None else 1 + self.child.depth()
@@ -148,9 +124,10 @@ def check_decomposition(
     tol: float = DEFAULT_TOL,
     _path: str = "",
 ) -> Verdict:
-    """Recursive verification: coverage, per-color r-disjointness, then the
-    leaf diameter bound or the child certificate over the piece family.
-    The verdict carries the failing path."""
+    """Recursive verification: coverage, per-color r-disjointness (strict
+    > r, no tolerance), then the leaf diameter bound (within ``tol``) or the
+    child certificate over the piece family.  The verdict carries the
+    failing path."""
     if cert.family_id != family.id:
         raise StructuralError(
             f"certificate is for {cert.family_id!r}, not family {family.id!r}"
@@ -158,13 +135,12 @@ def check_decomposition(
     items: list[CheckItem] = []
     for entry in cert.members:
         family.member(entry.member_id)
-    supplied = {m.member_id for m in cert.members}
     for member in family.members:
         path = f"{_path}{member.id}"
-        if member.id not in supplied:
+        entry = cert.member_entry(member.id)
+        if entry is None:
             items.append(CheckItem(path, False, "no decomposition supplied for member"))
             continue
-        entry = cert.member_entry(member.id)
         if len(entry.pieces) != cert.n + 1:
             items.append(
                 CheckItem(
@@ -191,22 +167,16 @@ def check_decomposition(
         else:
             items.append(CheckItem(path + ".coverage", True))
         for color, group in enumerate(entry.pieces):
-            ok = True
-            for a, b in itertools.combinations(group, 2):
-                overlap = set(a.indices) & set(b.indices)
-                d = set_distance(member, a, b)
-                if overlap or d <= cert.r - tol:
-                    items.append(
-                        CheckItem(
-                            f"{path}.color{color}.disjoint",
-                            False,
-                            f"pieces at distance {fmt_num(d)} <= r = {fmt_num(cert.r)}",
-                        )
-                    )
-                    ok = False
-                    break
-            if ok:
-                items.append(CheckItem(f"{path}.color{color}.disjoint", True))
+            dist, bad = separation(member, group, cert.r)
+            items.append(
+                CheckItem(f"{path}.color{color}.disjoint", True)
+                if bad is None
+                else CheckItem(
+                    f"{path}.color{color}.disjoint",
+                    False,
+                    f"pieces at distance {fmt_num(dist[bad])} <= r = {fmt_num(cert.r)}",
+                )
+            )
     if cert.leaf_bound is not None:
         for entry in cert.members:
             space = family.member(entry.member_id)
@@ -258,26 +228,14 @@ class SearchResult:
 EXACT_SEARCH_CEILING = 20
 
 
-def _component_blocks(space: FiniteMetricSpace, members: list[int], r: float) -> list[list[int]]:
-    """Components of the relation d <= r inside the given point set."""
-    if not members:
-        return []
-    uf = UnionFind(len(members))
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            if space.dist[members[a], members[b]] <= r:
-                uf.union(a, b)
-    return [[members[i] for i in blk] for blk in uf.blocks()]
-
-
 def _single_space_certificate(
     space: FiniteMetricSpace, r: float, n: int, leaf_bound: float, coloring: list[int]
 ) -> DecompositionCertificate:
     groups: list[tuple[PointSubset, ...]] = []
     for c in range(n + 1):
         cls = [i for i, col in enumerate(coloring) if col == c]
-        blocks = _component_blocks(space, cls, r)
-        groups.append(tuple(PointSubset(space.id, tuple(b)) for b in blocks))
+        blocks = r_components(space, r, cls).blocks
+        groups.append(tuple(PointSubset(space.id, b) for b in blocks))
     return DecompositionCertificate(
         family_id=space.id,
         r=float(r),
@@ -303,6 +261,8 @@ def search_decomposition(
     pieces by balls of radius leaf_bound/2 and may miss; its empty answer is
     "unknown".
     """
+    if r < 0:
+        raise PreconditionError("scale r must be >= 0")
     if mode == "exact":
         if space.n > ceiling:
             raise PreconditionError(
@@ -385,93 +345,28 @@ def _greedy_search(
     space: FiniteMetricSpace, r: float, n: int, leaf_bound: float
 ) -> list[int] | None:
     """Seed pieces by closed balls of radius leaf_bound/2 around uncovered
-    points, then color the pieces greedily against the > r separation."""
+    points, then color the pieces with ``greedy_color``."""
     d = space.dist
-    npts = space.n
-    uncovered = set(range(npts))
-    pieces: list[list[int]] = []
+    uncovered = set(range(space.n))
+    pieces: list[PointSubset] = []
     while uncovered:
         center = min(uncovered)
         b = [i for i in sorted(uncovered) if d[center, i] <= leaf_bound / 2.0]
-        pieces.append(b)
+        pieces.append(PointSubset(space.id, b))
         uncovered.difference_update(b)
-    piece_colors: list[int] = []
-    for k, piece in enumerate(pieces):
-        placed = None
-        for c in range(n + 1):
-            ok = True
-            for j in range(k):
-                if piece_colors[j] != c:
-                    continue
-                other = pieces[j]
-                if min(d[a, b] for a in piece for b in other) <= r:
-                    ok = False
-                    break
-            if ok:
-                placed = c
-                break
-        if placed is None:
-            return None
-        piece_colors.append(placed)
-    coloring = [0] * npts
-    for piece, c in zip(pieces, piece_colors):
-        for i in piece:
-            coloring[i] = c
+    colored = greedy_color(Cover(space.id, pieces), space, r, n)
+    if colored is None:
+        return None
     # ball seeding bounds diameters by construction; verify against the bound
     for piece in pieces:
-        for a in piece:
-            for b in piece:
-                if d[a, b] > leaf_bound:
-                    return None
+        sel = np.array(piece.indices)
+        if (d[np.ix_(sel, sel)] > leaf_bound).any():
+            return None
+    coloring = [0] * space.n
+    for piece, c in zip(pieces, colored.colors):
+        for i in piece.indices:
+            coloring[i] = c
     return coloring
-
-
-def brute_force_decomposable(
-    space: FiniteMetricSpace, r: float, n: int, leaf_bound: float
-) -> bool:
-    """Independent existence oracle: dynamic programming over point subsets.
-
-    A subset is a feasible color class iff all of its d <= r components have
-    diameter <= leaf_bound; the space decomposes iff the full set splits into
-    at most n+1 feasible classes.
-    """
-    npts = space.n
-    if npts == 0:
-        return True
-    d = space.dist
-    full = (1 << npts) - 1
-    feasible = [False] * (full + 1)
-    for mask in range(1, full + 1):
-        members = [i for i in range(npts) if mask >> i & 1]
-        ok = True
-        for blk in _component_blocks(space, members, r):
-            for a in range(len(blk)):
-                for b in range(a + 1, len(blk)):
-                    if d[blk[a], blk[b]] > leaf_bound:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        feasible[mask] = ok
-    feasible[0] = True
-    reachable = {0}
-    for _ in range(n + 1):
-        nxt = set()
-        for covered in reachable:
-            if covered == full:
-                return True
-            rest = full & ~covered
-            sub = rest
-            while sub:
-                if feasible[sub]:
-                    nxt.add(covered | sub)
-                sub = (sub - 1) & rest
-        reachable = nxt
-        if full in reachable:
-            return True
-    return full in reachable
 
 
 def decomposition_to_cover(
@@ -536,11 +431,12 @@ class FiberingWitness:
     inner: tuple[tuple[float, DecompositionCertificate], ...]
     target_certificate: AsdimCertificate
 
+    @cached_property
+    def _by_radius(self) -> dict[float, DecompositionCertificate]:
+        return dict(reversed(self.inner))
+
     def inner_for(self, radius: float) -> DecompositionCertificate | None:
-        for r, cert in self.inner:
-            if r == radius:
-                return cert
-        return None
+        return self._by_radius.get(radius)
 
 
 def check_fibering_witness(

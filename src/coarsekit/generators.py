@@ -42,23 +42,23 @@ def integer_grid(w: int, h: int, space_id: str = "grid") -> FiniteMetricSpace:
     return FiniteMetricSpace(space_id, tuple(f"{i},{j}" for i, j in pts), d)
 
 
+def star_space(space_id: str, center: str, ray_ids, length: int) -> FiniteMetricSpace:
+    """Integer rays ``r<id>:1`` .. ``r<id>:<length>`` glued at a center point
+    (level 0): distance |m - m'| along one ray, m + m' across two rays."""
+    ray = np.repeat(np.arange(-1, len(ray_ids)), [1] + [length] * len(ray_ids))
+    level = np.concatenate(([0], np.tile(np.arange(1, length + 1), len(ray_ids))))
+    d = np.where(
+        ray[:, None] == ray[None, :],
+        np.abs(level[:, None] - level[None, :]),
+        level[:, None] + level[None, :],
+    )
+    labels = [center] + [f"r{rid}:{m}" for rid in ray_ids for m in range(1, length + 1)]
+    return FiniteMetricSpace(space_id, tuple(labels), d)
+
+
 def star_tree(rays: int, length: int, space_id: str = "star") -> FiniteMetricSpace:
     """Star of ``rays`` integer rays of the given length glued at a center."""
-    labels = ["c"]
-    coords = [(-1, 0)]
-    for j in range(rays):
-        for m in range(1, length + 1):
-            labels.append(f"r{j}:{m}")
-            coords.append((j, m))
-    n = len(labels)
-    d = np.zeros((n, n), dtype=np.float64)
-    for a in range(n):
-        ja, ma = coords[a]
-        for b in range(a + 1, n):
-            jb, mb = coords[b]
-            dd = abs(ma - mb) if (ja == jb or ma == 0 or mb == 0) else ma + mb
-            d[a, b] = d[b, a] = dd
-    return FiniteMetricSpace(space_id, tuple(labels), d)
+    return star_space(space_id, "c", [str(j) for j in range(rays)], length)
 
 
 def _clipped_interval(space: FiniteMetricSpace, lo: int, hi: int) -> PointSubset | None:

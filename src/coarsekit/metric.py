@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,22 +100,24 @@ class MetricFamily:
 
     id: str
     members: tuple[FiniteMetricSpace, ...]
+    _by_id: dict[str, FiniteMetricSpace] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise StructuralError(f"family {self.id!r} is empty")
-        seen = set()
+        by_id: dict[str, FiniteMetricSpace] = {}
         for m in self.members:
-            if m.id in seen:
+            if m.id in by_id:
                 raise StructuralError(f"family {self.id!r} has duplicate member id {m.id!r}")
-            seen.add(m.id)
+            by_id[m.id] = m
+        object.__setattr__(self, "_by_id", by_id)
 
     def member(self, member_id: str) -> FiniteMetricSpace:
-        for m in self.members:
-            if m.id == member_id:
-                return m
-        raise StructuralError(f"family {self.id!r} has no member {member_id!r}")
+        try:
+            return self._by_id[member_id]
+        except KeyError:
+            raise StructuralError(f"family {self.id!r} has no member {member_id!r}") from None
 
     def member_ids(self) -> tuple[str, ...]:
         return tuple(m.id for m in self.members)
@@ -134,7 +137,8 @@ class PointSubset:
         return len(self.indices)
 
     def __contains__(self, i: int) -> bool:
-        return i in set(self.indices)
+        k = bisect_left(self.indices, i)
+        return k < len(self.indices) and self.indices[k] == i
 
     def check_against(self, space: FiniteMetricSpace, allow_empty: bool = False) -> None:
         if self.space_id != space.id:
@@ -334,26 +338,45 @@ def validate_action(action: GroupAction, space: FiniteMetricSpace) -> None:
             )
 
 
+class UnionFind:
+    """Array-based union-find with path compression.  The root of a block is
+    its smallest member, so ``blocks`` lists them by smallest member."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        root = x
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if ra > rb:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+    def blocks(self) -> list[tuple[int, ...]]:
+        groups: dict[int, list[int]] = {}
+        for i in range(len(self.parent)):
+            groups.setdefault(self.find(i), []).append(i)
+        return [tuple(groups[r]) for r in sorted(groups)]
+
+
 def orbits(action: GroupAction, space: FiniteMetricSpace) -> list[tuple[int, ...]]:
     """Orbits of the action, each sorted, listed by minimal representative."""
-    n = space.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(space.n)
     for p in action.perms:
-        for i in range(n):
-            a, b = find(i), find(p[i])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [tuple(groups[r]) for r in sorted(groups)]
+        for i, j in enumerate(p):
+            uf.union(i, j)
+    return uf.blocks()
 
 
 def quotient_with_map(
@@ -452,11 +475,50 @@ def set_distance(space: FiniteMetricSpace, a: PointSubset, b: PointSubset) -> fl
     return float(space.dist[np.ix_(sa, sb)].min())
 
 
+def separation(
+    space: FiniteMetricSpace, pieces, r: float
+) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The k x k matrix of set distances between the given pieces (inf for
+    an empty piece) and the first pair (a, b), a < b in
+    ``itertools.combinations`` order, that is not r-separated, or None.
+
+    A pair is not separated when the pieces share a point or lie at set
+    distance d <= r: separation is strict (> r), with no tolerance.  An
+    empty piece is separated from every piece.  The distances among all
+    pieces' points are gathered once and min-reduced per piece, first over
+    rows, then over columns; a point shared by two pieces shows up as equal
+    neighbours once the gathered points are sorted.
+    """
+    k = len(pieces)
+    full = [a for a in range(k) if pieces[a].indices]
+    sizes = [len(pieces[a]) for a in full]
+    dist = np.full((k, k), math.inf)
+    bad = np.zeros((k, k), dtype=bool)
+    if full:
+        idx = np.fromiter(
+            itertools.chain.from_iterable(p.indices for p in pieces), dtype=np.intp
+        )
+        starts = list(itertools.accumulate(sizes[:-1], initial=0))
+        rows = np.minimum.reduceat(space.dist[idx[:, None], idx], starts, axis=0)
+        sub = np.minimum.reduceat(rows, starts, axis=1)
+        f = np.array(full)
+        dist[f[:, None], f] = sub
+        bad[f[:, None], f] = sub <= r
+        order = np.argsort(idx, kind="stable")
+        shared = idx[order][1:] == idx[order][:-1]
+        if shared.any():
+            owner = np.repeat(f, sizes)[order]
+            bad[owner[:-1][shared], owner[1:][shared]] = True
+    ks = np.arange(k)
+    hit = np.flatnonzero(bad & (ks[:, None] < ks))
+    return dist, (divmod(int(hit[0]), k) if hit.size else None)
+
+
 def subset_diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
     if not a.indices:
         return 0.0
     sa = np.array(a.indices, dtype=int)
-    return float(space.dist[np.ix_(sa, sa)].max())
+    return float(space.dist[sa[:, None], sa].max())
 
 
 def point_to_set_distance(space: FiniteMetricSpace, i: int, a: PointSubset) -> float:

@@ -184,6 +184,80 @@ def closure_blocks(dist, r):
     return tuple(tuple(blocks[k]) for k in sorted(blocks))
 
 
+def brute_force_decomposable(space, r, n, leaf_bound):
+    """Independent existence oracle: dynamic programming over point subsets.
+
+    A subset is a feasible color class iff all of its d <= r components have
+    diameter <= leaf_bound; the space decomposes iff the full set splits into
+    at most n+1 feasible classes.  Subsets are bitmasks: a component is grown
+    from its lowest point through the d <= r neighbour masks, and it is
+    feasible iff no member has a point farther than leaf_bound in it.
+    """
+    npts = space.n
+    if npts == 0:
+        return True
+    d = space.dist.tolist()
+    near = [sum(1 << j for j in range(npts) if d[i][j] <= r) for i in range(npts)]
+    far = [
+        sum(1 << j for j in range(npts) if j != i and d[i][j] > leaf_bound)
+        for i in range(npts)
+    ]
+
+    def feasible_class(mask):
+        rest = mask
+        while rest:
+            block = reach = 0
+            todo = rest & -rest
+            while todo:
+                low = todo & -todo
+                i = low.bit_length() - 1
+                block |= low
+                reach |= far[i]
+                todo = (todo | near[i] & mask) & ~block
+            if reach & block:
+                return False
+            rest &= ~block
+        return True
+
+    full = (1 << npts) - 1
+    feasible = [True] + [feasible_class(mask) for mask in range(1, full + 1)]
+    reachable = {0}
+    for _ in range(n + 1):
+        nxt = set()
+        for covered in reachable:
+            if covered == full:
+                return True
+            rest = full & ~covered
+            sub = rest
+            while sub:
+                if feasible[sub]:
+                    nxt.add(covered | sub)
+                sub = (sub - 1) & rest
+        reachable = nxt
+        if full in reachable:
+            return True
+    return full in reachable
+
+
+def looped_separation(space, pieces, r):
+    """The r-separation rule as a loop over pairs of pieces in combinations
+    order: set distances by a full scan (inf for an empty piece), and the
+    first pair of non-empty pieces that share a point or lie at distance
+    <= r, or None."""
+    k = len(pieces)
+    dist = np.full((k, k), np.inf)
+    for a in range(k):
+        for b in range(k):
+            for i in pieces[a].indices:
+                for j in pieces[b].indices:
+                    dist[a, b] = min(dist[a, b], space.dist[i, j])
+    for a, b in itertools.combinations(range(k), 2):
+        pa, pb = set(pieces[a].indices), set(pieces[b].indices)
+        if pa and pb and (pa & pb or dist[a, b] <= r):
+            return dist, (a, b)
+    return dist, None
+
+
 def random_cover_sets(rng, space, elements=4):
     """Random covering collection: a few random balls patched with
     singletons for anything left uncovered."""

@@ -39,7 +39,6 @@ from coarsekit.covers import (
 )
 from coarsekit.decomposition import (
     FiberingWitness,
-    brute_force_decomposable,
     check_decomposition,
     check_fibering_witness,
     r_components,
@@ -70,6 +69,7 @@ from coarsekit.metric import (
 )
 from coarsekit.phisuite import run_phi_suite, standard_rho_family
 from support import (
+    brute_force_decomposable,
     brute_minimax,
     closure_blocks,
     cyclic_isometric_action,

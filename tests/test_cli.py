@@ -5,6 +5,7 @@ import pytest
 from coarsekit.cli import run
 from coarsekit.generators import (
     grid_projection_fixture,
+    path_an_certificate,
     path_asdim_certificate,
     unit_path,
 )
@@ -12,6 +13,7 @@ from coarsekit.io import (
     ActionDocument,
     parse_family,
     write_action,
+    write_an_certificate,
     write_asdim_certificate,
     write_family,
     write_fibering_witness,
@@ -123,6 +125,21 @@ def test_cover_check_pass_and_fail(files):
     out, code = run(["cover-check", fam_path, bad_path, "--format", "machine"])
     assert code == 1
     assert "dimension=fail" in out
+
+
+@pytest.mark.parametrize("command, build, write", [
+    ("cover-check", path_asdim_certificate, write_asdim_certificate),
+    ("an-check", path_an_certificate, write_an_certificate),
+], ids=["cover-check", "an-check"])
+def test_entry_paths_keep_member_ids(files, command, build, write):
+    save, _ = files
+    fam = MetricFamily("F", (unit_path(12, "entry0m"),))
+    cert = build(fam, [1, 2])
+    out, code = run([command, save("fam.txt", write_family(fam)),
+                     save("cert.txt", write(cert, fam)), "--format", "machine"])
+    assert code == 0
+    assert "check.entry1.entry0m.mesh=pass\n" in out
+    assert "entry1m" not in out
 
 
 def test_quotient_cover_emits_reparseable_documents(files):

@@ -6,7 +6,6 @@ from coarsekit.decomposition import (
     FiberingWitness,
     MemberDecomposition,
     ball_preimage_family,
-    brute_force_decomposable,
     check_decomposition,
     check_fibering_witness,
     decomposition_to_cover,
@@ -27,6 +26,7 @@ from coarsekit.generators import (
 from coarsekit.maps import FamilyMap, MapFunction
 from coarsekit.metric import FiniteMetricSpace, PointSubset
 from support import (
+    brute_force_decomposable,
     closure_blocks,
     family_of,
     integer_points_space,
