@@ -54,8 +54,11 @@ def _finish_verdict(report: Report, v: Verdict) -> int:
 
 def _emit_document(report: Report, args, text: str, as_text_body: bool) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CoarsekitError(f"cannot write {args.out!r}: {exc.strerror}") from None
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     report.add("document.sha256", digest)
     report.add("document.lines", text.count("\n"))

@@ -11,19 +11,20 @@ non-decreasing parameter function rho.  Cone spaces are never materialized
 except as finite samples over an explicit height set; the distance is the
 primitive.
 
-The infimum is a bounded line search: outside [0, r / (2 max(rho(t), 1))]
-the 2u term alone already exceeds the value at u = 0.  Between breakpoints
-of a step or tabulated rho the objective is linear and increasing, so exact
-evaluation at in-range breakpoints is exact there; smooth pieces (affine
-above the max floor, exponential) are convex and handled by golden-section
-refined to absolute tolerance 1e-9 in u.
+Every supported rho has a closed form for the infimum, so phi is evaluated
+exactly, up to floating-point rounding, at a few candidate points u:
+
+- const, and affine with M = 0: u = 0, so phi = r / max(rho(t), 1);
+- affine: the candidates are u = 0 and the stationary point
+  (sqrt(r M / 2) - L) / M - t of the convex objective, clipped to u >= 0;
+- exp: u = 0 below r = 2 e^t, ln(r / 2) - t above (``phi_closed_exp``);
+- step and table: the objective grows on each constant piece, so the
+  minimum sits at u = 0 or where u + t reaches a breakpoint.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,9 +32,6 @@ from .errors import PreconditionError, StructuralError
 from .maps import FamilyMap, MapFunction, MonotoneEnvelope
 from .metric import FiniteMetricSpace, MetricFamily, PointSubset, validate_metric
 from .report import fmt_num
-
-U_TOL = 1e-9
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -46,6 +44,9 @@ class RhoFunction:
     kind: str
     params: tuple[float, ...] = ()
     breaks: tuple[tuple[float, float], ...] = ()
+    # step and table: the breakpoints and their values as arrays, built once
+    _ss: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _vs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
@@ -70,6 +71,8 @@ class RhoFunction:
                 raise StructuralError("breakpoints must be strictly increasing with s >= 0")
             if any(v < 0 for v in vs) or any(vs[i] > vs[i + 1] for i in range(len(vs) - 1)):
                 raise StructuralError("breakpoint values must be non-negative and non-decreasing")
+            object.__setattr__(self, "_ss", np.array(ss))
+            object.__setattr__(self, "_vs", np.array(vs))
         else:
             raise StructuralError(f"unknown rho kind {self.kind!r}")
 
@@ -103,10 +106,8 @@ class RhoFunction:
             with np.errstate(over="ignore"):
                 out = np.exp(a)  # inf beyond float range is the right limit here
         else:
-            ss = np.array([b for b, _ in self.breaks])
-            vs = np.array([v for _, v in self.breaks])
-            idx = np.clip(np.searchsorted(ss, a, side="right") - 1, 0, len(ss) - 1)
-            out = vs[idx]
+            idx = np.clip(np.searchsorted(self._ss, a, side="right") - 1, 0, len(self._ss) - 1)
+            out = self._vs[idx]
         return float(out) if np.isscalar(s) or a.ndim == 0 else out
 
     @property
@@ -168,83 +169,66 @@ class ConePoint:
             raise PreconditionError("cone heights must be >= 0")
 
 
-def _phi_arrays(rho: RhoFunction, t: np.ndarray, r: np.ndarray, u_tol: float):
-    """Vectorized infimum with argmin tracking.  t, r broadcast together."""
-    t, r = np.broadcast_arrays(t.astype(np.float64), r.astype(np.float64))
-    t = t.copy()
-    r = r.copy()
+def _phi_arrays(rho: RhoFunction, t, r):
+    """The exact infimum and a minimizer u*, vectorized; t and r broadcast
+    together."""
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=np.float64), np.asarray(r, dtype=np.float64))
     if (t < 0).any() or (r < 0).any():
         raise PreconditionError("phi needs t >= 0 and r >= 0")
-    m_t = np.maximum(rho(t), 1.0)
-    hi = r / (2.0 * m_t)
+    if rho.kind == "exp":
+        # 2u + r e^{-(u+t)} is convex, stationary where e^{u+t} = r / 2.
+        # e^t overflows to inf for large t, and the unused branch can be 0 * inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            linear = r < 2.0 * np.exp(t)
+            u_star = np.log(np.maximum(r, 1e-300) / 2.0) - t
+            best = np.where(linear, np.exp(-t) * r, 2.0 * u_star + 2.0)
+        # 2 e^t can round below r while ln(r / 2) < t: u* is then just under 0
+        return best, np.where(linear, 0.0, np.maximum(u_star, 0.0))
 
-    def g(u):
-        return 2.0 * u + r / np.maximum(rho(u + t), 1.0)
-
-    best = r / m_t  # u = 0
+    best = r / np.maximum(rho(t), 1.0)  # u = 0
     arg = np.zeros_like(best)
 
-    def consider(u):
+    def consider(u, val, where=True):
         nonlocal best, arg
-        u = np.clip(u, 0.0, hi)
-        val = g(u)
-        better = val < best
+        better = (val < best) & where
         best = np.where(better, val, best)
         arg = np.where(better, u, arg)
 
-    consider(hi)
-    if rho.kind in ("step", "table"):
-        for s, _ in rho.breaks:
-            consider(s - t)
-        return best, arg
-    if rho.kind == "const":
-        return best, arg
-
-    if rho.kind == "affine":
+    if rho.kind == "affine" and rho.params[0] > 0.0:
+        # 2u + r / (M (u + t) + L) is convex, stationary where M (u + t) + L =
+        # sqrt(r M / 2).  While rho(u + t) <= 1 the objective is 2u + r, never
+        # below its value at u = 0, so a stationary point there cannot win.
+        # A tiny M overflows u to inf, and r = inf makes the value inf / inf =
+        # nan: neither is ever below best.
         slope, offset = rho.params
-        if slope == 0.0:
-            return best, arg
-        crossing = max(0.0, (1.0 - offset) / slope)
-        lo = np.clip(crossing - t, 0.0, hi)
-        consider(lo)
-    else:  # exp: rho(u + t) = e^{u+t} >= 1 on the whole range
-        lo = np.zeros_like(hi)
-
-    a = lo.copy()
-    b = hi.copy()
-    width = float(np.max(b - a, initial=0.0))
-    if width > 0.0:
-        iters = max(40, min(220, int(math.log(max(width / u_tol, 1.0)) / math.log(1.0 / _INVPHI)) + 4))
-        for _ in range(iters):
-            span = b - a
-            m1 = a + (1.0 - _INVPHI) * span
-            m2 = a + _INVPHI * span
-            f1 = g(m1)
-            f2 = g(m2)
-            keep_left = f1 <= f2
-            b = np.where(keep_left, m2, b)
-            a = np.where(keep_left, a, m1)
-        consider((a + b) / 2.0)
-        consider(a)
-        consider(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.maximum(0.0, (np.sqrt(r * slope / 2.0) - offset) / slope - t)
+            consider(u, 2.0 * u + r / np.maximum(rho(u + t), 1.0))
+    elif rho.kind in ("step", "table"):
+        for s, v in rho.breaks:
+            u = s - t
+            consider(u, 2.0 * u + r / max(v, 1.0), where=u > 0.0)
+        # t + (s - t) can round to just below s: step such a minimizer up
+        # one ulp, so that rho(t + u*) is the breakpoint's value
+        up = np.nextafter(arg, np.inf)
+        arg = np.where((arg > 0.0) & (rho(t + arg) < rho(t + up)), up, arg)
     return best, arg
 
 
-def phi_with_argmin(rho: RhoFunction, t, r, u_tol: float = U_TOL):
-    scalar = np.isscalar(t) and np.isscalar(r)
-    val, arg = _phi_arrays(rho, np.asarray(t), np.asarray(r), u_tol)
-    if scalar:
+def phi_with_argmin(rho: RhoFunction, t, r):
+    """phi and a minimizer u* >= 0 of 2u + r / max(rho(u + t), 1)."""
+    val, arg = _phi_arrays(rho, t, r)
+    if np.isscalar(t) and np.isscalar(r):
         return float(val), float(arg)
     return val, arg
 
 
-def phi(rho: RhoFunction, t, r, u_tol: float = U_TOL):
-    """Numeric infimum of 2u + r / max(rho(u + t), 1) over u >= 0.
-
-    Within 1e-7 of the true infimum for the supported rho family.  Accepts
-    scalars or broadcastable arrays.
+def phi(rho: RhoFunction, t, r):
+    """The infimum of 2u + r / max(rho(u + t), 1) over u >= 0, exact up to
+    floating-point rounding for every supported rho (see the module
+    docstring).  Accepts scalars or broadcastable arrays.
     """
-    return phi_with_argmin(rho, t, r, u_tol)[0]
+    return phi_with_argmin(rho, t, r)[0]
 
 
 def phi_closed_exp(t, r):
@@ -252,45 +236,26 @@ def phi_closed_exp(t, r):
 
         e^{-t} r                    for 0 <= r < 2 e^t,
         2 (ln(r/2) - t) + 2         for r >= 2 e^t.
+
+    This is ``phi`` for exponential rho.
     """
-    t_arr = np.asarray(t, dtype=np.float64)
-    r_arr = np.asarray(r, dtype=np.float64)
-    if (t_arr < 0).any() or (r_arr < 0).any():
-        raise PreconditionError("phi needs t >= 0 and r >= 0")
-    t_b, r_b = np.broadcast_arrays(t_arr, r_arr)
-    linear = np.exp(-t_b) * r_b
-    with np.errstate(divide="ignore"):
-        log_branch = 2.0 * (np.log(np.maximum(r_b, 1e-300) / 2.0) - t_b) + 2.0
-    out = np.where(r_b < 2.0 * np.exp(t_b), linear, log_branch)
-    if np.isscalar(t) and np.isscalar(r):
-        return float(out)
-    return out
+    return phi(RhoFunction.exponential(), t, r)
 
 
 def cone_distance(rho: RhoFunction, y: FiniteMetricSpace, a: ConePoint, b: ConePoint) -> float:
-    """phi at the larger height of the base distance, plus the height gap.
-    Uses the closed form when rho is exponential."""
+    """phi at the larger height of the base distance, plus the height gap."""
     if not (0 <= a.base < y.n and 0 <= b.base < y.n):
         raise StructuralError(f"cone point outside {y.id!r}")
     tmax = max(a.height, b.height)
-    d_base = float(y.dist[a.base, b.base])
-    if rho.kind == "exp":
-        horizontal = phi_closed_exp(tmax, d_base)
-    else:
-        horizontal = phi(rho, tmax, d_base)
+    horizontal = phi(rho, tmax, float(y.dist[a.base, b.base]))
     return float(horizontal) + abs(a.height - b.height)
 
 
 def minimizer_height(rho: RhoFunction, a: ConePoint, b: ConePoint, d_base: float) -> float:
-    """Height max(t, t') + u* where u* attains the numeric phi infimum."""
+    """Height max(t, t') + u* where u* attains the phi infimum."""
     tmax = max(a.height, b.height)
     _, u = phi_with_argmin(rho, tmax, d_base)
     return tmax + u
-
-
-def _link_weight(rho: RhoFunction, y: FiniteMetricSpace, p: tuple[int, float], q: tuple[int, float]) -> float:
-    tmax = max(p[1], q[1])
-    return abs(p[1] - q[1]) + float(y.dist[p[0], q[0]]) / max(float(rho(tmax)), 1.0)
 
 
 def chain_oracle(
@@ -307,6 +272,8 @@ def chain_oracle(
 
     Every path is a chain, so the result bounds the cone distance from
     above; with the minimizing height among the waypoints it matches it.
+    Dense Dijkstra: the link weights form one matrix, and each step settles
+    the nearest open node, stopping at b.
     """
     heights = sorted({float(h) for h in waypoint_heights})
     if any(h < 0 for h in heights):
@@ -317,26 +284,22 @@ def chain_oracle(
     for extra in (start, goal):
         if extra not in nodes:
             nodes.append(extra)
-    idx = {node: k for k, node in enumerate(nodes)}
-    dist = [math.inf] * len(nodes)
-    dist[idx[start]] = 0.0
-    done = [False] * len(nodes)
-    heap = [(0.0, idx[start])]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if u == idx[goal]:
-            break
-        for v, node in enumerate(nodes):
-            if done[v]:
-                continue
-            w = du + _link_weight(rho, y, nodes[u], node)
-            if w < dist[v]:
-                dist[v] = w
-                heapq.heappush(heap, (w, v))
-    return dist[idx[goal]]
+    base = np.array([i for i, _ in nodes], dtype=int)
+    h = np.array([t for _, t in nodes])
+    weight = np.abs(np.subtract.outer(h, h)) + y.dist[np.ix_(base, base)] / np.maximum(
+        rho(np.maximum.outer(h, h)), 1.0
+    )
+    src, dst = nodes.index(start), nodes.index(goal)
+    dist = np.full(len(nodes), np.inf)
+    dist[src] = 0.0
+    settled = np.zeros(len(nodes), dtype=bool)
+    while True:
+        open_dist = np.where(settled, np.inf, dist)
+        u = int(np.argmin(open_dist))
+        if u == dst or open_dist[u] == np.inf:
+            return float(dist[dst])
+        settled[u] = True
+        np.fmin(dist, dist[u] + weight[u], out=dist)  # a nan weight (inf / inf) is no link
 
 
 def cone_sample(
@@ -349,17 +312,10 @@ def cone_sample(
         raise PreconditionError("cone sample needs at least one height")
     pts: list[tuple[int, float]] = [(i, h) for h in hs for i in range(y.n)]
     labels = tuple(f"{y.points[i]}@{fmt_num(h)}" for i, h in pts)
-    m = len(pts)
-    d = np.zeros((m, m), dtype=np.float64)
     t_of = np.array([h for _, h in pts])
     base_of = np.array([i for i, _ in pts], dtype=int)
-    tmax = np.maximum.outer(t_of, t_of)
-    d_base = y.dist[np.ix_(base_of, base_of)]
-    if rho.kind == "exp":
-        horizontal = phi_closed_exp(tmax, d_base)
-    else:
-        horizontal = phi(rho, tmax, d_base)
-    d = horizontal + np.abs(np.subtract.outer(t_of, t_of))
+    d = phi(rho, np.maximum.outer(t_of, t_of), y.dist[np.ix_(base_of, base_of)])
+    d += np.abs(np.subtract.outer(t_of, t_of))
     np.fill_diagonal(d, 0.0)
     space = FiniteMetricSpace(sample_id or f"C({y.id})", labels, d)
     report = validate_metric(space, tol=1e-7)

@@ -263,6 +263,8 @@ def search_decomposition(
     """
     if r < 0:
         raise PreconditionError("scale r must be >= 0")
+    if leaf_bound < 0:
+        raise PreconditionError("leaf bound must be >= 0")
     if mode == "exact":
         if space.n > ceiling:
             raise PreconditionError(

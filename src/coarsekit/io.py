@@ -124,7 +124,8 @@ class _Doc:
 
 def _num(tok: str, ln: int, col: int) -> float:
     """A number token: ``inf`` is the unbounded sentinel, integer literals
-    are converted exactly, and nan in any spelling is rejected."""
+    are converted exactly, a literal beyond the float range is out of range,
+    and nan in any spelling is rejected."""
     if tok == "inf":
         return math.inf
     try:
@@ -133,6 +134,8 @@ def _num(tok: str, ln: int, col: int) -> float:
         raise ParseError(f"not a number: {tok!r}", ln, col) from None
     except OverflowError:
         raise ParseError(f"number out of range: {tok!r}", ln, col) from None
+    if math.isinf(v) and tok.lstrip("+-").lower() not in ("inf", "infinity"):
+        raise ParseError(f"number out of range: {tok!r}", ln, col)
     if math.isnan(v):
         raise ParseError(f"nan is not accepted as a number: {tok!r}", ln, col)
     return v

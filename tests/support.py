@@ -7,7 +7,9 @@ distances and quotient minima then compare exactly, with no rounding slack.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 import re
 from functools import lru_cache
 
@@ -256,6 +258,96 @@ def looped_separation(space, pieces, r):
         if pa and pb and (pa & pb or dist[a, b] <= r):
             return dist, (a, b)
     return dist, None
+
+
+def numeric_phi(rho, t, r, u_tol=1e-9):
+    """The infimum of 2u + r / max(rho(u + t), 1) over u >= 0 by a bounded
+    numeric line search, independent of the closed forms in ``cone``.
+
+    Outside [0, r / (2 max(rho(t), 1))] the 2u term alone exceeds the value
+    at u = 0.  Step and table rho are evaluated through rho itself where
+    u + t reaches an in-range breakpoint; smooth pieces (affine above the max floor,
+    exponential) are convex and handled by golden-section search refined to
+    ``u_tol`` in u.  Accepts scalars or broadcastable arrays.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    scalar = np.isscalar(t) and np.isscalar(r)
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=np.float64), np.asarray(r, dtype=np.float64))
+    m_t = np.maximum(rho(t), 1.0)
+    hi = r / (2.0 * m_t)
+
+    def g(u):
+        return 2.0 * u + r / np.maximum(rho(u + t), 1.0)
+
+    best = r / m_t  # u = 0
+
+    def consider(u):
+        nonlocal best
+        best = np.fmin(best, g(np.clip(u, 0.0, hi)))
+
+    consider(hi)
+    if rho.kind in ("step", "table"):
+        for s, _ in rho.breaks:
+            # t + (s - t) can round to just below s, where rho is still the
+            # previous value: evaluate one ulp higher as well
+            consider(s - t)
+            consider(np.nextafter(s - t, np.inf))
+    elif rho.kind == "exp" or (rho.kind == "affine" and rho.params[0] > 0.0):
+        if rho.kind == "affine":
+            slope, offset = rho.params
+            lo = np.clip(max(0.0, (1.0 - offset) / slope) - t, 0.0, hi)
+            consider(lo)
+        else:  # rho(u + t) = e^{u+t} >= 1 on the whole range
+            lo = np.zeros_like(hi)
+        a, b = lo.copy(), hi.copy()
+        width = float(np.max(b - a, initial=0.0))
+        if width > 0.0:
+            iters = max(40, min(220, int(math.log(max(width / u_tol, 1.0)) / math.log(1.0 / invphi)) + 4))
+            for _ in range(iters):
+                m1 = a + (1.0 - invphi) * (b - a)
+                m2 = a + invphi * (b - a)
+                keep_left = g(m1) <= g(m2)
+                b = np.where(keep_left, m2, b)
+                a = np.where(keep_left, a, m1)
+            consider((a + b) / 2.0)
+            consider(a)
+            consider(b)
+    return float(best) if scalar else best
+
+
+def heap_chain_oracle(rho, y, a, b, waypoint_heights):
+    """Shortest chain from a to b through (Y x waypoint heights) by a heap
+    Dijkstra with one scalar link-weight evaluation per edge."""
+    heights = sorted({float(h) for h in waypoint_heights})
+    nodes = [(i, h) for h in heights for i in range(y.n)]
+    start = (a.base, float(a.height))
+    goal = (b.base, float(b.height))
+    for extra in (start, goal):
+        if extra not in nodes:
+            nodes.append(extra)
+
+    def weight(p, q):
+        return abs(p[1] - q[1]) + float(y.dist[p[0], q[0]]) / max(float(rho(max(p[1], q[1]))), 1.0)
+
+    idx = {node: k for k, node in enumerate(nodes)}
+    dist = [math.inf] * len(nodes)
+    dist[idx[start]] = 0.0
+    done = [False] * len(nodes)
+    heap = [(0.0, idx[start])]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if u == idx[goal]:
+            break
+        for v, node in enumerate(nodes):
+            if not done[v]:
+                w = du + weight(nodes[u], node)
+                if w < dist[v]:
+                    dist[v] = w
+                    heapq.heappush(heap, (w, v))
+    return dist[idx[goal]]
 
 
 def random_cover_sets(rng, space, elements=4):

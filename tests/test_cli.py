@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coarsekit
 from coarsekit.cli import run
 from coarsekit.generators import (
     grid_projection_fixture,
@@ -84,8 +89,9 @@ def test_malformed_rho_literal_exits_two(literal):
         ("family f\nmember m\npoints a b\n" + "1" * 400 + "\n", "line 4, column 1"),
         ("family f\nmember m\npoints a b c\nnan\n1 1\n", "line 4, column 1"),
         ("family f\nmember m\npoints a a\n1\n", "line 3, column 10"),
+        ("family f\nmember m\npoints a b c\n1\n2 -1e400\n", "line 5, column 3"),
     ],
-    ids=["out-of-range-integer", "nan", "repeated-label"],
+    ids=["out-of-range-integer", "nan", "repeated-label", "out-of-range-decimal"],
 )
 def test_rejected_family_document_exits_two(files, text, where):
     save, _ = files
@@ -110,6 +116,14 @@ def test_phi_exp_example(files):
     assert code == 0
     value = float(dict(l.split("=", 1) for l in out.splitlines())["value"])
     assert abs(value - 4.0) <= 1e-7
+
+
+@pytest.mark.parametrize("t, r", [("0", "1"), ("0", "2"), ("1.5", "42"), ("3", "1e-9"), ("0.25", "1e6")])
+def test_phi_exp_value_is_the_closed_form(t, r):
+    out, code = run(["phi", "--rho", "exp", "--t", t, "--r", r, "--format", "machine"])
+    kv = dict(l.split("=", 1) for l in out.splitlines())
+    assert code == 0
+    assert kv["value"] == kv["closed-form"]
 
 
 def test_cover_check_pass_and_fail(files):
@@ -217,6 +231,30 @@ def test_decompose_none_exits_one(files):
     fam_path = save("fam.txt", write_family(fam))
     out, code = run(["decompose", fam_path, "--r", "1", "--n", "0", "--bound", "2"])
     assert code == 1 and "none" in out
+
+
+@pytest.mark.parametrize("mode", [[], ["--greedy"]], ids=["exact", "greedy"])
+def test_negative_leaf_bound_is_refused(files, mode):
+    save, _ = files
+    fam_path = save("fam.txt", write_family(family_of(unit_path(4, "p"), family_id="F")))
+    argv = ["decompose", fam_path, "--r", "1", "--n", "1", "--bound", "-1", *mode]
+    # a greedy search with a negative bound never finishes: run it in a
+    # child process that the timeout can stop
+    src = str(Path(coarsekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "coarsekit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.stdout, proc.returncode) == ("refused: leaf bound must be >= 0\n", 1)
+
+
+def test_unwritable_out_path_exits_two(files):
+    save, tmp = files
+    fam_path = save("fam.txt", write_family(family_of(unit_path(3, "p"), family_id="F")))
+    target = tmp / "missing_dir" / "x.txt"
+    out, code = run(["product", fam_path, "--out", str(target)])
+    assert code == 2
+    assert out.startswith("error: cannot write") and str(target) in out
+    assert not target.exists()
 
 
 def test_check_fibering_cli(files):
