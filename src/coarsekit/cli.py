@@ -10,6 +10,7 @@ accepted and has no effect.  There is no environment-variable configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 
@@ -383,7 +384,11 @@ def cmd_ray_tree(args, report: Report) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later ``run`` in the process (``parse_args`` keeps no state between
+    calls)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "machine"), default="text",
                         help="report format (machine is line-oriented key=value)")

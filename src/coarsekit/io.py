@@ -148,14 +148,15 @@ def _int(tok: str, ln: int, col: int) -> int:
         raise ParseError(f"not an integer: {tok!r}", ln, col) from None
 
 
+def _label_index(label: str, col: int, space: FiniteMetricSpace, ln: int) -> int:
+    try:
+        return space.index(label)
+    except StructuralError:
+        raise ParseError(f"unknown point {label!r} of {space.id!r}", ln, col) from None
+
+
 def _labels_to_indices(labels, space: FiniteMetricSpace, ln: int) -> tuple[int, ...]:
-    out = []
-    index = {p: i for i, p in enumerate(space.points)}
-    for lbl, col in labels:
-        if lbl not in index:
-            raise ParseError(f"unknown point {lbl!r} of {space.id!r}", ln, col)
-        out.append(index[lbl])
-    return tuple(out)
+    return tuple(_label_index(lbl, col, space, ln) for lbl, col in labels)
 
 
 def _split_colon(toks, ln):
@@ -384,18 +385,13 @@ def parse_map(text: str, src: MetricFamily, tgt: MetricFamily) -> FamilyMap:
         s = src.member(toks[1][0])
         t = tgt.member(toks[3][0])
         assign: dict[int, int] = {}
-        t_index = {p: i for i, p in enumerate(t.points)}
-        s_index = {p: i for i, p in enumerate(s.points)}
         while not doc.eof() and doc.peek_key() != "function":
             ln, row = doc.take()
             head, tail = _split_colon(row, ln)
             if len(head) != 1 or len(tail) != 1:
                 raise ParseError("assignment line is '<point> : <image>'", ln, row[0][1])
-            if head[0][0] not in s_index:
-                raise ParseError(f"unknown point {head[0][0]!r} of {s.id!r}", ln, head[0][1])
-            if tail[0][0] not in t_index:
-                raise ParseError(f"unknown point {tail[0][0]!r} of {t.id!r}", ln, tail[0][1])
-            assign[s_index[head[0][0]]] = t_index[tail[0][0]]
+            i = _label_index(*head[0], s, ln)
+            assign[i] = _label_index(*tail[0], t, ln)
         if len(assign) != s.n:
             raise ParseError(
                 f"function {s.id!r} -> {t.id!r} assigns {len(assign)} of {s.n} points", ln

@@ -39,16 +39,19 @@ class FiniteMetricSpace:
     points: tuple[str, ...]
     dist: np.ndarray
     pseudo: bool = False
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "dist", _frozen_array(self.dist))
-        if len(set(self.points)) != len(self.points):
+        index = {p: i for i, p in enumerate(self.points)}
+        if len(index) != len(self.points):
             seen: set[str] = set()
             for p in self.points:
                 if p in seen:
                     raise StructuralError(f"space {self.id!r} repeats the point label {p!r}")
                 seen.add(p)
+        object.__setattr__(self, "_index", index)
 
     @property
     def n(self) -> int:
@@ -56,8 +59,8 @@ class FiniteMetricSpace:
 
     def index(self, label: str) -> int:
         try:
-            return self.points.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise StructuralError(f"space {self.id!r} has no point {label!r}") from None
 
     def d(self, i: int, j: int) -> float:
@@ -193,6 +196,9 @@ class ValidationReport:
 
 
 _TILE_ROWS = 64
+# Integers of magnitude up to 2**22 sum to at most 2**23, inside float32's
+# 24-bit significand, so a float32 bound over such entries is exact.
+_EXACT_F32 = 2.0**22
 
 
 def validate_metric(space: FiniteMetricSpace, tol: float = 0.0) -> ValidationReport:
@@ -213,7 +219,9 @@ def validate_metric(space: FiniteMetricSpace, tol: float = 0.0) -> ValidationRep
     for i in range(n):
         if d[i, i] != 0.0:
             out.append(Violation("diagonal", (i,), f"d({space.points[i]},{space.points[i]}) = {d[i, i]}"))
-    asym = np.argwhere(np.abs(d - d.T) > tol)
+    # inf - inf is NaN and never exceeds tol: the unbounded sentinel is symmetric.
+    with np.errstate(invalid="ignore"):
+        asym = np.argwhere(np.abs(d - d.T) > tol)
     for i, j in asym:
         if i < j:
             out.append(
@@ -254,24 +262,53 @@ def _triangle_witnesses(d: np.ndarray, tol: float) -> list[tuple[int, int, int]]
     """Every (i, j, k) with d[i,k] - (d[i,j] + d[j,k]) > tol, ordered by j,
     then i, then k.
 
-    The slack is computed in place for a tile of rows against each
-    intermediate point j in turn, so the tile stays in cache across all j;
-    witnesses are gathered only from a slab that has a hit.
+    A tile of rows first gets its min-plus bound m[i,k] = fmin over j of
+    d[i,j] + d[j,k], two in-place ufuncs per j.  Subtraction is monotone,
+    so some j violates at (i, k) exactly when d[i,k] - m[i,k] > tol; fmin
+    skips the NaN of inf + -inf, which never violates, where minimum would
+    let it hide a violation through another j.  Only the rows and columns
+    of a tile with such a pair are then swept per j, in float64, for the
+    witnesses.  On an exactly symmetric matrix a tile covers only columns
+    k >= its first row, and each witness (i, j, k), i != k, also yields its
+    mirror (k, j, i).  The bound is computed in float32, where every sum is
+    exact, when each finite entry is an integer of magnitude <= 2**22.
     """
     n = d.shape[0]
-    slack = np.empty((min(n, _TILE_ROWS), n))
-    hit = np.empty(slack.shape, dtype=bool)
+    symmetric = bool(np.array_equal(d, d.T))
+    finite = d[np.isfinite(d)]
+    exact = bool((np.abs(finite) <= _EXACT_F32).all() and (finite == np.trunc(finite)).all())
+    b = d.astype(np.float32) if exact else d
     found: list[tuple[int, int, int]] = []
-    for lo in range(0, n, _TILE_ROWS):
-        rows = d[lo:lo + _TILE_ROWS]
-        s = slack[:len(rows)]
-        h = hit[:len(rows)]
-        for j in range(n):
-            np.add(rows[:, j, None], d[j], out=s)
-            np.subtract(rows, s, out=s)
-            np.greater(s, tol, out=h)
-            if h.any():
-                found.extend((j, lo + i, k) for i, k in np.argwhere(h).tolist())
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, n, _TILE_ROWS):
+            hi = min(lo + _TILE_ROWS, n)
+            c0 = lo if symmetric else 0
+            left = np.ascontiguousarray(b[lo:hi].T)[:, :, None]
+            right = b[:, c0:]
+            m = np.full((hi - lo, n - c0), np.inf, dtype=b.dtype)
+            s = np.empty_like(m)
+            for j in range(n):
+                np.add(left[j], right[j], out=s)
+                np.fmin(m, s, out=m)
+            over = d[lo:hi, c0:] - m > tol
+            if not over.any():
+                continue
+            r = lo + np.flatnonzero(over.any(axis=1))
+            c = c0 + np.flatnonzero(over.any(axis=0))
+            sub = d[r[:, None], c]
+            left = np.ascontiguousarray(d[r].T)[:, :, None]
+            right = d[:, c]
+            slack = np.empty(sub.shape)
+            hit = np.empty(sub.shape, dtype=bool)
+            for j in range(n):
+                np.add(left[j], right[j], out=slack)
+                np.subtract(sub, slack, out=slack)
+                np.greater(slack, tol, out=hit)
+                if hit.any():
+                    found.extend((j, int(r[a]), int(c[e])) for a, e in np.argwhere(hit).tolist())
+    if symmetric:
+        found = [w for w in found if w[1] <= w[2]]
+        found += [(j, k, i) for j, i, k in found if i != k]
     found.sort()
     return [(i, j, k) for j, i, k in found]
 

@@ -469,7 +469,8 @@ def looped_validate_metric(space: FiniteMetricSpace, tol: float = 0.0) -> Valida
     for i in range(n):
         if d[i, i] != 0.0:
             out.append(Violation("diagonal", (i,), f"d({space.points[i]},{space.points[i]}) = {d[i, i]}"))
-    asym = np.argwhere(np.abs(d - d.T) > tol)
+    with np.errstate(invalid="ignore"):
+        asym = np.argwhere(np.abs(d - d.T) > tol)
     for i, j in asym:
         if i < j:
             out.append(
@@ -494,7 +495,8 @@ def looped_validate_metric(space: FiniteMetricSpace, tol: float = 0.0) -> Valida
                         )
                     )
     for j in range(n):
-        slack = d - (d[:, j][:, None] + d[j, :][None, :])
+        with np.errstate(invalid="ignore", over="ignore"):
+            slack = d - (d[:, j][:, None] + d[j, :][None, :])
         bad = np.argwhere(slack > tol)
         for i, k in bad:
             out.append(

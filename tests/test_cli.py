@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import coarsekit
-from coarsekit.cli import run
+from coarsekit.cli import build_parser, run
 from coarsekit.generators import (
     grid_projection_fixture,
     path_an_certificate,
@@ -233,6 +233,14 @@ def test_decompose_none_exits_one(files):
     assert code == 1 and "none" in out
 
 
+def _run_child(argv):
+    """The CLI in a child process, with its stdout, stderr and exit code."""
+    src = str(Path(coarsekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "coarsekit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.mark.parametrize("mode", [[], ["--greedy"]], ids=["exact", "greedy"])
 def test_negative_leaf_bound_is_refused(files, mode):
     save, _ = files
@@ -240,11 +248,58 @@ def test_negative_leaf_bound_is_refused(files, mode):
     argv = ["decompose", fam_path, "--r", "1", "--n", "1", "--bound", "-1", *mode]
     # a greedy search with a negative bound never finishes: run it in a
     # child process that the timeout can stop
-    src = str(Path(coarsekit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "coarsekit.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_child(argv)
     assert (proc.stdout, proc.returncode) == ("refused: leaf bound must be >= 0\n", 1)
+
+
+@pytest.mark.parametrize(
+    "text, points",
+    [("family f\nmember m\npoints a b\ninf\n", 2),
+     ("family f\nmember m\npoints a b c\n1e308\n1e308 1e308\n", 3)],
+    ids=["inf", "1e308"],
+)
+def test_validate_prints_no_numpy_warnings(files, text, points):
+    save, _ = files
+    proc = _run_child(["validate", save("fam.txt", text)])
+    assert (proc.stdout, proc.stderr, proc.returncode) == (f"m: ok ({points} points)\nPASS\n", "", 0)
+
+
+def test_cached_parser_matches_a_fresh_parse(files):
+    save, _ = files
+    fam_path = save("fam.txt", write_family(family_of(unit_path(4, "p"), family_id="F")))
+    sequence = [
+        ["validate", fam_path, "--format", "machine"],
+        ["validate", fam_path, "--format", "machine"],
+        ["phi-suite", "--rho", "exp", "--rho", "affine:2,1", "--samples", "20", "--format", "machine"],
+        ["phi-suite", "--samples", "20", "--format", "machine"],
+        ["components", fam_path],  # no --r: an argparse error
+        ["components", fam_path, "--r", "1", "--format", "machine"],
+    ]
+
+    def outcome(argv):
+        try:
+            return run(argv)
+        except SystemExit as exc:
+            return ("exit", exc.code)
+
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    build_parser.cache_clear()
+    assert [outcome(argv) for argv in sequence] == fresh
+    assert fresh[4] == ("exit", 2) and fresh[3][0] != fresh[2][0]
+    assert build_parser() is build_parser()
+
+
+def test_cone_dist_unknown_base_exits_two(files):
+    save, _ = files
+    fam_path = save("fam.txt", write_family(MetricFamily("paths", (unit_path(6, "a"),))))
+    argv = ["cone-dist", fam_path, "--rho", "affine:2,1", "--base-a", "zz", "--height-a", "0",
+            "--base-b", "0", "--height-b", "1"]
+    assert run(argv) == ("structural error: space 'a' has no point 'zz'\n", 2)
+    argv[argv.index("zz")] = "1"
+    assert run(argv)[1] == 0
 
 
 def test_unwritable_out_path_exits_two(files):

@@ -146,6 +146,30 @@ def test_map_rejects_partial_assignment():
         parse_map(text, src, tgt)
 
 
+@pytest.mark.parametrize(
+    "body, expected",
+    [("0 : 0\nq : 1\n", ("line 6, column 1: unknown point 'q' of 'dom'", 6, 1)),
+     ("0 : 0\n1 : q\n", ("line 6, column 5: unknown point 'q' of 'ran'", 6, 5))],
+    ids=["source", "target"],
+)
+def test_map_rejects_unknown_point(body, expected):
+    src = family_of(line_space([0, 1], space_id="dom"), family_id="S")
+    tgt = family_of(line_space([0, 1], space_id="ran"), family_id="T")
+    with pytest.raises(ParseError) as err:
+        parse_map("map\nsource S\ntarget T\nfunction dom -> ran\n" + body, src, tgt)
+    assert (str(err.value), err.value.line, err.value.column) == expected
+
+
+def test_unknown_point_in_element_line():
+    fam = MetricFamily("paths", (unit_path(6, "a"),))
+    text = write_asdim_certificate(path_asdim_certificate(fam, [1]), fam)
+    text = text.replace("element : 0 1 2 3", "element : 0 1 zz 3")
+    with pytest.raises(ParseError) as err:
+        parse_asdim_certificate(text, fam)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        "line 9, column 15: unknown point 'zz' of 'a'", 9, 15)
+
+
 def test_subsets_round_trip():
     s = unit_path(6, "p")
     fam = family_of(s, family_id="F")
