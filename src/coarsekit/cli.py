@@ -384,6 +384,15 @@ def cmd_ray_tree(args, report: Report) -> int:
     return EXIT_PASS
 
 
+class UsageError(CoarsekitError):
+    """A command line argparse rejects; the message is its usage and error text."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every
@@ -399,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility; every command runs serially")
     common.add_argument("--out", default=None, help="write emitted documents to this file")
 
-    parser = argparse.ArgumentParser(prog="coarsekit", description=__doc__)
+    parser = _Parser(prog="coarsekit", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("validate", parents=[common], help="check metric axioms of a family")
@@ -498,12 +507,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> tuple[str, int]:
-    """Run one invocation; returns (rendered report, exit code)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one invocation; returns (rendered report, exit code).  A command
+    line argparse rejects returns its usage and error text with exit 2."""
     report = Report()
     try:
+        args = build_parser().parse_args(argv)
         code = args.fn(args, report)
+    except UsageError as exc:
+        return str(exc), EXIT_ERROR
     except ParseError as exc:
         return f"parse error: {exc}\n", EXIT_ERROR
     except StructuralError as exc:

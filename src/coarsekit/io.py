@@ -7,7 +7,9 @@ Numbers written as integer literals are stored exactly (float64 holds them
 exactly at desk scale); ``inf`` is the explicit unbounded sentinel and
 ``nan`` is rejected.  The point labels of a family member are unique.
 
-Grammars (one document per file):
+Grammars (one document per file).  A keyword line holds exactly the
+arguments shown: ``<x...>`` is one or more, ``[...]`` is optional, and a
+keyword shown alone takes none.
 
   family document          family <id>
                            member <id> [pseudo]
@@ -15,7 +17,7 @@ Grammars (one document per file):
                            <n-1 lower-triangular rows, row k holding k numbers>
 
   action document          action <id>
-                           elements <label...>
+                           elements <element...>
                            compose <element> : <element...>     (one row each)
                            member <member-id>
                            perm <element> : <point index...>    (one row each)
@@ -28,21 +30,18 @@ Grammars (one document per file):
 
   subsets document         subsets <family-id>
                            member <member-id>
-                           <name> : <label...>
+                           <name> : [<label...>]
 
-  asdim certificate        asdim-certificate
-                           family <id> / n <int>
+  asdim certificate        asdim-certificate / family <id> / n <int>
                            entry / lambda <num> / bound <num>
-                           member <id> / element [<color>] : <label...>
+                           member <member-id> / element [<color>] : [<label...>]
 
-  an certificate           an-certificate
-                           family <id> / n <int> / M <num> / b <num>
+  an certificate           an-certificate / family <id> / n <int> / M <num> / b <num>
                            entry / R <num>
-                           member <id> / element <color> : <label...>
+                           member <member-id> / element [<color>] : [<label...>]
 
-  decomposition            decomposition-certificate
-  certificate              family <id> / r <num> / n <int>
-                           member <id> / color <int> / piece : <label...>
+  decomposition            decomposition-certificate / family <id> / r <num> / n <int>
+  certificate              member <member-id> / color <int> / piece : [<label...>]
                            then either  leaf-bound <num>
                            or           child + a nested certificate block
 
@@ -53,14 +52,19 @@ Grammars (one document per file):
 
   rho table file           <s> <value>                          (one per line)
 
-Ragged triangular blocks and malformed rows are rejected with 1-based
-line/column diagnostics.  Every writer/parser pair round-trips exactly.
+A missing token of a keyword line is reported just past the line's last
+token and an extra one at its own column.  The ``<member-id>`` of a subsets
+document or certificate, and each member of a ``function`` line, must name a
+member of the family the document is read against.  Ragged triangular blocks
+and malformed rows are rejected with 1-based line/column diagnostics.  Every
+writer/parser pair round-trips exactly.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -79,6 +83,8 @@ from .report import fmt_num
 
 _TOKEN = re.compile(r"\S+")
 _INTEGER = re.compile(r"[+-]?\d+")
+# token counts of a line or of one side of a row's ':'
+_NONE, _ONE, _OPTIONAL, _MANY = range(1), range(1, 2), range(2), range(1, sys.maxsize)
 
 
 class _Doc:
@@ -115,11 +121,66 @@ class _Doc:
         self.pos += 1
         return ln, [(m.group(), m.start() + 1) for m in _TOKEN.finditer(body)]
 
-    def expect(self, key: str) -> tuple[int, list[tuple[str, int]]]:
+    def error(self, message: str) -> ParseError:
+        """A ParseError at the first token of the row taken last."""
+        ln, body = self.lines[self.pos - 1]
+        return ParseError(message, ln, _TOKEN.search(body).start() + 1)
+
+    def expect(self, key: str, nargs, usage: str | None = None) -> tuple[int, list[tuple[str, int]]]:
+        """Take a ``<key> <arg...>`` line of ``nargs`` (an int or a range)
+        arguments; return its line number and the (token, column) pairs after
+        the key.  An arity error is reported at the token, or as ``usage``."""
         ln, toks = self.take()
-        if toks[0][0] != key:
-            raise ParseError(f"expected {key!r}, found {toks[0][0]!r}", ln, toks[0][1])
-        return ln, toks
+        word, col = toks[0]
+        if word != key:
+            raise ParseError(f"expected {key!r}, found {word!r}", ln, col)
+        args = toks[1:]
+        arity = nargs if isinstance(nargs, range) else range(nargs, nargs + 1)
+        if len(args) in arity:
+            return ln, args
+        if usage:
+            raise ParseError(usage, ln, col)
+        if len(args) < arity.start:
+            raise ParseError(f"missing argument on the {key!r} line", ln, toks[-1][1] + len(toks[-1][0]))
+        extra, extra_col = args[arity.stop - 1]
+        raise ParseError(f"unexpected token {extra!r} on the {key!r} line", ln, extra_col)
+
+    def word(self, key: str) -> str:
+        _, [(tok, _)] = self.expect(key, 1)
+        return tok
+
+    def num(self, key: str) -> float:
+        ln, [(tok, col)] = self.expect(key, 1)
+        return _num(tok, ln, col)
+
+    def int(self, key: str) -> int:
+        ln, [(tok, col)] = self.expect(key, 1)
+        return _int(tok, ln, col)
+
+    def member(self, family: MetricFamily) -> FiniteMetricSpace:
+        """A ``member <member-id>`` line, resolved against ``family``."""
+        ln, [(tok, col)] = self.expect("member", 1)
+        return _member_of(tok, col, family, ln)
+
+    def colon_row(self, key: str | None, nhead: range, usage: str, ntail=range(sys.maxsize)):
+        """Take a ``[<key>] <head...> : <tail...>`` row; return its line
+        number, head and tail.  A head of a length outside ``nhead``, or a
+        tail outside ``ntail``, is ``usage`` at the row's start."""
+        ln, toks = self.take()
+        if key is not None:
+            if len(toks) == 1 or toks[0][0] != key:  # a bare or foreign line: expect() names it
+                self.pos -= 1
+                self.expect(key, _MANY)
+            del toks[0]
+        for k, (tok, _) in enumerate(toks):
+            if tok == ":":
+                break
+        else:
+            raise ParseError("missing ':' separator", ln, toks[-1][1])
+        head, tail = toks[:k], toks[k + 1:]
+        if len(head) not in nhead or len(tail) not in ntail:
+            raise self.error(usage)
+        return ln, head, tail
 
 
 def _num(tok: str, ln: int, col: int) -> float:
@@ -148,6 +209,13 @@ def _int(tok: str, ln: int, col: int) -> int:
         raise ParseError(f"not an integer: {tok!r}", ln, col) from None
 
 
+def _member_of(member_id: str, col: int, family: MetricFamily, ln: int) -> FiniteMetricSpace:
+    try:
+        return family.member(member_id)
+    except StructuralError as exc:
+        raise ParseError(str(exc), ln, col) from None
+
+
 def _label_index(label: str, col: int, space: FiniteMetricSpace, ln: int) -> int:
     try:
         return space.index(label)
@@ -156,15 +224,10 @@ def _label_index(label: str, col: int, space: FiniteMetricSpace, ln: int) -> int
 
 
 def _labels_to_indices(labels, space: FiniteMetricSpace, ln: int) -> tuple[int, ...]:
-    return tuple(_label_index(lbl, col, space, ln) for lbl, col in labels)
-
-
-def _split_colon(toks, ln):
-    """Split a token row at the standalone ':' separator."""
-    for k, (tok, _) in enumerate(toks):
-        if tok == ":":
-            return toks[:k], toks[k + 1:]
-    raise ParseError("missing ':' separator", ln, toks[-1][1])
+    try:
+        return tuple([space.index(lbl) for lbl, _ in labels])
+    except StructuralError:  # report the first unknown label at its column
+        return tuple(_label_index(lbl, col, space, ln) for lbl, col in labels)
 
 
 # family documents
@@ -219,43 +282,31 @@ def _scan_block(doc: _Doc, n: int, member_id: str) -> np.ndarray:
     """Token-by-token read of a triangular block with line/column diagnostics."""
     values: list[float] = []
     for i in range(1, n):
+        ended = doc.peek_key() in ("member", "family")
         ln, row = doc.take()
-        if row[0][0] in ("member", "family"):
-            raise ParseError(
-                f"triangular block for {member_id!r} ended early (row {i} of {n - 1})",
-                ln,
-                row[0][1],
-            )
+        if ended:
+            raise doc.error(f"triangular block for {member_id!r} ended early (row {i} of {n - 1})")
         if len(row) != i:
-            col = row[min(i, len(row) - 1)][1] if len(row) > i else row[-1][1]
-            raise ParseError(
-                f"ragged block: row {i} of member {member_id!r} needs {i} numbers, found {len(row)}",
-                ln,
-                col,
-            )
+            _, col = row[min(i, len(row) - 1)]
+            raise ParseError(f"ragged block: row {i} of member {member_id!r} needs {i} numbers, "
+                             f"found {len(row)}", ln, col)
         values.extend(_num(tok, ln, col) for tok, col in row)
     return np.array(values, dtype=np.float64)
 
 
 def parse_family(text: str) -> MetricFamily:
     doc = _Doc(text)
-    ln, toks = doc.expect("family")
-    if len(toks) != 2:
-        raise ParseError("family header needs exactly one id", ln, toks[0][1])
-    fam_id = toks[1][0]
+    _, [(fam_id, _)] = doc.expect("family", 1, "family header needs exactly one id")
     members: list[FiniteMetricSpace] = []
     while not doc.eof():
-        ln, toks = doc.expect("member")
-        if len(toks) not in (2, 3) or (len(toks) == 3 and toks[2][0] != "pseudo"):
-            raise ParseError("member line is 'member <id> [pseudo]'", ln, toks[0][1])
-        member_id = toks[1][0]
-        pseudo = len(toks) == 3
-        ln, toks = doc.expect("points")
-        labels = [t for t, _ in toks[1:]]
-        if not labels:
-            raise ParseError("member has no points", ln, toks[0][1])
+        usage = "member line is 'member <id> [pseudo]'"
+        _, [(member_id, _), *flag] = doc.expect("member", range(1, 3), usage)
+        if [tok for tok, _ in flag] not in ([], ["pseudo"]):
+            raise doc.error(usage)
+        ln, points = doc.expect("points", _MANY, "member has no points")
+        labels = [t for t, _ in points]
         seen: set[str] = set()
-        for label, col in toks[1:]:
+        for label, col in points:
             if label in seen:
                 raise ParseError(f"duplicate point label {label!r}", ln, col)
             seen.add(label)
@@ -269,7 +320,7 @@ def parse_family(text: str) -> MetricFamily:
         lower = np.tril_indices(n, -1)
         d[lower] = values
         d.T[lower] = values
-        members.append(FiniteMetricSpace(member_id, tuple(labels), d, pseudo=pseudo))
+        members.append(FiniteMetricSpace(member_id, tuple(labels), d, pseudo=bool(flag)))
     return MetricFamily(fam_id, tuple(members))
 
 
@@ -282,9 +333,6 @@ class ActionDocument:
         self.elements = elements
         self.compose = compose
         self.perms = perms
-
-    def member_ids(self) -> list[str]:
-        return list(self.perms)
 
     def for_member(self, member_id: str) -> GroupAction:
         if member_id not in self.perms:
@@ -313,44 +361,33 @@ def write_action(doc: ActionDocument) -> str:
 
 def parse_action(text: str) -> ActionDocument:
     doc = _Doc(text)
-    ln, toks = doc.expect("action")
-    action_id = toks[1][0] if len(toks) > 1 else ""
-    ln, toks = doc.expect("elements")
-    elements = tuple(t for t, _ in toks[1:])
-    if not elements:
-        raise ParseError("action needs at least one element", ln, toks[0][1])
+    action_id = doc.word("action")
+    _, args = doc.expect("elements", _MANY)
+    elements = tuple(t for t, _ in args)
     pos = {e: i for i, e in enumerate(elements)}
     compose_rows: dict[str, tuple[int, ...]] = {}
     while doc.peek_key() == "compose":
-        ln, toks = doc.take()
-        head, tail = _split_colon(toks[1:], ln)
-        if len(head) != 1:
-            raise ParseError("compose row is 'compose <element> : <element...>'", ln, toks[0][1])
-        e = head[0][0]
-        if e not in pos:
-            raise ParseError(f"unknown element {e!r}", ln, head[0][1])
-        if len(tail) != len(elements):
-            raise ParseError(f"compose row for {e!r} needs {len(elements)} entries", ln, toks[0][1])
-        row = []
-        for tok, col in tail:
+        ln, [(e, col)], tail = doc.colon_row(
+            "compose", _ONE, "compose row is 'compose <element> : <element...>'")
+        for tok, col in [(e, col), *tail]:
             if tok not in pos:
                 raise ParseError(f"unknown element {tok!r}", ln, col)
-            row.append(pos[tok])
-        compose_rows[e] = tuple(row)
+        if len(tail) != len(elements):
+            raise doc.error(f"compose row for {e!r} needs {len(elements)} entries")
+        compose_rows[e] = tuple(pos[tok] for tok, _ in tail)
     missing = [e for e in elements if e not in compose_rows]
     if missing:
-        raise ParseError(f"missing compose row for {missing[0]!r}", ln if not doc.eof() else 1)
+        raise ParseError(f"missing compose row for {missing[0]!r}", doc.line_no())
     perms: dict[str, dict[str, tuple[int, ...]]] = {}
     while not doc.eof():
-        ln, toks = doc.expect("member")
-        member_id = toks[1][0]
+        ln, [(member_id, _)] = doc.expect("member", 1)
         table: dict[str, tuple[int, ...]] = {}
         while doc.peek_key() == "perm":
-            ln, toks = doc.take()
-            head, tail = _split_colon(toks[1:], ln)
-            if len(head) != 1 or head[0][0] not in pos:
-                raise ParseError("perm row is 'perm <element> : <indices...>'", ln, toks[0][1])
-            table[head[0][0]] = tuple(_int(t, ln, c) for t, c in tail)
+            usage = "perm row is 'perm <element> : <indices...>'"
+            ln, [(e, _)], tail = doc.colon_row("perm", _ONE, usage)
+            if e not in pos:
+                raise doc.error(usage)
+            table[e] = tuple(_int(t, ln, c) for t, c in tail)
         if set(table) != set(elements):
             raise ParseError(f"member {member_id!r} is missing permutations", ln)
         perms[member_id] = table
@@ -372,30 +409,23 @@ def write_map(fmap: FamilyMap, src: MetricFamily, tgt: MetricFamily) -> str:
 
 def parse_map(text: str, src: MetricFamily, tgt: MetricFamily) -> FamilyMap:
     doc = _Doc(text)
-    doc.expect("map")
-    ln, toks = doc.expect("source")
-    source = toks[1][0]
-    ln, toks = doc.expect("target")
-    target = toks[1][0]
+    doc.expect("map", 0)
+    source = doc.word("source")
+    target = doc.word("target")
     functions: list[MapFunction] = []
     while not doc.eof():
-        ln, toks = doc.expect("function")
-        if len(toks) != 4 or toks[2][0] != "->":
-            raise ParseError("function line is 'function <src> -> <tgt>'", ln, toks[0][1])
-        s = src.member(toks[1][0])
-        t = tgt.member(toks[3][0])
+        usage = "function line is 'function <src> -> <tgt>'"
+        ln, [s_id, (arrow, _), t_id] = doc.expect("function", 3, usage)
+        if arrow != "->":
+            raise doc.error(usage)
+        s = _member_of(*s_id, src, ln)
+        t = _member_of(*t_id, tgt, ln)
         assign: dict[int, int] = {}
         while not doc.eof() and doc.peek_key() != "function":
-            ln, row = doc.take()
-            head, tail = _split_colon(row, ln)
-            if len(head) != 1 or len(tail) != 1:
-                raise ParseError("assignment line is '<point> : <image>'", ln, row[0][1])
-            i = _label_index(*head[0], s, ln)
-            assign[i] = _label_index(*tail[0], t, ln)
+            ln, [point], [image] = doc.colon_row(None, _ONE, "assignment line is '<point> : <image>'", _ONE)
+            assign[_label_index(*point, s, ln)] = _label_index(*image, t, ln)
         if len(assign) != s.n:
-            raise ParseError(
-                f"function {s.id!r} -> {t.id!r} assigns {len(assign)} of {s.n} points", ln
-            )
+            raise ParseError(f"function {s.id!r} -> {t.id!r} assigns {len(assign)} of {s.n} points", ln)
         functions.append(MapFunction(s.id, t.id, tuple(assign[i] for i in range(s.n))))
     return FamilyMap(source, target, tuple(functions))
 
@@ -416,25 +446,19 @@ def write_subsets(family_id: str, entries, family: MetricFamily) -> str:
 
 def parse_subsets(text: str, family: MetricFamily) -> list[tuple[str, str, PointSubset]]:
     doc = _Doc(text)
-    ln, toks = doc.expect("subsets")
-    if toks[1][0] != family.id:
-        raise ParseError(f"subsets are for {toks[1][0]!r}, not family {family.id!r}", ln, toks[1][1])
+    ln, [(fam_id, col)] = doc.expect("subsets", 1)
+    if fam_id != family.id:
+        raise ParseError(f"subsets are for {fam_id!r}, not family {family.id!r}", ln, col)
     out: list[tuple[str, str, PointSubset]] = []
     member = None
     while not doc.eof():
         if doc.peek_key() == "member":
-            ln, toks = doc.take()
-            member = family.member(toks[1][0])
+            member = doc.member(family)
             continue
-        ln, row = doc.take()
+        ln, [(name, _)], tail = doc.colon_row(None, _ONE, "subset line is '<name> : <label...>'")
         if member is None:
-            raise ParseError("subset line before any member line", ln, row[0][1])
-        head, tail = _split_colon(row, ln)
-        if len(head) != 1:
-            raise ParseError("subset line is '<name> : <label...>'", ln, row[0][1])
-        out.append(
-            (member.id, head[0][0], PointSubset(member.id, _labels_to_indices(tail, member, ln)))
-        )
+            raise doc.error("subset line before any member line")
+        out.append((member.id, name, PointSubset(member.id, _labels_to_indices(tail, member, ln))))
     return out
 
 
@@ -448,24 +472,23 @@ def _write_cover(lines: list[str], cover: Cover, member: FiniteMetricSpace) -> N
         )
 
 
-def _parse_cover_elements(doc: _Doc, member: FiniteMetricSpace) -> Cover:
-    elements: list[PointSubset] = []
-    colors: list[int | None] = []
-    while doc.peek_key() == "element":
-        ln, row = doc.take()
-        head, tail = _split_colon(row[1:], ln)
-        if len(head) > 1:
-            raise ParseError("element line is 'element [<color>] : <label...>'", ln, row[0][1])
-        colors.append(_int(head[0][0], ln, head[0][1]) if head else None)
-        elements.append(PointSubset(member.id, _labels_to_indices(tail, member, ln)))
-    has_colors = [c for c in colors if c is not None]
-    if has_colors and len(has_colors) != len(colors):
-        raise ParseError("either all or no elements of a cover carry colors", doc.lines[doc.pos - 1][0])
-    return Cover(
-        member.id,
-        tuple(elements),
-        tuple(has_colors) if has_colors else None,
-    )
+def _parse_covers(doc: _Doc, family: MetricFamily) -> tuple[tuple[str, Cover], ...]:
+    """The ``member`` blocks of one certificate entry, each with its cover."""
+    covers: list[tuple[str, Cover]] = []
+    while doc.peek_key() == "member":
+        member = doc.member(family)
+        elements: list[PointSubset] = []
+        colors: list[int] = []
+        while doc.peek_key() == "element":
+            ln, head, tail = doc.colon_row(
+                "element", _OPTIONAL, "element line is 'element [<color>] : <label...>'")
+            for tok, col in head:
+                colors.append(_int(tok, ln, col))
+            elements.append(PointSubset(member.id, _labels_to_indices(tail, member, ln)))
+        if colors and len(colors) != len(elements):
+            raise ParseError("either all or no elements of a cover carry colors", ln)
+        covers.append((member.id, Cover(member.id, tuple(elements), tuple(colors) if colors else None)))
+    return tuple(covers)
 
 
 # asdim certificates
@@ -486,24 +509,13 @@ def parse_asdim_certificate(
     text_or_doc, family: MetricFamily, stop_keys: frozenset[str] = frozenset()
 ) -> AsdimCertificate:
     doc = text_or_doc if isinstance(text_or_doc, _Doc) else _Doc(text_or_doc)
-    doc.expect("asdim-certificate")
-    ln, toks = doc.expect("family")
-    fam_id = toks[1][0]
-    ln, toks = doc.expect("n")
-    n = _int(toks[1][0], ln, toks[1][1])
+    doc.expect("asdim-certificate", 0)
+    fam_id = doc.word("family")
+    n = doc.int("n")
     entries: list[AsdimEntry] = []
     while not doc.eof() and doc.peek_key() not in stop_keys:
-        doc.expect("entry")
-        ln, toks = doc.expect("lambda")
-        lam = _num(toks[1][0], ln, toks[1][1])
-        ln, toks = doc.expect("bound")
-        bound = _num(toks[1][0], ln, toks[1][1])
-        covers: list[tuple[str, Cover]] = []
-        while doc.peek_key() == "member":
-            ln, toks = doc.take()
-            member = family.member(toks[1][0])
-            covers.append((member.id, _parse_cover_elements(doc, member)))
-        entries.append(AsdimEntry(lam, bound, tuple(covers)))
+        doc.expect("entry", 0)
+        entries.append(AsdimEntry(doc.num("lambda"), doc.num("bound"), _parse_covers(doc, family)))
     return AsdimCertificate(fam_id, n, tuple(entries))
 
 
@@ -528,26 +540,15 @@ def write_an_certificate(cert: ANControlCertificate, family: MetricFamily) -> st
 
 def parse_an_certificate(text: str, family: MetricFamily) -> ANControlCertificate:
     doc = _Doc(text)
-    doc.expect("an-certificate")
-    ln, toks = doc.expect("family")
-    fam_id = toks[1][0]
-    ln, toks = doc.expect("n")
-    n = _int(toks[1][0], ln, toks[1][1])
-    ln, toks = doc.expect("M")
-    slope = _num(toks[1][0], ln, toks[1][1])
-    ln, toks = doc.expect("b")
-    offset = _num(toks[1][0], ln, toks[1][1])
+    doc.expect("an-certificate", 0)
+    fam_id = doc.word("family")
+    n = doc.int("n")
+    slope = doc.num("M")
+    offset = doc.num("b")
     entries: list[ANEntry] = []
     while not doc.eof():
-        doc.expect("entry")
-        ln, toks = doc.expect("R")
-        scale = _num(toks[1][0], ln, toks[1][1])
-        covers: list[tuple[str, Cover]] = []
-        while doc.peek_key() == "member":
-            ln, toks = doc.take()
-            member = family.member(toks[1][0])
-            covers.append((member.id, _parse_cover_elements(doc, member)))
-        entries.append(ANEntry(scale, tuple(covers)))
+        doc.expect("entry", 0)
+        entries.append(ANEntry(doc.num("R"), _parse_covers(doc, family)))
     return ANControlCertificate(fam_id, n, slope, offset, tuple(entries))
 
 
@@ -582,44 +583,33 @@ def write_decomposition_certificate(
     return "\n".join(lines) + "\n"
 
 
-def parse_decomposition_certificate(
-    text_or_doc, family: MetricFamily, stop_keys: frozenset[str] = frozenset()
-) -> DecompositionCertificate:
+def parse_decomposition_certificate(text_or_doc, family: MetricFamily) -> DecompositionCertificate:
     doc = text_or_doc if isinstance(text_or_doc, _Doc) else _Doc(text_or_doc)
-    doc.expect("decomposition-certificate")
-    ln, toks = doc.expect("family")
-    fam_id = toks[1][0]
-    ln, toks = doc.expect("r")
-    r = _num(toks[1][0], ln, toks[1][1])
-    ln, toks = doc.expect("n")
-    n = _int(toks[1][0], ln, toks[1][1])
+    doc.expect("decomposition-certificate", 0)
+    fam_id = doc.word("family")
+    r = doc.num("r")
+    n = doc.int("n")
     members: list[MemberDecomposition] = []
     while doc.peek_key() == "member":
-        ln, toks = doc.take()
-        member = family.member(toks[1][0])
+        member = doc.member(family)
         groups: list[tuple[PointSubset, ...]] = []
         while doc.peek_key() == "color":
-            ln, toks = doc.take()
-            color = _int(toks[1][0], ln, toks[1][1])
-            if color != len(groups):
-                raise ParseError(f"colors must appear in order; expected {len(groups)}", ln, toks[1][1])
+            ln, [(tok, col)] = doc.expect("color", 1)
+            if _int(tok, ln, col) != len(groups):
+                raise ParseError(f"colors must appear in order; expected {len(groups)}", ln, col)
             pieces: list[PointSubset] = []
             while doc.peek_key() == "piece":
-                ln, row = doc.take()
-                _, tail = _split_colon(row[1:], ln)
+                ln, _, tail = doc.colon_row("piece", _NONE, "piece line is 'piece : <label...>'")
                 pieces.append(PointSubset(member.id, _labels_to_indices(tail, member, ln)))
             groups.append(tuple(pieces))
         members.append(MemberDecomposition(member.id, tuple(groups)))
     key = doc.peek_key()
     if key == "leaf-bound":
-        ln, toks = doc.take()
-        bound = _num(toks[1][0], ln, toks[1][1])
-        return DecompositionCertificate(fam_id, r, n, tuple(members), leaf_bound=bound)
+        return DecompositionCertificate(fam_id, r, n, tuple(members), leaf_bound=doc.num("leaf-bound"))
     if key == "child":
-        doc.take()
+        doc.expect("child", 0)
         partial = DecompositionCertificate(fam_id, r, n, tuple(members), leaf_bound=0.0)
-        pieces = piece_family(partial, family)
-        child = parse_decomposition_certificate(doc, pieces, stop_keys)
+        child = parse_decomposition_certificate(doc, piece_family(partial, family))
         return DecompositionCertificate(fam_id, r, n, tuple(members), child=child)
     raise ParseError("certificate needs 'leaf-bound <num>' or 'child'", doc.line_no())
 
@@ -643,18 +633,16 @@ def parse_fibering_witness(
     text: str, src: MetricFamily, tgt: MetricFamily, fmap: FamilyMap
 ) -> FiberingWitness:
     doc = _Doc(text)
-    doc.expect("fibering-witness")
-    ln, toks = doc.expect("schedule")
-    schedule = tuple(_num(t, ln, c) for t, c in toks[1:])
-    doc.expect("target-certificate")
+    doc.expect("fibering-witness", 0)
+    ln, args = doc.expect("schedule", _MANY)
+    schedule = tuple(_num(t, ln, c) for t, c in args)
+    doc.expect("target-certificate", 0)
     target_cert = parse_asdim_certificate(doc, tgt, stop_keys=frozenset({"inner"}))
     inner: list[tuple[float, DecompositionCertificate]] = []
     while not doc.eof():
-        ln, toks = doc.expect("inner")
-        radius = _num(toks[1][0], ln, toks[1][1])
+        radius = doc.num("inner")
         fam, _ = ball_preimage_family(fmap, src, tgt, radius)
-        cert = parse_decomposition_certificate(doc, fam, stop_keys=frozenset({"inner"}))
-        inner.append((radius, cert))
+        inner.append((radius, parse_decomposition_certificate(doc, fam)))
     return FiberingWitness(fmap, schedule, tuple(inner), target_cert)
 
 
@@ -666,8 +654,8 @@ def parse_rho_table(text: str) -> tuple[tuple[float, float], ...]:
     while not doc.eof():
         ln, row = doc.take()
         if len(row) != 2:
-            raise ParseError("rho table rows are '<s> <value>'", ln, row[0][1])
-        pairs.append((_num(row[0][0], ln, row[0][1]), _num(row[1][0], ln, row[1][1])))
+            raise doc.error("rho table rows are '<s> <value>'")
+        pairs.append(tuple(_num(tok, ln, col) for tok, col in row))
     return tuple(pairs)
 
 

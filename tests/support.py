@@ -10,10 +10,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
+
+import coarsekit
 
 from coarsekit.errors import ParseError, StructuralError
 from coarsekit.metric import (
@@ -508,3 +514,11 @@ def looped_validate_metric(space: FiniteMetricSpace, tol: float = 0.0) -> Valida
                 )
             )
     return ValidationReport(space.id, tuple(out))
+
+
+def run_child(argv):
+    """The CLI in a child process, with its stdout, stderr and exit code."""
+    src = str(Path(coarsekit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "coarsekit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)

@@ -1,12 +1,7 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import coarsekit
 from coarsekit.cli import build_parser, run
 from coarsekit.generators import (
     grid_projection_fixture,
@@ -27,7 +22,7 @@ from coarsekit.io import (
 )
 from coarsekit.maps import FamilyMap, MapFunction
 from coarsekit.metric import MetricFamily, PointSubset
-from support import family_of, line_space, space_from_matrix
+from support import family_of, line_space, run_child, space_from_matrix
 
 
 @pytest.fixture()
@@ -233,14 +228,6 @@ def test_decompose_none_exits_one(files):
     assert code == 1 and "none" in out
 
 
-def _run_child(argv):
-    """The CLI in a child process, with its stdout, stderr and exit code."""
-    src = str(Path(coarsekit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "coarsekit.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-
-
 @pytest.mark.parametrize("mode", [[], ["--greedy"]], ids=["exact", "greedy"])
 def test_negative_leaf_bound_is_refused(files, mode):
     save, _ = files
@@ -248,7 +235,7 @@ def test_negative_leaf_bound_is_refused(files, mode):
     argv = ["decompose", fam_path, "--r", "1", "--n", "1", "--bound", "-1", *mode]
     # a greedy search with a negative bound never finishes: run it in a
     # child process that the timeout can stop
-    proc = _run_child(argv)
+    proc = run_child(argv)
     assert (proc.stdout, proc.returncode) == ("refused: leaf bound must be >= 0\n", 1)
 
 
@@ -260,7 +247,7 @@ def test_negative_leaf_bound_is_refused(files, mode):
 )
 def test_validate_prints_no_numpy_warnings(files, text, points):
     save, _ = files
-    proc = _run_child(["validate", save("fam.txt", text)])
+    proc = run_child(["validate", save("fam.txt", text)])
     assert (proc.stdout, proc.stderr, proc.returncode) == (f"m: ok ({points} points)\nPASS\n", "", 0)
 
 
@@ -276,19 +263,16 @@ def test_cached_parser_matches_a_fresh_parse(files):
         ["components", fam_path, "--r", "1", "--format", "machine"],
     ]
 
-    def outcome(argv):
-        try:
-            return run(argv)
-        except SystemExit as exc:
-            return ("exit", exc.code)
-
     fresh = []
     for argv in sequence:
         build_parser.cache_clear()
-        fresh.append(outcome(argv))
+        fresh.append(run(argv))
     build_parser.cache_clear()
-    assert [outcome(argv) for argv in sequence] == fresh
-    assert fresh[4] == ("exit", 2) and fresh[3][0] != fresh[2][0]
+    assert [run(argv) for argv in sequence] == fresh
+    text, code = fresh[4]
+    assert code == 2 and text.startswith("usage: coarsekit components [-h]")
+    assert text.endswith("\ncoarsekit components: error: the following arguments are required: --r\n")
+    assert fresh[3][0] != fresh[2][0]
     assert build_parser() is build_parser()
 
 
