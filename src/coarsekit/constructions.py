@@ -22,7 +22,6 @@ from .maps import FamilyMap, MapFunction
 from .metric import (
     FiniteMetricSpace,
     PointSubset,
-    UnionFind,
     neighborhood,
     separation,
 )
@@ -53,37 +52,33 @@ def minimax_ultrametric(space: FiniteMetricSpace) -> UltrametricSpace:
     """Distance = the smallest possible largest hop over chains joining two
     points, floored at 1 off the diagonal.
 
-    Kruskal's sorted-edge union-find: when the edge of weight w first joins
-    two components, every cross pair gets distance max(1, w), the maximum
-    edge on their minimum-spanning-tree path.  Satisfies the strong triangle
-    inequality exactly and d'(x, y) <= max(d(x, y), 1) everywhere.
+    One dense Prim pass (Prim 1957) grows a minimum spanning tree; a point v
+    joining through an edge of weight w to its parent p lies at
+    max(1, w, d'(p, u)) from every earlier point u, the largest edge on
+    their tree path.  That value does not depend on which minimum spanning
+    tree ties pick.  Satisfies the strong triangle inequality exactly and
+    d'(x, y) <= max(d(x, y), 1) everywhere.
     """
     n = space.n
     d = space.dist
-    out = np.zeros((n, n), dtype=np.float64)
-    if n > 1:
-        iu, ju = np.triu_indices(n, k=1)
-        order = np.lexsort((ju, iu, d[iu, ju]))
-        uf = UnionFind(n)
-        members: dict[int, list[int]] = {i: [i] for i in range(n)}
-        merges = 0
-        for e in order:
-            a, b = int(iu[e]), int(ju[e])
-            ra, rb = uf.find(a), uf.find(b)
-            if ra == rb:
-                continue
-            w = max(1.0, float(d[a, b]))
-            block_a = np.array(members[ra], dtype=int)
-            block_b = np.array(members[rb], dtype=int)
-            out[np.ix_(block_a, block_b)] = w
-            out[np.ix_(block_b, block_a)] = w
-            uf.union(ra, rb)
-            root = uf.find(ra)
-            merged = members.pop(ra) + members.pop(rb)
-            members[root] = merged
-            merges += 1
-            if merges == n - 1:
-                break
+    tree = np.zeros((n, n), dtype=np.float64)  # d' between points in insertion order
+    order = np.zeros(n, dtype=np.intp)  # order[t] is the point inserted t-th
+    key = np.full(n, np.inf)  # lightest edge from the tree to each free point
+    via = np.zeros(n, dtype=np.intp)  # insertion position of that edge's tree end
+    free = np.ones(n, dtype=bool)
+    for t in range(n):
+        v = int(key.argmin())
+        if not free[v]:  # every free point is at distance inf from the tree
+            v = int(free.argmax())
+        tree[t, :t] = tree[:t, t] = np.maximum(tree[via[v], :t], max(1.0, key[v]))
+        order[t] = v
+        free[v] = False
+        key[v] = np.inf
+        closer = free & (d[v] < key)
+        key[closer] = d[v, closer]
+        via[closer] = t
+    out = np.empty_like(tree)
+    out[np.ix_(order, order)] = tree
     return UltrametricSpace(f"{space.id}|ultrametric", space.points, out)
 
 

@@ -24,7 +24,6 @@ from .metric import (
     FiniteMetricSpace,
     MetricFamily,
     PointSubset,
-    UnionFind,
     ball,
     point_to_set_distance,
     separation,
@@ -44,18 +43,31 @@ class RPartition:
 
 
 def r_components(space: FiniteMetricSpace, r: float, indices=None) -> RPartition:
-    """Connected components of the relation d(x, y) <= r via union-find,
-    over the given sorted point indices (by default every point)."""
+    """Connected components of the relation d(x, y) <= r over the given
+    sorted point indices (by default every point), listed by smallest member.
+
+    Min-label hooking with pointer jumping (Shiloach & Vishkin 1982): each
+    point takes the least label among its neighbours, then that label's
+    label, until no label moves; every label is then its component's least
+    member.
+    """
     if r < 0:
         raise PreconditionError("scale r must be >= 0")
     idx = np.arange(space.n) if indices is None else np.asarray(indices, dtype=np.intp)
-    ks = np.arange(len(idx))
-    ii, jj = np.nonzero((space.dist[idx[:, None], idx] <= r) & (ks[:, None] < ks))
-    uf = UnionFind(len(idx))
-    for a, b in zip(ii.tolist(), jj.tolist()):
-        uf.union(a, b)
-    ids = idx.tolist()
-    blocks = tuple(tuple(ids[i] for i in blk) for blk in uf.blocks())
+    near = space.dist[idx[:, None], idx] <= r
+    np.fill_diagonal(near, True)
+    rows, cols = np.nonzero(near)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))  # every row holds its diagonal
+    lab = np.arange(len(idx))
+    while len(lab):
+        low = np.minimum.reduceat(lab[cols], starts)
+        low = low[low]
+        if np.array_equal(low, lab):
+            break
+        lab = low
+    order = np.argsort(lab, kind="stable")
+    cuts = np.flatnonzero(np.diff(lab[order])) + 1
+    blocks = tuple(tuple(b.tolist()) for b in np.split(idx[order], cuts) if b.size)
     return RPartition(space.id, float(r), blocks)
 
 

@@ -369,6 +369,8 @@ def parse_action(text: str) -> ActionDocument:
     while doc.peek_key() == "compose":
         ln, [(e, col)], tail = doc.colon_row(
             "compose", _ONE, "compose row is 'compose <element> : <element...>'")
+        if e in compose_rows:
+            raise ParseError(f"repeated compose row for {e!r}", ln, col)
         for tok, col in [(e, col), *tail]:
             if tok not in pos:
                 raise ParseError(f"unknown element {tok!r}", ln, col)
@@ -384,9 +386,11 @@ def parse_action(text: str) -> ActionDocument:
         table: dict[str, tuple[int, ...]] = {}
         while doc.peek_key() == "perm":
             usage = "perm row is 'perm <element> : <indices...>'"
-            ln, [(e, _)], tail = doc.colon_row("perm", _ONE, usage)
+            ln, [(e, col)], tail = doc.colon_row("perm", _ONE, usage)
             if e not in pos:
                 raise doc.error(usage)
+            if e in table:
+                raise ParseError(f"repeated perm row for {e!r}", ln, col)
             table[e] = tuple(_int(t, ln, c) for t, c in tail)
         if set(table) != set(elements):
             raise ParseError(f"member {member_id!r} is missing permutations", ln)
@@ -423,7 +427,10 @@ def parse_map(text: str, src: MetricFamily, tgt: MetricFamily) -> FamilyMap:
         assign: dict[int, int] = {}
         while not doc.eof() and doc.peek_key() != "function":
             ln, [point], [image] = doc.colon_row(None, _ONE, "assignment line is '<point> : <image>'", _ONE)
-            assign[_label_index(*point, s, ln)] = _label_index(*image, t, ln)
+            i = _label_index(*point, s, ln)
+            if i in assign:
+                raise ParseError(f"repeated assignment row for {point[0]!r}", ln, point[1])
+            assign[i] = _label_index(*image, t, ln)
         if len(assign) != s.n:
             raise ParseError(f"function {s.id!r} -> {t.id!r} assigns {len(assign)} of {s.n} points", ln)
         functions.append(MapFunction(s.id, t.id, tuple(assign[i] for i in range(s.n))))
@@ -583,8 +590,19 @@ def write_decomposition_certificate(
     return "\n".join(lines) + "\n"
 
 
-def parse_decomposition_certificate(text_or_doc, family: MetricFamily) -> DecompositionCertificate:
-    doc = text_or_doc if isinstance(text_or_doc, _Doc) else _Doc(text_or_doc)
+def parse_decomposition_certificate(text: str, family: MetricFamily) -> DecompositionCertificate:
+    doc = _Doc(text)
+    cert = _parse_decomposition(doc, family)
+    if not doc.eof():
+        key = doc.peek_key()
+        doc.take()
+        raise doc.error(f"expected end of document, found {key!r}")
+    return cert
+
+
+def _parse_decomposition(doc: _Doc, family: MetricFamily) -> DecompositionCertificate:
+    """One certificate, up to its final ``leaf-bound`` line; the rows after
+    it belong to the caller."""
     doc.expect("decomposition-certificate", 0)
     fam_id = doc.word("family")
     r = doc.num("r")
@@ -609,7 +627,7 @@ def parse_decomposition_certificate(text_or_doc, family: MetricFamily) -> Decomp
     if key == "child":
         doc.expect("child", 0)
         partial = DecompositionCertificate(fam_id, r, n, tuple(members), leaf_bound=0.0)
-        child = parse_decomposition_certificate(doc, piece_family(partial, family))
+        child = _parse_decomposition(doc, piece_family(partial, family))
         return DecompositionCertificate(fam_id, r, n, tuple(members), child=child)
     raise ParseError("certificate needs 'leaf-bound <num>' or 'child'", doc.line_no())
 
@@ -642,7 +660,7 @@ def parse_fibering_witness(
     while not doc.eof():
         radius = doc.num("inner")
         fam, _ = ball_preimage_family(fmap, src, tgt, radius)
-        inner.append((radius, parse_decomposition_certificate(doc, fam)))
+        inner.append((radius, _parse_decomposition(doc, fam)))
     return FiberingWitness(fmap, schedule, tuple(inner), target_cert)
 
 

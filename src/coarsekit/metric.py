@@ -345,27 +345,16 @@ def validate_action(action: GroupAction, space: FiniteMetricSpace) -> None:
     for col in range(k):
         if sorted(action.compose[i][col] for i in range(k)) != list(range(k)):
             raise StructuralError("composition table columns must be permutations (invertibility)")
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                if (
-                    action.compose[action.compose[a][b]][c]
-                    != action.compose[a][action.compose[b][c]]
-                ):
-                    raise StructuralError(
-                        f"composition not associative at ({action.elements[a]},"
-                        f"{action.elements[b]},{action.elements[c]})"
-                    )
-    # (gh) x = g(h x)
-    for a in range(k):
-        for b in range(k):
-            gh = action.perms[action.compose[a][b]]
-            g, h = action.perms[a], action.perms[b]
-            if any(gh[x] != g[h[x]] for x in range(n)):
-                raise StructuralError(
-                    f"permutation table incompatible with composition at "
-                    f"({action.elements[a]},{action.elements[b]})"
-                )
+    C = np.array(action.compose)
+    P = np.array(action.perms)
+    bad = np.argwhere(C[C] != C[:, C])  # (ab)c vs a(bc), first in (a, b, c) order
+    if len(bad):
+        a, b, c = (action.elements[i] for i in bad[0])
+        raise StructuralError(f"composition not associative at ({a},{b},{c})")
+    bad = np.argwhere(P[C] != P[:, P])  # (gh) x vs g(h x), first in (g, h, x) order
+    if len(bad):
+        a, b = (action.elements[i] for i in bad[0][:2])
+        raise StructuralError(f"permutation table incompatible with composition at ({a},{b})")
     d = space.dist
     for idx, p in enumerate(action.perms):
         sel = np.array(p, dtype=int)
@@ -375,73 +364,22 @@ def validate_action(action: GroupAction, space: FiniteMetricSpace) -> None:
             )
 
 
-class UnionFind:
-    """Array-based union-find with path compression.  The root of a block is
-    its smallest member, so ``blocks`` lists them by smallest member."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-    def blocks(self) -> list[tuple[int, ...]]:
-        groups: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            groups.setdefault(self.find(i), []).append(i)
-        return [tuple(groups[r]) for r in sorted(groups)]
-
-
-def orbits(action: GroupAction, space: FiniteMetricSpace) -> list[tuple[int, ...]]:
-    """Orbits of the action, each sorted, listed by minimal representative."""
-    uf = UnionFind(space.n)
-    for p in action.perms:
-        for i, j in enumerate(p):
-            uf.union(i, j)
-    return uf.blocks()
-
-
 def quotient_with_map(
     action: GroupAction, space: FiniteMetricSpace
 ) -> tuple[FiniteMetricSpace, tuple[int, ...]]:
     """Quotient space together with the point-to-orbit index map.
 
     d(Fx, Fx') = min over h of d(x, h x').  Orbit representatives are the
-    minimal point indices; quotient labels are "F·<representative label>".
+    minimal point indices: once the group axioms hold, the orbit of x is
+    {g x} and its representative is the minimum over g.  Quotient labels are
+    "F·<representative label>".
     The result is re-validated: an isometric action always yields a true
     metric.
     """
     validate_action(action, space)
-    orbs = orbits(action, space)
-    reps = [o[0] for o in orbs]
-    orbit_of = [0] * space.n
-    for qi, o in enumerate(orbs):
-        for i in o:
-            orbit_of[i] = qi
-    m = len(orbs)
-    d = space.dist
-    q = np.zeros((m, m), dtype=np.float64)
-    perm_arrays = [np.array(p, dtype=int) for p in action.perms]
-    for a in range(m):
-        for b in range(a + 1, m):
-            x, y = reps[a], reps[b]
-            best = min(float(d[x, p[y]]) for p in perm_arrays)
-            q[a, b] = q[b, a] = best
+    perms = np.array(action.perms)
+    reps, orbit_of = np.unique(perms.min(axis=0), return_inverse=True)
+    q = space.dist[reps[None, :, None], perms[:, reps][:, None, :]].min(axis=0)
     labels = tuple("F·" + space.points[r] for r in reps)
     result = FiniteMetricSpace(f"{space.id}/q", labels, q, pseudo=space.pseudo)
     report = validate_metric(result)
@@ -449,7 +387,7 @@ def quotient_with_map(
         raise StructuralError(
             f"quotient of {space.id!r} failed re-validation: {report.violations[0].detail}"
         )
-    return result, tuple(orbit_of)
+    return result, tuple(orbit_of.tolist())
 
 
 def quotient(space: FiniteMetricSpace, action: GroupAction) -> FiniteMetricSpace:
@@ -501,15 +439,6 @@ def neighborhood(space: FiniteMetricSpace, subset: PointSubset, radius: float) -
     sel = np.array(subset.indices, dtype=int)
     dmin = space.dist[:, sel].min(axis=1)
     return PointSubset(space.id, tuple(int(i) for i in np.nonzero(dmin <= radius)[0]))
-
-
-def set_distance(space: FiniteMetricSpace, a: PointSubset, b: PointSubset) -> float:
-    """min over pairs of d; inf if either subset is empty."""
-    if not a.indices or not b.indices:
-        return math.inf
-    sa = np.array(a.indices, dtype=int)
-    sb = np.array(b.indices, dtype=int)
-    return float(space.dist[np.ix_(sa, sb)].min())
 
 
 def separation(

@@ -40,9 +40,6 @@ class Verdict:
     def failures(self) -> tuple[CheckItem, ...]:
         return tuple(i for i in self.items if not i.passed)
 
-    def merged_with(self, other: "Verdict") -> "Verdict":
-        return Verdict(self.items + other.items)
-
 
 def verdict(items: list[CheckItem]) -> Verdict:
     return Verdict(tuple(items))

@@ -21,6 +21,7 @@ from support import (
     family_of,
     integer_points_space,
     line_space,
+    space_from_matrix,
 )
 
 
@@ -48,10 +49,14 @@ class TestMinimax:
 
     def test_agrees_with_all_chains_brute_force(self):
         rng = np.random.default_rng(21)
+        blocks = np.random.default_rng(22)
         for trial in range(60):
             n = int(rng.integers(2, 9))
             s = integer_points_space(rng, n, dim=2, coord_range=12, space_id=f"s{trial}")
             assert np.array_equal(minimax_ultrametric(s).dist, brute_minimax(s))
+            block = blocks.integers(0, 3, size=n)
+            split = space_from_matrix(np.where(block[:, None] == block, s.dist, np.inf))
+            assert np.array_equal(minimax_ultrametric(split).dist, brute_minimax(split))
 
     def test_strong_triangle_exact(self):
         rng = np.random.default_rng(25)

@@ -338,3 +338,22 @@ def test_bare_keyword_exits_two_in_process_and_through_the_console_script(
     assert run(argv) == (f"parse error: {expected}\n", 2)
     proc = run_child(argv)
     assert (proc.stdout, proc.stderr, proc.returncode) == (f"parse error: {expected}\n", "", 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_trailing_line_is_exit_two_at_that_line(workdir, kind):
+    text = KINDS[kind][0] + "zz yy\n"
+    out, code = run_kind(workdir, kind, text)
+    assert code == 2 and out.startswith(f"parse error: line {len(text.splitlines())}, column "), out
+
+
+@pytest.mark.parametrize(
+    "kind, row, expected",
+    [("map", "1,1 : 1", "line 9, column 1: repeated assignment row for '1,1'"),
+     ("action", "perm g : 3 2 1 0", "line 8, column 6: repeated perm row for 'g'"),
+     ("action", "compose g : g e", "line 5, column 9: repeated compose row for 'g'")],
+)
+def test_repeated_row_is_exit_two_at_its_key(workdir, kind, row, expected):
+    text = KINDS[kind][0].replace(row + "\n", row + "\n" + row + "\n", 1)
+    out = run_kind(workdir, kind, text)
+    assert out == (f"parse error: {expected}\n", 2)

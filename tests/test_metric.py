@@ -201,3 +201,23 @@ def test_validate_action_checks_group_axioms():
     bad = GroupAction(s.id, ("e", "g"), ((0, 1), (1, 0)), ((0, 0), (0, 0)))
     with pytest.raises(StructuralError):
         validate_action(bad, s)
+
+
+def test_validate_action_names_the_first_non_associative_triple():
+    # a Latin square with identity e (a loop of order 5) that is not a group
+    s = line_space([0, 1])
+    loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    act = GroupAction(s.id, ("e", "a", "b", "c", "d"), ((0, 1),) * 5, loop)
+    with pytest.raises(StructuralError, match=r"^composition not associative at \(a,a,b\)$"):
+        validate_action(act, s)
+
+
+def test_validate_action_names_the_first_pair_incompatible_with_composition():
+    # Z/4 acting on the 4-cycle by rotations, with c given a's rotation
+    c4 = space_from_matrix([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+    z4 = tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4))
+    perms = ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (1, 2, 3, 0))
+    act = GroupAction(c4.id, ("e", "a", "b", "c"), perms, z4)
+    with pytest.raises(StructuralError,
+                       match=r"^permutation table incompatible with composition at \(a,b\)$"):
+        validate_action(act, c4)

@@ -3,6 +3,8 @@
 Derandomized so the suite is reproducible run to run.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -11,15 +13,16 @@ from coarsekit.constructions import minimax_ultrametric, strong_triangle_violati
 from coarsekit.decomposition import r_components
 from coarsekit.maps import FamilyMap, MapFunction, control_envelope, properness_envelope
 from coarsekit.metric import FiniteMetricSpace, MetricFamily
-from support import closure_blocks
+from support import brute_minimax, closure_blocks
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @st.composite
-def integer_metric_space(draw, max_points=7, max_distance=9):
+def integer_metric_space(draw, max_points=7, max_distance=9, unbounded=False):
     """Shortest-path completion of a random positive integer matrix: exact
-    integer distances satisfying every triangle inequality."""
+    integer distances satisfying every triangle inequality.  With
+    ``unbounded`` the points fall into up to three blocks at distance inf."""
     n = draw(st.integers(2, max_points))
     entries = draw(
         st.lists(st.integers(1, max_distance), min_size=n * (n - 1) // 2,
@@ -34,13 +37,17 @@ def integer_metric_space(draw, max_points=7, max_distance=9):
     for mid in range(n):
         d = np.minimum(d, d[:, mid][:, None] + d[mid, :][None, :])
     np.fill_diagonal(d, 0.0)
+    if unbounded:
+        block = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        d[block[:, None] != block] = math.inf
     return FiniteMetricSpace("h", tuple(map(str, range(n))), d)
 
 
 @SETTINGS
-@given(integer_metric_space())
+@given(integer_metric_space(unbounded=True))
 def test_minimax_is_idempotent_and_floored(space):
     u = minimax_ultrametric(space)
+    assert np.array_equal(u.dist, brute_minimax(space))
     assert strong_triangle_violations(u) == []
     assert (u.dist <= np.maximum(space.dist, 1.0)).all()
     again = minimax_ultrametric(u)
@@ -48,9 +55,12 @@ def test_minimax_is_idempotent_and_floored(space):
 
 
 @SETTINGS
-@given(integer_metric_space(), st.integers(0, 12))
-def test_components_match_closure(space, r):
+@given(integer_metric_space(unbounded=True), st.integers(0, 12) | st.just(math.inf), st.data())
+def test_components_match_closure(space, r, data):
     assert r_components(space, r).blocks == closure_blocks(space.dist, r)
+    idx = sorted(data.draw(st.sets(st.integers(0, space.n - 1))))
+    blocks = closure_blocks(space.dist[np.ix_(idx, idx)], r) if idx else ()
+    assert r_components(space, r, idx).blocks == tuple(tuple(idx[k] for k in b) for b in blocks)
 
 
 @SETTINGS
