@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import sys
 
 from . import covers as covers_mod
@@ -182,7 +183,7 @@ def cmd_quotient_cover(args, report: Report) -> int:
 
 def cmd_product(args, report: Report) -> int:
     fam = _load_family(args.family)
-    p = float("inf") if args.p == "inf" else float(args.p)
+    p = float(args.p)
     prod = metric_mod.product(list(fam.members), p)
     out_fam = metric_mod.MetricFamily(f"{fam.id}|product", (prod,))
     report.add("command", "product")
@@ -388,6 +389,29 @@ class UsageError(CoarsekitError):
     """A command line argparse rejects; the message is its usage and error text."""
 
 
+def number(text: str) -> float:
+    """A float option: any literal ``float`` reads, ``inf`` included, but
+    not nan; argparse reports the ValueError as a usage error."""
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError(text)
+    return value
+
+
+def exponent(text: str) -> str:
+    """The ``--p`` number, kept as typed so that the report echoes it."""
+    number(text)
+    return text
+
+
+def count(text: str) -> int:
+    """A non-negative integer option."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
@@ -401,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "machine"), default="text",
                         help="report format (machine is line-oriented key=value)")
-    common.add_argument("--tolerance", type=float, default=metric_mod.DEFAULT_TOL,
+    common.add_argument("--tolerance", type=number, default=metric_mod.DEFAULT_TOL,
                         help="absolute tolerance for certificate comparisons")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    common.add_argument("--seed", type=count, default=0, help="seed for randomized suites")
     common.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; every command runs serially")
     common.add_argument("--out", default=None, help="write emitted documents to this file")
@@ -417,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("components", parents=[common], help="components at scale r")
     p.add_argument("family")
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=number, required=True)
     p.set_defaults(fn=cmd_components)
 
     p = sub.add_parser("cover-check", parents=[common], help="check a staged cover certificate")
@@ -439,14 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("product", parents=[common], help="l^p product of the family members")
     p.add_argument("family")
-    p.add_argument("--p", default="2")
+    p.add_argument("--p", type=exponent, default="2")
     p.set_defaults(fn=cmd_product)
 
     p = sub.add_parser("decompose", parents=[common], help="search for a decomposition")
     p.add_argument("family")
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=number, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=float, required=True)
+    p.add_argument("--bound", type=number, required=True)
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.add_argument("--exact", dest="mode", action="store_const", const="exact")
     p.add_argument("--greedy", dest="mode", action="store_const", const="greedy")
@@ -473,13 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phi", parents=[common], help="evaluate the height-distortion function")
     p.add_argument("--rho", required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--t", type=number, required=True)
+    p.add_argument("--r", type=number, required=True)
     p.set_defaults(fn=cmd_phi)
 
     p = sub.add_parser("phi-suite", parents=[common], help="randomized phi property suite")
     p.add_argument("--rho", action="append", default=None)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=count, default=1000)
     p.set_defaults(fn=cmd_phi_suite)
 
     p = sub.add_parser("cone-dist", parents=[common], help="cone distance between two cone points")
@@ -487,9 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", required=True)
     p.add_argument("--member", default=None)
     p.add_argument("--base-a", required=True)
-    p.add_argument("--height-a", type=float, required=True)
+    p.add_argument("--height-a", type=number, required=True)
     p.add_argument("--base-b", required=True)
-    p.add_argument("--height-b", type=float, required=True)
+    p.add_argument("--height-b", type=number, required=True)
     p.set_defaults(fn=cmd_cone_dist)
 
     p = sub.add_parser("ultrametric", parents=[common], help="minimax-path ultrametric of a family")

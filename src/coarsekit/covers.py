@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 
 import numpy as np
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from .metric import (
     GroupAction,
     MetricFamily,
     PointSubset,
+    member_lookup,
     product,
     quotient_with_map,
     separation,
@@ -49,29 +49,35 @@ class Cover:
             object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
 
 
-def validate_cover(cover: Cover, space: FiniteMetricSpace) -> None:
+def multiplicity(space: FiniteMetricSpace, elements) -> np.ndarray:
+    """How many of ``elements`` contain each point of ``space``, after
+    checking every element against the space."""
+    flat: list[int] = []
+    for el in elements:
+        el.check_against(space)
+        flat += el.indices
+    return np.bincount(np.array(flat, dtype=np.intp), minlength=space.n)
+
+
+def validate_cover(cover: Cover, space: FiniteMetricSpace) -> np.ndarray:
+    """Check that ``cover`` covers ``space``; return each point's
+    multiplicity."""
     if cover.space_id != space.id:
         raise StructuralError(f"cover references {cover.space_id!r}, not {space.id!r}")
     if cover.colors is not None and len(cover.colors) != len(cover.elements):
         raise StructuralError("cover colors do not match its element list")
-    covered: set[int] = set()
-    for el in cover.elements:
-        el.check_against(space)
-        covered.update(el.indices)
-    missing = sorted(set(range(space.n)) - covered)
-    if missing:
+    counts = multiplicity(space, cover.elements)
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
         raise StructuralError(
             f"cover of {space.id!r} misses point {space.points[missing[0]]!r}"
         )
+    return counts
 
 
 def cover_dimension(cover: Cover, space: FiniteMetricSpace) -> int:
     """Largest n such that some point lies in n+1 elements."""
-    validate_cover(cover, space)
-    counts = np.zeros(space.n, dtype=int)
-    for el in cover.elements:
-        counts[list(el.indices)] += 1
-    return int(counts.max()) - 1
+    return int(validate_cover(cover, space).max()) - 1
 
 
 def lebesgue_number(cover: Cover, space: FiniteMetricSpace) -> float:
@@ -116,20 +122,8 @@ def greedy_color(cover: Cover, space: FiniteMetricSpace, r: float, n: int) -> Co
     return Cover(cover.space_id, cover.elements, tuple(colors))
 
 
-class _CoverLookup:
-    """``cover_for`` through an id -> cover dict built on first use; the
-    first cover listed for an id wins."""
-
-    @cached_property
-    def _by_member(self) -> dict[str, Cover]:
-        return dict(reversed(self.covers))
-
-    def cover_for(self, member_id: str) -> Cover | None:
-        return self._by_member.get(member_id)
-
-
 @dataclass(frozen=True)
-class AsdimEntry(_CoverLookup):
+class AsdimEntry:
     lam: float
     mesh_bound: float
     covers: tuple[tuple[str, Cover], ...]
@@ -157,62 +151,33 @@ def check_asdim_certificate(
         )
     items: list[CheckItem] = []
     for k, entry in enumerate(cert.entries):
-        for mid, _ in entry.covers:
-            family.member(mid)  # raises on dangling reference
+        covers = member_lookup(family, entry.covers)
         for member in family.members:
             path = f"entry{k}.{member.id}"
-            cov = entry.cover_for(member.id)
+            cov = covers.get(member.id)
             if cov is None:
                 items.append(CheckItem(path, False, "no cover supplied for member"))
                 continue
-            validate_cover(cov, member)
-            dim = cover_dimension(cov, member)
-            if dim > cert.n:
-                counts = np.zeros(member.n, dtype=int)
-                for el in cov.elements:
-                    counts[list(el.indices)] += 1
-                w = int(counts.argmax())
-                items.append(
-                    CheckItem(
-                        path + ".dimension",
-                        False,
-                        f"point {member.points[w]!r} lies in {dim + 1} elements, n = {cert.n}",
-                    )
-                )
-            else:
-                items.append(CheckItem(path + ".dimension", True))
+            counts = validate_cover(cov, member)
+            w = int(counts.argmax())
             leb = lebesgue_number(cov, member)
-            if leb < entry.lam - tol:
-                items.append(
-                    CheckItem(
-                        path + ".lebesgue",
-                        False,
-                        f"Lebesgue number {fmt_num(leb)} < lambda {fmt_num(entry.lam)}",
-                    )
-                )
-            else:
-                items.append(CheckItem(path + ".lebesgue", True))
-            ms = mesh(cov, member)
-            if ms > entry.mesh_bound + tol:
-                big = max(
-                    range(len(cov.elements)),
-                    key=lambda i: subset_diameter(member, cov.elements[i]),
-                )
-                items.append(
-                    CheckItem(
-                        path + ".mesh",
-                        False,
-                        f"element {big} has diameter {fmt_num(ms)} > bound "
-                        f"{fmt_num(entry.mesh_bound)}",
-                    )
-                )
-            else:
-                items.append(CheckItem(path + ".mesh", True))
+            diams = [subset_diameter(member, el) for el in cov.elements]
+            big = diams.index(max(diams))
+            for name, failed, detail in (
+                ("dimension", counts[w] > cert.n + 1,
+                 f"point {member.points[w]!r} lies in {counts[w]} elements, n = {cert.n}"),
+                ("lebesgue", leb < entry.lam - tol,
+                 f"Lebesgue number {fmt_num(leb)} < lambda {fmt_num(entry.lam)}"),
+                ("mesh", diams[big] > entry.mesh_bound + tol,
+                 f"element {big} has diameter {fmt_num(diams[big])} > bound "
+                 f"{fmt_num(entry.mesh_bound)}"),
+            ):
+                items.append(CheckItem(f"{path}.{name}", not failed, detail if failed else ""))
     return verdict(items)
 
 
 @dataclass(frozen=True)
-class ANEntry(_CoverLookup):
+class ANEntry:
     scale: float
     covers: tuple[tuple[str, Cover], ...]
 
@@ -240,11 +205,10 @@ def check_an_control(
     for k, entry in enumerate(cert.entries):
         r = entry.scale
         bound = cert.slope * r + cert.offset
-        for mid, _ in entry.covers:
-            family.member(mid)
+        covers = member_lookup(family, entry.covers)
         for member in family.members:
             path = f"entry{k}.{member.id}"
-            cov = entry.cover_for(member.id)
+            cov = covers.get(member.id)
             if cov is None:
                 items.append(CheckItem(path, False, "no cover supplied for member"))
                 continue
@@ -330,14 +294,11 @@ def product_cover(
         validate_cover(covers[0], spaces[0])
         return spaces[0], covers[0]
     for s, c in zip(spaces, covers):
-        validate_cover(c, s)
+        counts = validate_cover(c, s)
         if c.colors is None:
             raise PreconditionError(f"cover of {s.id!r} must be colored 0..{m}")
         if any(col < 0 or col > m for col in c.colors):
             raise PreconditionError(f"cover of {s.id!r} has colors outside 0..{m}")
-        counts = np.zeros(s.n, dtype=int)
-        for el in c.elements:
-            counts[list(el.indices)] += 1
         if counts.min() < m:
             bad = int(counts.argmin())
             raise PreconditionError(
@@ -366,11 +327,8 @@ def product_cover(
             elements.append(PointSubset(prod.id, tuple(int(i) for i in flat)))
             colors.append(color)
     out = Cover(prod.id, tuple(elements), tuple(colors))
-    covered: set[int] = set()
-    for el in out.elements:
-        covered.update(el.indices)
-    missing = sorted(set(range(prod.n)) - covered)
-    if missing:
+    missing = np.flatnonzero(multiplicity(prod, out.elements) == 0)
+    if missing.size:
         raise PreconditionError(
             f"product cover misses point {prod.points[missing[0]]!r}; factor covers "
             "do not satisfy the multiplicity hypothesis with disjoint color classes"

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .covers import AsdimCertificate, Cover, check_asdim_certificate, greedy_color
+from .covers import AsdimCertificate, Cover, check_asdim_certificate, greedy_color, multiplicity
 from .errors import PreconditionError, StructuralError
 from .maps import FamilyMap, MapFunction, preimage_family, validate_map
 from .metric import (
@@ -25,6 +24,7 @@ from .metric import (
     MetricFamily,
     PointSubset,
     ball,
+    member_lookup,
     point_to_set_distance,
     separation,
     subset_diameter,
@@ -103,13 +103,6 @@ class DecompositionCertificate:
                 "certificate needs exactly one of leaf_bound or child"
             )
 
-    @cached_property
-    def _by_member(self) -> dict[str, MemberDecomposition]:
-        return {m.member_id: m for m in reversed(self.members)}
-
-    def member_entry(self, member_id: str) -> "MemberDecomposition | None":
-        return self._by_member.get(member_id)
-
     def depth(self) -> int:
         return 1 if self.child is None else 1 + self.child.depth()
 
@@ -145,11 +138,10 @@ def check_decomposition(
             f"certificate is for {cert.family_id!r}, not family {family.id!r}"
         )
     items: list[CheckItem] = []
-    for entry in cert.members:
-        family.member(entry.member_id)
+    entries = member_lookup(family, ((m.member_id, m) for m in cert.members))
     for member in family.members:
         path = f"{_path}{member.id}"
-        entry = cert.member_entry(member.id)
+        entry = entries.get(member.id)
         if entry is None:
             items.append(CheckItem(path, False, "no decomposition supplied for member"))
             continue
@@ -162,13 +154,10 @@ def check_decomposition(
                 )
             )
             continue
-        covered: set[int] = set()
-        for group in entry.pieces:
-            for piece in group:
-                piece.check_against(member)
-                covered.update(piece.indices)
-        missing = sorted(set(range(member.n)) - covered)
-        if missing:
+        missing = np.flatnonzero(
+            multiplicity(member, [piece for group in entry.pieces for piece in group]) == 0
+        )
+        if missing.size:
             items.append(
                 CheckItem(
                     path + ".coverage",
@@ -190,23 +179,22 @@ def check_decomposition(
                 )
             )
     if cert.leaf_bound is not None:
-        for entry in cert.members:
+        too_wide: list[CheckItem] = []
+        for entry in entries.values():
             space = family.member(entry.member_id)
             for color, group in enumerate(entry.pieces):
                 for k, piece in enumerate(group):
                     diam = subset_diameter(space, piece)
-                    pid = piece_id(entry.member_id, color, k)
                     if diam > cert.leaf_bound + tol:
-                        items.append(
+                        too_wide.append(
                             CheckItem(
-                                f"{_path}{pid}.bound",
+                                f"{_path}{piece_id(entry.member_id, color, k)}.bound",
                                 False,
                                 f"piece diameter {fmt_num(diam)} > leaf bound "
                                 f"{fmt_num(cert.leaf_bound)}",
                             )
                         )
-        if not any(not i.passed and i.path.endswith(".bound") for i in items):
-            items.append(CheckItem(f"{_path}leaf", True))
+        items.extend(too_wide or [CheckItem(f"{_path}leaf", True)])
     else:
         pieces = piece_family(cert, family)
         child_ids = {m.member_id for m in cert.child.members}
@@ -388,7 +376,7 @@ def decomposition_to_cover(
 ) -> Cover:
     """All pieces of one member as a colored cover: dimension <= n, mesh
     bounded by the leaf bound when the certificate is a leaf."""
-    entry = cert.member_entry(member.id)
+    entry = next((e for e in cert.members if e.member_id == member.id), None)
     if entry is None:
         raise StructuralError(f"certificate has no entry for {member.id!r}")
     elements: list[PointSubset] = []
@@ -445,13 +433,6 @@ class FiberingWitness:
     inner: tuple[tuple[float, DecompositionCertificate], ...]
     target_certificate: AsdimCertificate
 
-    @cached_property
-    def _by_radius(self) -> dict[float, DecompositionCertificate]:
-        return dict(reversed(self.inner))
-
-    def inner_for(self, radius: float) -> DecompositionCertificate | None:
-        return self._by_radius.get(radius)
-
 
 def check_fibering_witness(
     witness: FiberingWitness,
@@ -463,6 +444,9 @@ def check_fibering_witness(
     preimage family, the schedule must reach the largest target diameter,
     and the supplied target certificate must pass."""
     validate_map(witness.fmap, src, tgt)
+    inner = dict(witness.inner)
+    if len(inner) < len(witness.inner):
+        raise StructuralError("fibering witness lists an inner radius more than once")
     items: list[CheckItem] = []
     max_diam = max(m.diameter() for m in tgt.members)
     if not witness.radius_schedule or max(witness.radius_schedule) < max_diam:
@@ -486,7 +470,7 @@ def check_fibering_witness(
     )
     for radius in witness.radius_schedule:
         path = f"radius{fmt_num(radius)}"
-        cert = witness.inner_for(radius)
+        cert = inner.get(radius)
         if cert is None:
             items.append(
                 CheckItem(path, False, f"missing inner certificate for radius {fmt_num(radius)}")

@@ -55,9 +55,11 @@ keyword shown alone takes none.
 A missing token of a keyword line is reported just past the line's last
 token and an extra one at its own column.  The ``<member-id>`` of a subsets
 document or certificate, and each member of a ``function`` line, must name a
-member of the family the document is read against.  Ragged triangular blocks
-and malformed rows are rejected with 1-based line/column diagnostics.  Every
-writer/parser pair round-trips exactly.
+member of the family the document is read against, and a certificate entry
+or decomposition stage names each member once (a fibering witness, each
+inner radius once).  Ragged triangular blocks and malformed rows are
+rejected with 1-based line/column diagnostics.  Every writer/parser pair
+round-trips exactly.
 """
 
 from __future__ import annotations
@@ -157,11 +159,6 @@ class _Doc:
         ln, [(tok, col)] = self.expect(key, 1)
         return _int(tok, ln, col)
 
-    def member(self, family: MetricFamily) -> FiniteMetricSpace:
-        """A ``member <member-id>`` line, resolved against ``family``."""
-        ln, [(tok, col)] = self.expect("member", 1)
-        return _member_of(tok, col, family, ln)
-
     def colon_row(self, key: str | None, nhead: range, usage: str, ntail=range(sys.maxsize)):
         """Take a ``[<key>] <head...> : <tail...>`` row; return its line
         number, head and tail.  A head of a length outside ``nhead``, or a
@@ -214,6 +211,15 @@ def _member_of(member_id: str, col: int, family: MetricFamily, ln: int) -> Finit
         return family.member(member_id)
     except StructuralError as exc:
         raise ParseError(str(exc), ln, col) from None
+
+
+def _member_line(doc: _Doc, family: MetricFamily, seen) -> FiniteMetricSpace:
+    """A ``member <member-id>`` line, resolved against ``family``; an id in
+    ``seen`` (the members of the enclosing entry or stage) is a repeat."""
+    ln, [(tok, col)] = doc.expect("member", 1)
+    if tok in seen:
+        raise ParseError(f"repeated member block for {tok!r}", ln, col)
+    return _member_of(tok, col, family, ln)
 
 
 def _label_index(label: str, col: int, space: FiniteMetricSpace, ln: int) -> int:
@@ -460,7 +466,7 @@ def parse_subsets(text: str, family: MetricFamily) -> list[tuple[str, str, Point
     member = None
     while not doc.eof():
         if doc.peek_key() == "member":
-            member = doc.member(family)
+            member = _member_line(doc, family, ())
             continue
         ln, [(name, _)], tail = doc.colon_row(None, _ONE, "subset line is '<name> : <label...>'")
         if member is None:
@@ -481,9 +487,9 @@ def _write_cover(lines: list[str], cover: Cover, member: FiniteMetricSpace) -> N
 
 def _parse_covers(doc: _Doc, family: MetricFamily) -> tuple[tuple[str, Cover], ...]:
     """The ``member`` blocks of one certificate entry, each with its cover."""
-    covers: list[tuple[str, Cover]] = []
+    covers: dict[str, Cover] = {}
     while doc.peek_key() == "member":
-        member = doc.member(family)
+        member = _member_line(doc, family, covers)
         elements: list[PointSubset] = []
         colors: list[int] = []
         while doc.peek_key() == "element":
@@ -494,8 +500,8 @@ def _parse_covers(doc: _Doc, family: MetricFamily) -> tuple[tuple[str, Cover], .
             elements.append(PointSubset(member.id, _labels_to_indices(tail, member, ln)))
         if colors and len(colors) != len(elements):
             raise ParseError("either all or no elements of a cover carry colors", ln)
-        covers.append((member.id, Cover(member.id, tuple(elements), tuple(colors) if colors else None)))
-    return tuple(covers)
+        covers[member.id] = Cover(member.id, tuple(elements), tuple(colors) if colors else None)
+    return tuple(covers.items())
 
 
 # asdim certificates
@@ -607,9 +613,9 @@ def _parse_decomposition(doc: _Doc, family: MetricFamily) -> DecompositionCertif
     fam_id = doc.word("family")
     r = doc.num("r")
     n = doc.int("n")
-    members: list[MemberDecomposition] = []
+    members: dict[str, MemberDecomposition] = {}
     while doc.peek_key() == "member":
-        member = doc.member(family)
+        member = _member_line(doc, family, members)
         groups: list[tuple[PointSubset, ...]] = []
         while doc.peek_key() == "color":
             ln, [(tok, col)] = doc.expect("color", 1)
@@ -620,15 +626,16 @@ def _parse_decomposition(doc: _Doc, family: MetricFamily) -> DecompositionCertif
                 ln, _, tail = doc.colon_row("piece", _NONE, "piece line is 'piece : <label...>'")
                 pieces.append(PointSubset(member.id, _labels_to_indices(tail, member, ln)))
             groups.append(tuple(pieces))
-        members.append(MemberDecomposition(member.id, tuple(groups)))
+        members[member.id] = MemberDecomposition(member.id, tuple(groups))
+    stage = tuple(members.values())
     key = doc.peek_key()
     if key == "leaf-bound":
-        return DecompositionCertificate(fam_id, r, n, tuple(members), leaf_bound=doc.num("leaf-bound"))
+        return DecompositionCertificate(fam_id, r, n, stage, leaf_bound=doc.num("leaf-bound"))
     if key == "child":
         doc.expect("child", 0)
-        partial = DecompositionCertificate(fam_id, r, n, tuple(members), leaf_bound=0.0)
+        partial = DecompositionCertificate(fam_id, r, n, stage, leaf_bound=0.0)
         child = _parse_decomposition(doc, piece_family(partial, family))
-        return DecompositionCertificate(fam_id, r, n, tuple(members), child=child)
+        return DecompositionCertificate(fam_id, r, n, stage, child=child)
     raise ParseError("certificate needs 'leaf-bound <num>' or 'child'", doc.line_no())
 
 
@@ -656,12 +663,15 @@ def parse_fibering_witness(
     schedule = tuple(_num(t, ln, c) for t, c in args)
     doc.expect("target-certificate", 0)
     target_cert = parse_asdim_certificate(doc, tgt, stop_keys=frozenset({"inner"}))
-    inner: list[tuple[float, DecompositionCertificate]] = []
+    inner: dict[float, DecompositionCertificate] = {}
     while not doc.eof():
-        radius = doc.num("inner")
+        ln, [(tok, col)] = doc.expect("inner", 1)
+        radius = _num(tok, ln, col)
+        if radius in inner:
+            raise ParseError(f"repeated inner block for radius {tok!r}", ln, col)
         fam, _ = ball_preimage_family(fmap, src, tgt, radius)
-        inner.append((radius, _parse_decomposition(doc, fam)))
-    return FiberingWitness(fmap, schedule, tuple(inner), target_cert)
+        inner[radius] = _parse_decomposition(doc, fam)
+    return FiberingWitness(fmap, schedule, tuple(inner.items()), target_cert)
 
 
 # rho tables

@@ -126,6 +126,18 @@ class MetricFamily:
         return tuple(m.id for m in self.members)
 
 
+def member_lookup(family: MetricFamily, pairs) -> dict:
+    """A certificate's (member id, value) pairs as an id -> value dict; a
+    dangling or repeated id, in listed order, is a StructuralError."""
+    by_id: dict = {}
+    for member_id, value in pairs:
+        family.member(member_id)
+        if member_id in by_id:
+            raise StructuralError(f"certificate lists member {member_id!r} more than once")
+        by_id[member_id] = value
+    return by_id
+
+
 @dataclass(frozen=True)
 class PointSubset:
     """A subset of the points of one space, kept as sorted unique indices."""

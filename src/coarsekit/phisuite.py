@@ -37,7 +37,7 @@ def standard_rho_family() -> list[RhoFunction]:
     ]
 
 
-def _worst(mask: np.ndarray, margin: np.ndarray, fields: dict) -> str:
+def _worst(margin: np.ndarray, fields: dict) -> str:
     k = int(np.argmin(margin))
     parts = [f"{name}={np.asarray(val).ravel()[k]:.6g}" for name, val in fields.items()]
     return "worst sample: " + ", ".join(parts) + f", margin={margin.ravel()[k]:.3g}"
@@ -71,7 +71,7 @@ def run_phi_suite(
         margin = phi(rho, t_lo, r) + tol - phi(rho, t_hi, r)
         ok = bool((margin >= 0).all())
         items.append(CheckItem(f"{name}.monotone-in-t", ok,
-                               "" if ok else _worst(margin < 0, margin, {"t": t_lo, "t2": t_hi, "r": r})))
+                               "" if ok else _worst(margin, {"t": t_lo, "t2": t_hi, "r": r})))
 
         # 2: strictly increasing in r, resolvable at input gaps >= 1e-3
         r_up = r_lo + STRICT_GAP + (r_hi - r_lo)
@@ -80,7 +80,7 @@ def run_phi_suite(
         margin = up_vals - lo_vals
         ok = bool((margin > 0).all())
         items.append(CheckItem(f"{name}.strictly-increasing", ok,
-                               "" if ok else _worst(margin <= 0, margin, {"t": t, "r": r_lo, "r2": r_up})))
+                               "" if ok else _worst(margin, {"t": t, "r": r_lo, "r2": r_up})))
 
         # 3: unbounded growth along r = 4^k, monotone in k
         radii = 4.0 ** np.arange(GROWTH_EXPONENTS)
@@ -98,7 +98,7 @@ def run_phi_suite(
         margin = allowed - lip
         ok = bool((margin >= 0).all())
         items.append(CheckItem(f"{name}.lipschitz", ok,
-                               "" if ok else _worst(margin < 0, margin, {"t": t, "r": r_lo, "r2": r_hi})))
+                               "" if ok else _worst(margin, {"t": t, "r": r_lo, "r2": r_hi})))
 
         # 5: decay in t for proper rho, found by doubling
         if rho.proper:
@@ -127,14 +127,14 @@ def run_phi_suite(
         margin = INVERSE_TOL - np.abs(rec - r)
         ok = bool((margin >= 0).all())
         items.append(CheckItem(f"{name}.bijection", ok,
-                               "" if ok else _worst(margin < 0, margin, {"t": t, "r": r})))
+                               "" if ok else _worst(margin, {"t": t, "r": r})))
 
         # 7: concavity
         mix = lam * r + (1.0 - lam) * r2
         margin = phi(rho, t, mix) - (lam * phi(rho, t, r) + (1.0 - lam) * phi(rho, t, r2)) + tol
         ok = bool((margin >= 0).all())
         items.append(CheckItem(f"{name}.concave", ok,
-                               "" if ok else _worst(margin < 0, margin, {"t": t, "r": r, "r2": r2, "lam": lam})))
+                               "" if ok else _worst(margin, {"t": t, "r": r, "r2": r2, "lam": lam})))
 
         # 8: subadditive, and phi(M r) <= M phi(r)
         sub = phi(rho, t, r) + phi(rho, t, r2) + tol - phi(rho, t, r + r2)
@@ -142,11 +142,11 @@ def run_phi_suite(
         margin = np.minimum(sub, scal)
         ok = bool((margin >= 0).all())
         items.append(CheckItem(f"{name}.subadditive", ok,
-                               "" if ok else _worst(margin < 0, margin, {"t": t, "r": r, "r2": r2, "M": big_m})))
+                               "" if ok else _worst(margin, {"t": t, "r": r, "r2": r2, "M": big_m})))
 
         # 9: phi_t <= phi_{t+delta} + 2 delta
         margin = phi(rho, t + delta, r) + 2.0 * delta + tol - phi(rho, t, r)
         ok = bool((margin >= 0).all())
         items.append(CheckItem(f"{name}.shift-bound", ok,
-                               "" if ok else _worst(margin < 0, margin, {"t": t, "delta": delta, "r": r})))
+                               "" if ok else _worst(margin, {"t": t, "delta": delta, "r": r})))
     return verdict(items)

@@ -251,6 +251,50 @@ def test_validate_prints_no_numpy_warnings(files, text, points):
     assert (proc.stdout, proc.stderr, proc.returncode) == (f"m: ok ({points} points)\nPASS\n", "", 0)
 
 
+NAN = "invalid number value: 'nan'"
+
+
+@pytest.mark.parametrize(
+    "argv, option, message",
+    [
+        (["validate", "{fam}", "--tolerance", "nan"], "--tolerance", NAN),
+        (["components", "{fam}", "--r", "nan"], "--r", NAN),
+        (["decompose", "{fam}", "--r", "nan", "--n", "1", "--bound", "2"], "--r", NAN),
+        (["decompose", "{fam}", "--r", "1", "--n", "1", "--bound", "NaN"], "--bound",
+         "invalid number value: 'NaN'"),
+        (["phi", "--rho", "exp", "--t", "nan", "--r", "1"], "--t", NAN),
+        (["phi", "--rho", "exp", "--t", "1", "--r", "x"], "--r", "invalid number value: 'x'"),
+        (["cone-dist", "{fam}", "--rho", "exp", "--base-a", "a", "--height-a", "nan",
+          "--base-b", "b", "--height-b", "1"], "--height-a", NAN),
+        (["cone-dist", "{fam}", "--rho", "exp", "--base-a", "a", "--height-a", "0",
+          "--base-b", "b", "--height-b", "nan"], "--height-b", NAN),
+        (["product", "{fam}", "--p", "abc"], "--p", "invalid exponent value: 'abc'"),
+        (["product", "{fam}", "--p", "nan"], "--p", "invalid exponent value: 'nan'"),
+        (["phi-suite", "--samples", "-5"], "--samples", "invalid count value: '-5'"),
+        (["phi-suite", "--samples", "2.5"], "--samples", "invalid count value: '2.5'"),
+        (["phi-suite", "--seed", "-1"], "--seed", "invalid count value: '-1'"),
+    ],
+    ids=["tolerance", "components-r", "decompose-r", "bound", "t", "phi-r", "height-a",
+         "height-b", "p", "p-nan", "samples", "samples-float", "seed"],
+)
+def test_malformed_numeric_option_is_a_usage_error(files, argv, option, message):
+    save, _ = files
+    # a triangle violation: with a nan tolerance no comparison could flag it
+    fam_path = save("fam.txt", "family F\nmember m\npoints a b c\n1\n5 1\n")
+    argv = [fam_path if a == "{fam}" else a for a in argv]
+    out, code = run(argv)
+    assert code == 2 and out.startswith(f"usage: coarsekit {argv[0]} [-h]")
+    assert out.endswith(f"\ncoarsekit {argv[0]}: error: argument {option}: {message}\n")
+
+
+@pytest.mark.parametrize("p", ["2.50", "inf", "1e0"])
+def test_product_echoes_p_as_typed(files, p):
+    save, _ = files
+    fam_path = save("fam.txt", write_family(family_of(unit_path(3, "p"), family_id="F")))
+    out, code = run(["product", fam_path, "--p", p, "--format", "machine"])
+    assert code == 0 and f"\np={p}\n" in out
+
+
 def test_cached_parser_matches_a_fresh_parse(files):
     save, _ = files
     fam_path = save("fam.txt", write_family(family_of(unit_path(4, "p"), family_id="F")))

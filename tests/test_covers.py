@@ -142,6 +142,15 @@ class TestAsdimCertificate:
         with pytest.raises(StructuralError):
             check_asdim_certificate(cert, fam)
 
+    def test_repeated_member_is_structural(self):
+        # the second cover misses points; read first-wins, the entry would pass
+        s = path11()
+        whole = Cover(s.id, (PointSubset(s.id, tuple(range(s.n))),))
+        part = Cover(s.id, (PointSubset(s.id, (0,)),))
+        cert = AsdimCertificate("paths", 0, (AsdimEntry(0.0, 10.0, ((s.id, whole), (s.id, part))),))
+        with pytest.raises(StructuralError, match="lists member 'path' more than once"):
+            check_asdim_certificate(cert, family_of(s, family_id="paths"))
+
 
 class TestQuotientPushforward:
     def test_trivial_group_preserves_cover(self):
@@ -265,6 +274,14 @@ class TestANControl:
         assert not v.passed
         mesh_failures = [i for i in v.failures if "mesh" in i.path]
         assert mesh_failures and any("entry3" in i.path for i in mesh_failures)
+
+    def test_repeated_member_is_structural(self):
+        s = path11()
+        whole = Cover(s.id, (PointSubset(s.id, tuple(range(s.n))),), (0,))
+        part = Cover(s.id, (PointSubset(s.id, (0,)),), (0,))
+        cert = ANControlCertificate("F", 0, 1.0, 10.0, (ANEntry(1.0, ((s.id, whole), (s.id, part))),))
+        with pytest.raises(StructuralError, match="lists member 'path' more than once"):
+            check_an_control(cert, family_of(s, family_id="F"))
 
     def test_uncolored_cover_greedily_colored(self):
         s = unit_path(12, "p")

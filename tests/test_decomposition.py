@@ -15,7 +15,7 @@ from coarsekit.decomposition import (
     union_separator_map,
 )
 from coarsekit.covers import cover_dimension, lebesgue_number, mesh
-from coarsekit.errors import PreconditionError
+from coarsekit.errors import PreconditionError, StructuralError
 from coarsekit.generators import (
     grid_projection_fixture,
     integer_grid,
@@ -25,6 +25,7 @@ from coarsekit.generators import (
 )
 from coarsekit.maps import FamilyMap, MapFunction
 from coarsekit.metric import FiniteMetricSpace, PointSubset
+from coarsekit.report import CheckItem
 from support import (
     brute_force_decomposable,
     closure_blocks,
@@ -92,6 +93,23 @@ class TestCheckDecomposition:
         v = check_decomposition(cert, family_of(s, family_id="p"))
         assert not v.passed
         assert any("bound" in item.path for item in v.failures)
+
+    def test_member_id_ending_in_bound_keeps_the_leaf_check(self):
+        # the missing member's item path ends in ".bound", like a too-wide piece's
+        p = unit_path(8, "p")
+        cert = path_decomposition(p, 1)
+        v = check_decomposition(cert, family_of(p, unit_path(3, "q.bound"), family_id="p"))
+        assert [(i.path, i.detail) for i in v.failures] == [
+            ("q.bound", "no decomposition supplied for member")
+        ]
+        assert v.items[-1] == CheckItem("leaf", True)
+
+    def test_repeated_member_is_structural(self):
+        p = unit_path(8, "p")
+        cert = path_decomposition(p, 1)
+        twice = DecompositionCertificate("p", 1.0, 1, cert.members * 2, leaf_bound=1.0)
+        with pytest.raises(StructuralError, match="lists member 'p' more than once"):
+            check_decomposition(twice, family_of(p, family_id="p"))
 
     def test_two_stage_grid_certificate(self):
         g = integer_grid(8, 8, "grid")
@@ -238,6 +256,13 @@ class TestFibering:
         v = check_fibering_witness(pruned, src, tgt)
         assert not v.passed
         assert any("radius2" in item.path and "missing" in item.detail for item in v.failures)
+
+    def test_repeated_radius_is_structural(self):
+        src, tgt, fmap, witness = grid_projection_fixture(6, schedule=(1, 2))
+        twice = FiberingWitness(witness.fmap, witness.radius_schedule, witness.inner * 2,
+                                witness.target_certificate)
+        with pytest.raises(StructuralError, match="inner radius more than once"):
+            check_fibering_witness(twice, src, tgt)
 
     def test_schedule_must_reach_target_diameter(self):
         src, tgt, fmap, witness = grid_projection_fixture(6, schedule=(1, 2))

@@ -2,8 +2,8 @@
 
 A mutated document (one line deleted, duplicated or cut short, one token
 dropped, added or replaced) is exit 0, 1 or 2 and never a traceback.  A
-keyword line with a missing or an extra token, or an unknown member id, is
-exit 2 with the exact line and column.
+keyword line with a missing or an extra token, an unknown member id, or a
+repeated row or block, is exit 2 with the exact line and column.
 """
 
 from pathlib import Path
@@ -351,7 +351,17 @@ def test_trailing_line_is_exit_two_at_that_line(workdir, kind):
     "kind, row, expected",
     [("map", "1,1 : 1", "line 9, column 1: repeated assignment row for '1,1'"),
      ("action", "perm g : 3 2 1 0", "line 8, column 6: repeated perm row for 'g'"),
-     ("action", "compose g : g e", "line 5, column 9: repeated compose row for 'g'")],
+     ("action", "compose g : g e", "line 5, column 9: repeated compose row for 'g'"),
+     pytest.param("asdim", "member grid\nelement : 0,0 0,1 1,0 1,1",
+                  "line 9, column 8: repeated member block for 'grid'", id="asdim-member"),
+     pytest.param("an", "member grid\nelement 0 : 0,0 0,1\nelement 1 : 1,0 1,1",
+                  "line 11, column 8: repeated member block for 'grid'", id="an-member"),
+     pytest.param("decomposition", "member grid\ncolor 0\npiece : 0,0 0,1 1,0 1,1",
+                  "line 8, column 8: repeated member block for 'grid'", id="decomposition-member"),
+     pytest.param("decomposition", "member grid.0.0\ncolor 0\npiece : 0,0 0,1 1,0 1,1",
+                  "line 16, column 8: repeated member block for 'grid.0.0'", id="child-member"),
+     pytest.param("fibering", WITNESS[WITNESS.index("inner"):].rstrip("\n"),
+                  "line 22, column 7: repeated inner block for radius '2'", id="fibering-inner")],
 )
 def test_repeated_row_is_exit_two_at_its_key(workdir, kind, row, expected):
     text = KINDS[kind][0].replace(row + "\n", row + "\n" + row + "\n", 1)
