@@ -70,7 +70,6 @@ def _emit_document(report: Report, args, text: str, as_text_body: bool) -> None:
 
 def cmd_validate(args, report: Report) -> int:
     fam = _load_family(args.family)
-    report.add("command", "validate")
     report.add("family", fam.id)
     ok = True
     for m in fam.members:
@@ -90,7 +89,6 @@ def cmd_validate(args, report: Report) -> int:
 
 def cmd_components(args, report: Report) -> int:
     fam = _load_family(args.family)
-    report.add("command", "components")
     report.add("family", fam.id)
     report.add("r", args.r)
     for m in fam.members:
@@ -107,7 +105,6 @@ def cmd_components(args, report: Report) -> int:
 def cmd_cover_check(args, report: Report) -> int:
     fam = _load_family(args.family)
     cert = io_mod.parse_asdim_certificate(_read(args.certificate), fam)
-    report.add("command", "cover-check")
     report.add("family", fam.id)
     report.add("n", cert.n)
     v = covers_mod.check_asdim_certificate(cert, fam, args.tolerance)
@@ -118,7 +115,6 @@ def cmd_cover_check(args, report: Report) -> int:
 def cmd_an_check(args, report: Report) -> int:
     fam = _load_family(args.family)
     cert = io_mod.parse_an_certificate(_read(args.certificate), fam)
-    report.add("command", "an-check")
     report.add("family", fam.id)
     report.add("n", cert.n)
     report.add("M", cert.slope)
@@ -132,26 +128,26 @@ def cmd_quotient_cover(args, report: Report) -> int:
     fam = _load_family(args.family)
     action_doc = io_mod.parse_action(_read(args.action))
     cert = io_mod.parse_asdim_certificate(_read(args.certificate), fam)
-    report.add("command", "quotient-cover")
+    metric_mod.check_certificate_family(cert.family_id, fam)
     report.add("family", fam.id)
-    q_members: dict[str, metric_mod.FiniteMetricSpace] = {}
+    quotients: dict[str, tuple] = {}  # member id -> (quotient, orbit map), in order of first use
     out_entries = []
     ok = True
     for k, entry in enumerate(cert.entries):
         out_covers = []
-        for member_id, cover in entry.covers:
+        for member_id, cover in metric_mod.member_lookup(fam, entry.covers).items():
             space = fam.member(member_id)
             action = action_doc.for_member(member_id)
-            qspace, qcover = covers_mod.pushforward_quotient_cover(space, action, cover)
-            q_members[qspace.id] = qspace
+            in_counts, in_leb, in_diams = covers_mod.cover_stats(cover, space)
+            if member_id not in quotients:
+                quotients[member_id] = metric_mod.quotient_with_map(action, space)
+            qspace, orbit_of = quotients[member_id]
+            qcover = covers_mod.image_cover(cover, qspace, orbit_of)
+            out_counts, out_leb, out_diams = covers_mod.cover_stats(qcover, qspace)
             out_covers.append((qspace.id, qcover))
-            in_dim = covers_mod.cover_dimension(cover, space)
-            out_dim = covers_mod.cover_dimension(qcover, qspace)
-            bound = action.order * (in_dim + 1) - 1
-            in_leb = covers_mod.lebesgue_number(cover, space)
-            out_leb = covers_mod.lebesgue_number(qcover, qspace)
-            in_mesh = covers_mod.mesh(cover, space)
-            out_mesh = covers_mod.mesh(qcover, qspace)
+            out_dim = int(out_counts.max()) - 1
+            bound = action.order * int(in_counts.max()) - 1
+            in_mesh, out_mesh = max(in_diams), max(out_diams)
             good = out_dim <= bound and out_leb >= min(in_leb, entry.lam) and out_mesh <= in_mesh
             ok = ok and good
             path = f"entry{k}.{member_id}"
@@ -167,10 +163,11 @@ def cmd_quotient_cover(args, report: Report) -> int:
                 + ("ok" if good else "VIOLATED")
             )
         out_entries.append(covers_mod.AsdimEntry(entry.lam, entry.mesh_bound, tuple(out_covers)))
-    q_family = metric_mod.MetricFamily(f"{fam.id}/q", tuple(q_members.values()))
-    new_n = max(
-        action_doc.for_member(m.id).order * (cert.n + 1) - 1 for m in fam.members
-    )
+    for m in fam.members:  # a member no entry covers still has its quotient
+        if m.id not in quotients:
+            quotients[m.id] = metric_mod.quotient_with_map(action_doc.for_member(m.id), m)
+    q_family = metric_mod.MetricFamily(f"{fam.id}/q", tuple(q for q, _ in quotients.values()))
+    new_n = len(action_doc.elements) * (cert.n + 1) - 1
     out_cert = covers_mod.AsdimCertificate(q_family.id, new_n, tuple(out_entries))
     text = io_mod.write_family(q_family) + io_mod.write_asdim_certificate(out_cert, q_family)
     _emit_document(report, args, text, as_text_body=args.format == "text")
@@ -186,7 +183,6 @@ def cmd_product(args, report: Report) -> int:
     p = float(args.p)
     prod = metric_mod.product(list(fam.members), p)
     out_fam = metric_mod.MetricFamily(f"{fam.id}|product", (prod,))
-    report.add("command", "product")
     report.add("family", fam.id)
     report.add("p", args.p)
     report.add("points", prod.n)
@@ -198,7 +194,6 @@ def cmd_product(args, report: Report) -> int:
 
 def cmd_decompose(args, report: Report) -> int:
     fam = _load_family(args.family)
-    report.add("command", "decompose")
     report.add("family", fam.id)
     report.add("r", args.r)
     report.add("n", args.n)
@@ -233,7 +228,6 @@ def cmd_decompose(args, report: Report) -> int:
 def cmd_check_cert(args, report: Report) -> int:
     fam = _load_family(args.family)
     cert = io_mod.parse_decomposition_certificate(_read(args.certificate), fam)
-    report.add("command", "check-cert")
     report.add("family", fam.id)
     report.add("r", cert.r)
     report.add("n", cert.n)
@@ -248,7 +242,6 @@ def cmd_check_fibering(args, report: Report) -> int:
     tgt = _load_family(args.target)
     fmap = io_mod.parse_map(_read(args.map), src, tgt)
     witness = io_mod.parse_fibering_witness(_read(args.witness), src, tgt, fmap)
-    report.add("command", "check-fibering")
     report.add("source", src.id)
     report.add("target", tgt.id)
     v = dec_mod.check_fibering_witness(witness, src, tgt, args.tolerance)
@@ -263,7 +256,6 @@ def cmd_map_analyze(args, report: Report) -> int:
     src = _load_family(args.source)
     tgt = _load_family(args.target)
     fmap = io_mod.parse_map(_read(args.map), src, tgt)
-    report.add("command", "map-analyze")
     report.add("source", src.id)
     report.add("target", tgt.id)
     control = maps_mod.control_envelope(fmap, src, tgt)
@@ -293,7 +285,6 @@ def cmd_map_analyze(args, report: Report) -> int:
 def cmd_phi(args, report: Report) -> int:
     rho = _rho_from_arg(args.rho)
     value = phi(rho, args.t, args.r)
-    report.add("command", "phi")
     report.add("rho", rho.literal())
     report.add("t", args.t)
     report.add("r", args.r)
@@ -310,7 +301,6 @@ def cmd_phi_suite(args, report: Report) -> int:
         rhos = [_rho_from_arg(lit) for lit in args.rho]
     else:
         rhos = standard_rho_family()
-    report.add("command", "phi-suite")
     report.add("samples", args.samples)
     report.add("seed", args.seed)
     v = run_phi_suite(rhos, samples=args.samples, seed=args.seed)
@@ -327,7 +317,6 @@ def cmd_cone_dist(args, report: Report) -> int:
     a = ConePoint(member.index(args.base_a), args.height_a)
     b = ConePoint(member.index(args.base_b), args.height_b)
     value = cone_distance(rho, member, a, b)
-    report.add("command", "cone-dist")
     report.add("rho", rho.literal())
     report.add("member", member.id)
     report.add("a", f"{args.base_a}@{fmt_num(args.height_a)}")
@@ -341,7 +330,6 @@ def cmd_ultrametric(args, report: Report) -> int:
     from .constructions import minimax_ultrametric
 
     fam = _load_family(args.family)
-    report.add("command", "ultrametric")
     report.add("family", fam.id)
     members = tuple(
         metric_mod.FiniteMetricSpace(m.id, u.points, u.dist)
@@ -363,7 +351,6 @@ def cmd_ray_tree(args, report: Report) -> int:
     shells_doc = io_mod.parse_subsets(_read(args.shells), fam)
     pieces = [ps for mid, _, ps in pieces_doc if mid == member.id]
     seeds = [ps for mid, _, ps in shells_doc if mid == member.id]
-    report.add("command", "ray-tree")
     report.add("family", fam.id)
     report.add("member", member.id)
     shells, covers_all = shell_sequence(member, seeds)
@@ -536,6 +523,7 @@ def run(argv) -> tuple[str, int]:
     report = Report()
     try:
         args = build_parser().parse_args(argv)
+        report.add("command", args.subcommand)
         code = args.fn(args, report)
     except UsageError as exc:
         return str(exc), EXIT_ERROR

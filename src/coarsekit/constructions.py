@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .covers import multiplicity
 from .decomposition import (
     DecompositionCertificate,
     MemberDecomposition,
@@ -180,18 +181,14 @@ def ray_tree_embed(
     outside shell(n) are pairwise more than n apart.  A violation aborts
     with the witnessing pair, since well-definedness depends on it.
     """
-    for p in pieces:
-        p.check_against(space)
+    counts = multiplicity(space, pieces)
     for s in shells:
         s.check_against(space, allow_empty=True)
     if not pieces:
         raise PreconditionError("at least one piece is required")
-    covered = set()
-    for p in pieces:
-        covered.update(p.indices)
-    if covered != set(range(space.n)):
-        missing = sorted(set(range(space.n)) - covered)[0]
-        raise PreconditionError(f"pieces do not cover {space.points[missing]!r}")
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        raise PreconditionError(f"pieces do not cover {space.points[missing[0]]!r}")
     for k in range(len(shells) - 1):
         if not set(shells[k].indices) <= set(shells[k + 1].indices):
             raise PreconditionError(f"shells not nested at index {k + 1}")

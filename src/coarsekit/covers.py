@@ -22,6 +22,7 @@ from .metric import (
     GroupAction,
     MetricFamily,
     PointSubset,
+    check_certificate_family,
     member_lookup,
     product,
     quotient_with_map,
@@ -75,6 +76,19 @@ def validate_cover(cover: Cover, space: FiniteMetricSpace) -> np.ndarray:
     return counts
 
 
+def cover_stats(cover: Cover, space: FiniteMetricSpace) -> tuple[np.ndarray, float, list[float]]:
+    """Check ``cover`` once; return each point's multiplicity, the Lebesgue
+    number and each element's diameter."""
+    counts = validate_cover(cover, space)
+    best = np.full(space.n, -math.inf)
+    for el in cover.elements:
+        mask = np.zeros(space.n, dtype=bool)
+        mask[list(el.indices)] = True
+        outside = space.dist[:, ~mask].min(axis=1, initial=math.inf)  # inf when U is everything
+        best = np.maximum(best, np.where(mask, outside, -math.inf))
+    return counts, float(best.min()), [subset_diameter(space, el) for el in cover.elements]
+
+
 def cover_dimension(cover: Cover, space: FiniteMetricSpace) -> int:
     """Largest n such that some point lies in n+1 elements."""
     return int(validate_cover(cover, space).max()) - 1
@@ -84,18 +98,7 @@ def lebesgue_number(cover: Cover, space: FiniteMetricSpace) -> float:
     """Sup of lambda such that every open ball B_lambda(x) lies inside some
     element: min over x of max over elements U containing x of the distance
     from x to the complement of U (inf when U is the whole space)."""
-    validate_cover(cover, space)
-    n = space.n
-    best = np.full(n, -math.inf)
-    for el in cover.elements:
-        mask = np.zeros(n, dtype=bool)
-        mask[list(el.indices)] = True
-        if mask.all():
-            cand = np.full(n, math.inf)
-        else:
-            cand = np.where(mask, space.dist[:, ~mask].min(axis=1), -math.inf)
-        best = np.maximum(best, cand)
-    return float(best.min())
+    return cover_stats(cover, space)[1]
 
 
 def mesh(cover: Cover, space: FiniteMetricSpace) -> float:
@@ -145,10 +148,7 @@ def check_asdim_certificate(
     """Per-entry pass/fail with a witnessing point or element on failure.
 
     Dangling member references are a StructuralError."""
-    if cert.family_id != family.id:
-        raise StructuralError(
-            f"certificate is for {cert.family_id!r}, not family {family.id!r}"
-        )
+    check_certificate_family(cert.family_id, family)
     items: list[CheckItem] = []
     for k, entry in enumerate(cert.entries):
         covers = member_lookup(family, entry.covers)
@@ -158,10 +158,8 @@ def check_asdim_certificate(
             if cov is None:
                 items.append(CheckItem(path, False, "no cover supplied for member"))
                 continue
-            counts = validate_cover(cov, member)
+            counts, leb, diams = cover_stats(cov, member)
             w = int(counts.argmax())
-            leb = lebesgue_number(cov, member)
-            diams = [subset_diameter(member, el) for el in cov.elements]
             big = diams.index(max(diams))
             for name, failed, detail in (
                 ("dimension", counts[w] > cert.n + 1,
@@ -197,10 +195,7 @@ class ANControlCertificate:
 def check_an_control(
     cert: ANControlCertificate, family: MetricFamily, tol: float = DEFAULT_TOL
 ) -> Verdict:
-    if cert.family_id != family.id:
-        raise StructuralError(
-            f"certificate is for {cert.family_id!r}, not family {family.id!r}"
-        )
+    check_certificate_family(cert.family_id, family)
     items: list[CheckItem] = []
     for k, entry in enumerate(cert.entries):
         r = entry.scale
@@ -212,8 +207,9 @@ def check_an_control(
             if cov is None:
                 items.append(CheckItem(path, False, "no cover supplied for member"))
                 continue
-            validate_cover(cov, member)
-            if cov.colors is None:
+            if cov.colors is not None:
+                validate_cover(cov, member)
+            else:
                 cov = greedy_color(cov, member, r, cert.n)
                 if cov is None:
                     items.append(
@@ -243,7 +239,7 @@ def check_an_control(
                     break
             else:
                 items.append(CheckItem(path + ".disjoint", True))
-            ms = mesh(cov, member)
+            ms = max(subset_diameter(member, el) for el in cov.elements)
             if ms > bound + tol:
                 items.append(
                     CheckItem(
@@ -267,11 +263,13 @@ def pushforward_quotient_cover(
     """
     validate_cover(cover, space)
     qspace, orbit_of = quotient_with_map(action, space)
-    elements = tuple(
-        PointSubset(qspace.id, tuple(sorted({orbit_of[i] for i in el.indices})))
-        for el in cover.elements
-    )
-    return qspace, Cover(qspace.id, elements)
+    return qspace, image_cover(cover, qspace, orbit_of)
+
+
+def image_cover(cover: Cover, qspace: FiniteMetricSpace, orbit_of) -> Cover:
+    """The image {q(U)} of ``cover`` in ``qspace`` under the orbit map ``orbit_of``."""
+    return Cover(qspace.id, tuple(PointSubset(qspace.id, [orbit_of[i] for i in el.indices])
+                                  for el in cover.elements))
 
 
 def product_cover(

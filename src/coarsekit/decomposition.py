@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covers import AsdimCertificate, Cover, check_asdim_certificate, greedy_color, multiplicity
+from .covers import (
+    AsdimCertificate, Cover, check_asdim_certificate, greedy_color, multiplicity, validate_cover,
+)
 from .errors import PreconditionError, StructuralError
 from .maps import FamilyMap, MapFunction, preimage_family, validate_map
 from .metric import (
@@ -24,6 +26,7 @@ from .metric import (
     MetricFamily,
     PointSubset,
     ball,
+    check_certificate_family,
     member_lookup,
     point_to_set_distance,
     separation,
@@ -133,10 +136,7 @@ def check_decomposition(
     > r, no tolerance), then the leaf diameter bound (within ``tol``) or the
     child certificate over the piece family.  The verdict carries the
     failing path."""
-    if cert.family_id != family.id:
-        raise StructuralError(
-            f"certificate is for {cert.family_id!r}, not family {family.id!r}"
-        )
+    check_certificate_family(cert.family_id, family)
     items: list[CheckItem] = []
     entries = member_lookup(family, ((m.member_id, m) for m in cert.members))
     for member in family.members:
@@ -263,6 +263,8 @@ def search_decomposition(
     """
     if r < 0:
         raise PreconditionError("scale r must be >= 0")
+    if n < 0:
+        raise PreconditionError("dimension n must be >= 0")
     if leaf_bound < 0:
         raise PreconditionError("leaf bound must be >= 0")
     if mode == "exact":
@@ -375,17 +377,23 @@ def decomposition_to_cover(
     cert: DecompositionCertificate, member: FiniteMetricSpace
 ) -> Cover:
     """All pieces of one member as a colored cover: dimension <= n, mesh
-    bounded by the leaf bound when the certificate is a leaf."""
-    entry = next((e for e in cert.members if e.member_id == member.id), None)
-    if entry is None:
+    bounded by the leaf bound when the certificate is a leaf.  The
+    certificate must list the member exactly once, and its pieces must
+    cover it."""
+    entries = [e for e in cert.members if e.member_id == member.id]
+    if not entries:
         raise StructuralError(f"certificate has no entry for {member.id!r}")
+    if len(entries) > 1:
+        raise StructuralError(f"certificate lists member {member.id!r} more than once")
     elements: list[PointSubset] = []
     colors: list[int] = []
-    for color, group in enumerate(entry.pieces):
+    for color, group in enumerate(entries[0].pieces):
         for piece in group:
             elements.append(piece)
             colors.append(color)
-    return Cover(member.id, tuple(elements), tuple(colors))
+    cover = Cover(member.id, tuple(elements), tuple(colors))
+    validate_cover(cover, member)
+    return cover
 
 
 def _ranges(indices: tuple[int, ...]) -> str:
@@ -510,9 +518,7 @@ def union_separator_map(
     2-Lipschitz, with f^{-1}((-inf, D]) the closed D-neighborhood of X2 and
     f^{-1}([-D, inf)) that of X1.
     """
-    x1.check_against(space)
-    x2.check_against(space)
-    if set(x1.indices) | set(x2.indices) != set(range(space.n)):
+    if (multiplicity(space, (x1, x2)) == 0).any():
         raise PreconditionError(f"X1 and X2 do not cover {space.id!r}")
     values = tuple(
         point_to_set_distance(space, i, x2) - point_to_set_distance(space, i, x1)

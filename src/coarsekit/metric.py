@@ -126,6 +126,12 @@ class MetricFamily:
         return tuple(m.id for m in self.members)
 
 
+def check_certificate_family(family_id: str, family: MetricFamily) -> None:
+    """The gate of every certificate walk: the certificate is for ``family``."""
+    if family_id != family.id:
+        raise StructuralError(f"certificate is for {family_id!r}, not family {family.id!r}")
+
+
 def member_lookup(family: MetricFamily, pairs) -> dict:
     """A certificate's (member id, value) pairs as an id -> value dict; a
     dangling or repeated id, in listed order, is a StructuralError."""

@@ -37,10 +37,15 @@ def standard_rho_family() -> list[RhoFunction]:
     ]
 
 
-def _worst(margin: np.ndarray, fields: dict) -> str:
+def _margin_item(path: str, margin: np.ndarray, fields: dict, strict: bool = False) -> CheckItem:
+    """A property that holds where every margin is >= 0 (> 0 when
+    ``strict``); a failure names the sample of least margin."""
+    if ((margin > 0) if strict else (margin >= 0)).all():
+        return CheckItem(path, True)
     k = int(np.argmin(margin))
     parts = [f"{name}={np.asarray(val).ravel()[k]:.6g}" for name, val in fields.items()]
-    return "worst sample: " + ", ".join(parts) + f", margin={margin.ravel()[k]:.3g}"
+    return CheckItem(path, False,
+                     "worst sample: " + ", ".join(parts) + f", margin={margin.ravel()[k]:.3g}")
 
 
 def run_phi_suite(
@@ -69,18 +74,14 @@ def run_phi_suite(
 
         # 1: larger heights never increase the distortion
         margin = phi(rho, t_lo, r) + tol - phi(rho, t_hi, r)
-        ok = bool((margin >= 0).all())
-        items.append(CheckItem(f"{name}.monotone-in-t", ok,
-                               "" if ok else _worst(margin, {"t": t_lo, "t2": t_hi, "r": r})))
+        items.append(_margin_item(f"{name}.monotone-in-t", margin, {"t": t_lo, "t2": t_hi, "r": r}))
 
         # 2: strictly increasing in r, resolvable at input gaps >= 1e-3
         r_up = r_lo + STRICT_GAP + (r_hi - r_lo)
         lo_vals = phi(rho, t, r_lo)
         up_vals = phi(rho, t, r_up)
-        margin = up_vals - lo_vals
-        ok = bool((margin > 0).all())
-        items.append(CheckItem(f"{name}.strictly-increasing", ok,
-                               "" if ok else _worst(margin, {"t": t, "r": r_lo, "r2": r_up})))
+        items.append(_margin_item(f"{name}.strictly-increasing", up_vals - lo_vals,
+                                  {"t": t, "r": r_lo, "r2": r_up}, strict=True))
 
         # 3: unbounded growth along r = 4^k, monotone in k
         radii = 4.0 ** np.arange(GROWTH_EXPONENTS)
@@ -95,10 +96,7 @@ def run_phi_suite(
         # 4: Lipschitz with constant 1 / max(rho(t), 1)
         lip = np.abs(phi(rho, t, r_hi) - phi(rho, t, r_lo))
         allowed = (r_hi - r_lo) / np.maximum(rho(t), 1.0) + tol
-        margin = allowed - lip
-        ok = bool((margin >= 0).all())
-        items.append(CheckItem(f"{name}.lipschitz", ok,
-                               "" if ok else _worst(margin, {"t": t, "r": r_lo, "r2": r_hi})))
+        items.append(_margin_item(f"{name}.lipschitz", allowed - lip, {"t": t, "r": r_lo, "r2": r_hi}))
 
         # 5: decay in t for proper rho, found by doubling
         if rho.proper:
@@ -124,29 +122,20 @@ def run_phi_suite(
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         rec = (lo + hi) / 2.0
-        margin = INVERSE_TOL - np.abs(rec - r)
-        ok = bool((margin >= 0).all())
-        items.append(CheckItem(f"{name}.bijection", ok,
-                               "" if ok else _worst(margin, {"t": t, "r": r})))
+        items.append(_margin_item(f"{name}.bijection", INVERSE_TOL - np.abs(rec - r), {"t": t, "r": r}))
 
         # 7: concavity
         mix = lam * r + (1.0 - lam) * r2
         margin = phi(rho, t, mix) - (lam * phi(rho, t, r) + (1.0 - lam) * phi(rho, t, r2)) + tol
-        ok = bool((margin >= 0).all())
-        items.append(CheckItem(f"{name}.concave", ok,
-                               "" if ok else _worst(margin, {"t": t, "r": r, "r2": r2, "lam": lam})))
+        items.append(_margin_item(f"{name}.concave", margin, {"t": t, "r": r, "r2": r2, "lam": lam}))
 
         # 8: subadditive, and phi(M r) <= M phi(r)
         sub = phi(rho, t, r) + phi(rho, t, r2) + tol - phi(rho, t, r + r2)
         scal = big_m * phi(rho, t, r) + tol - phi(rho, t, big_m * r)
-        margin = np.minimum(sub, scal)
-        ok = bool((margin >= 0).all())
-        items.append(CheckItem(f"{name}.subadditive", ok,
-                               "" if ok else _worst(margin, {"t": t, "r": r, "r2": r2, "M": big_m})))
+        items.append(_margin_item(f"{name}.subadditive", np.minimum(sub, scal),
+                                  {"t": t, "r": r, "r2": r2, "M": big_m}))
 
         # 9: phi_t <= phi_{t+delta} + 2 delta
         margin = phi(rho, t + delta, r) + 2.0 * delta + tol - phi(rho, t, r)
-        ok = bool((margin >= 0).all())
-        items.append(CheckItem(f"{name}.shift-bound", ok,
-                               "" if ok else _worst(margin, {"t": t, "delta": delta, "r": r})))
+        items.append(_margin_item(f"{name}.shift-bound", margin, {"t": t, "delta": delta, "r": r}))
     return verdict(items)

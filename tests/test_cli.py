@@ -171,6 +171,38 @@ def test_quotient_cover_emits_reparseable_documents(files):
     assert pushed_fam.members[0].points == ("F·-2", "F·-1", "F·0")
 
 
+FLIP = {"e": (0, 1, 2, 3, 4), "g": (4, 3, 2, 1, 0)}
+
+
+def _quotient_inputs(save, fam, cert):
+    action = ActionDocument("flip", ("e", "g"), ((0, 1), (1, 0)), {m.id: FLIP for m in fam.members})
+    return [save("fam.txt", write_family(fam)), save("act.txt", write_action(action)),
+            save("cert.txt", write_asdim_certificate(cert, fam))]
+
+
+def test_quotient_cover_refuses_a_certificate_for_another_family(files):
+    save, _ = files
+    s = line_space([-2, -1, 0, 1, 2], space_id="z")
+    fam_path, act_path, cert_path = _quotient_inputs(
+        save, family_of(s, family_id="F"), path_asdim_certificate(family_of(s, family_id="G"), [1])
+    )
+    expected = ("structural error: certificate is for 'G', not family 'F'\n", 2)
+    assert run(["cover-check", fam_path, cert_path]) == expected
+    assert run(["quotient-cover", fam_path, act_path, cert_path]) == expected
+
+
+def test_quotient_cover_fails_a_member_with_no_cover(files):
+    save, _ = files
+    z = line_space([-2, -1, 0, 1, 2], space_id="z")
+    w = line_space([0, 1, 2, 3, 4], space_id="w")
+    cert = path_asdim_certificate(family_of(z, family_id="F"), [1])
+    argv = _quotient_inputs(save, family_of(z, w, family_id="F"), cert)
+    out, code = run(["quotient-cover", *argv, "--format", "machine"])
+    assert code == 1
+    assert "pushed.entry0.w/q=fail\npushed.entry0.w/q.witness=no cover supplied for member\n" in out
+    assert "pushed.entry0.z/q.dimension=pass\n" in out
+
+
 def test_product_document_round_trips(files):
     save, tmp = files
     a = line_space([0, 3], space_id="a", labels=("u", "v"))
@@ -237,6 +269,14 @@ def test_negative_leaf_bound_is_refused(files, mode):
     # child process that the timeout can stop
     proc = run_child(argv)
     assert (proc.stdout, proc.returncode) == ("refused: leaf bound must be >= 0\n", 1)
+
+
+@pytest.mark.parametrize("mode", [[], ["--greedy"]], ids=["exact", "greedy"])
+def test_negative_n_is_refused(files, mode):
+    save, _ = files
+    fam_path = save("fam.txt", write_family(family_of(unit_path(3, "p"), family_id="F")))
+    argv = ["decompose", fam_path, "--r", "1", "--n", "-1", "--bound", "2", *mode]
+    assert run(argv) == ("refused: dimension n must be >= 0\n", 1)
 
 
 @pytest.mark.parametrize(

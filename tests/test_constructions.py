@@ -195,6 +195,15 @@ class TestRayTree:
             ray_tree_embed(s, pieces, shells)
         assert "separation hypothesis" in str(err.value)
 
+    @pytest.mark.parametrize("pieces, message", [
+        ([], "at least one piece is required"),
+        ([(0, 1), (3,)], "pieces do not cover '2'"),
+    ], ids=["none", "gap"])
+    def test_pieces_must_cover(self, pieces, message):
+        s = unit_path(4, "p")
+        with pytest.raises(PreconditionError, match=message):
+            ray_tree_embed(s, [PointSubset("p", p) for p in pieces], [PointSubset("p", range(4))])
+
     def test_tree_metric_four_point_condition(self):
         tree = build_ray_tree("x", ("0", "1", "2"), 5)
         assert validate_metric(tree.space).ok

@@ -150,6 +150,19 @@ class TestCheckDecomposition:
         assert mesh(cov, s) <= cert.leaf_bound
         assert lebesgue_number(cov, s) >= 1
 
+    @pytest.mark.parametrize("listed, message", [
+        (((0,),), "cover of 'p' misses point '1'"),
+        (((0,), (0, 1, 2, 3)), "certificate lists member 'p' more than once"),
+    ], ids=["partial", "repeated"])
+    def test_to_cover_needs_one_covering_entry(self, listed, message):
+        s = unit_path(4, "p")
+        members = tuple(
+            MemberDecomposition("p", ((PointSubset("p", piece),),)) for piece in listed
+        )
+        cert = DecompositionCertificate("p", 1.0, 0, members, leaf_bound=3.0)
+        with pytest.raises(StructuralError, match=message):
+            decomposition_to_cover(cert, s)
+
 
 def corner_square(side):
     # four corners of an l^1 square with the given side length
