@@ -126,7 +126,7 @@ def cmd_an_check(args, report: Report) -> int:
 
 def cmd_quotient_cover(args, report: Report) -> int:
     fam = _load_family(args.family)
-    action_doc = io_mod.parse_action(_read(args.action))
+    action_doc = io_mod.parse_action(_read(args.action), fam)
     cert = io_mod.parse_asdim_certificate(_read(args.certificate), fam)
     metric_mod.check_certificate_family(cert.family_id, fam)
     report.add("family", fam.id)

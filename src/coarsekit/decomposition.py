@@ -226,21 +226,22 @@ class SearchResult:
 
 
 EXACT_SEARCH_CEILING = 20
+# placements the exact search may try before it answers "unknown"; read at
+# call time
+EXACT_SEARCH_BUDGET = 1_000_000
 
 
 def _single_space_certificate(
-    space: FiniteMetricSpace, r: float, n: int, leaf_bound: float, coloring: list[int]
+    space: FiniteMetricSpace, r: float, n: int, leaf_bound: float, groups
 ) -> DecompositionCertificate:
-    groups: list[tuple[PointSubset, ...]] = []
-    for c in range(n + 1):
-        cls = [i for i, col in enumerate(coloring) if col == c]
-        blocks = r_components(space, r, cls).blocks
-        groups.append(tuple(PointSubset(space.id, b) for b in blocks))
+    """``groups[c]`` lists the pieces of color c as sorted index tuples, by
+    smallest member."""
+    pieces = tuple(tuple(PointSubset(space.id, b) for b in group) for group in groups)
     return DecompositionCertificate(
         family_id=space.id,
         r=float(r),
         n=n,
-        members=(MemberDecomposition(space.id, tuple(groups)),),
+        members=(MemberDecomposition(space.id, pieces),),
         leaf_bound=float(leaf_bound),
     )
 
@@ -255,11 +256,13 @@ def search_decomposition(
 ) -> SearchResult:
     """Find an (r, n)-decomposition with piece diameters <= leaf_bound.
 
-    Exact mode enumerates colorings (with pruning on r-disjointness and the
-    diameter bound plus color-symmetry breaking) and is an oracle on small
-    instances: a certificate is returned iff one exists.  Greedy mode seeds
-    pieces by balls of radius leaf_bound/2 and may miss; its empty answer is
-    "unknown".
+    Exact mode colors each r-component of the space on its own, in index
+    order (with pruning on the diameter bound plus color-symmetry breaking),
+    and certifies the lexicographically first feasible coloring.  It is an
+    oracle on small instances: within ``EXACT_SEARCH_BUDGET`` placements a
+    certificate is returned iff one exists; past the budget the answer is
+    "unknown".  Greedy mode seeds pieces by balls of radius leaf_bound/2
+    and may miss; its empty answer is "unknown".
     """
     if r < 0:
         raise PreconditionError("scale r must be >= 0")
@@ -277,72 +280,104 @@ def search_decomposition(
             raise PreconditionError(
                 f"exact search supports n <= 3 (got {n}); use greedy mode"
             )
-        coloring = _exact_search(space, r, n, leaf_bound)
-        if coloring is None:
+        try:
+            groups = _exact_search(space, r, n, leaf_bound)
+        except _OutOfBudget:
+            return SearchResult(None, False)
+        if groups is None:
             return SearchResult(None, True)
         return SearchResult(
-            _single_space_certificate(space, r, n, leaf_bound, coloring), True
+            _single_space_certificate(space, r, n, leaf_bound, groups), True
         )
     if mode == "greedy":
         coloring = _greedy_search(space, r, n, leaf_bound)
         if coloring is None:
             return SearchResult(None, False)
+        groups = [
+            r_components(space, r, [i for i, col in enumerate(coloring) if col == c]).blocks
+            for c in range(n + 1)
+        ]
         return SearchResult(
-            _single_space_certificate(space, r, n, leaf_bound, coloring), False
+            _single_space_certificate(space, r, n, leaf_bound, groups), False
         )
     raise PreconditionError(f"unknown search mode {mode!r}")
 
 
+class _OutOfBudget(Exception):
+    pass
+
+
 def _exact_search(
     space: FiniteMetricSpace, r: float, n: int, leaf_bound: float
-) -> list[int] | None:
-    """Backtracking over point colorings.
+) -> list[list[tuple[int, ...]]] | None:
+    """Backtracking over point colorings, one r-component of the space at a
+    time; the pieces of the lexicographically first feasible coloring, per
+    color and by smallest member, or None.
 
     A coloring is feasible iff inside every color class each component of the
     d <= r relation has diameter <= leaf_bound, since pieces must be unions
-    of those components and unions only grow diameters.
+    of those components and unions only grow diameters.  Points of different
+    r-components of the space are > r apart in every class, so the space is
+    feasible iff each of its r-components is, and the first coloring of each
+    together is the first coloring of the space.  Point sets are bitmasks:
+    ``near[p]`` holds the points within r of p, ``far[p]`` those farther
+    than leaf_bound from p, and a class's components are (mask, far-mask)
+    pairs, so a component is too wide iff its mask meets its far-mask; the
+    pairs left when every point is placed are the pieces.
     """
-    d = space.dist
-    npts = space.n
-    if npts == 0:
-        return []
-    coloring = [-1] * npts
-    # per color: list of components, each a list of point indices
-    comps: list[list[list[int]]] = [[] for _ in range(n + 1)]
+    d = space.dist.tolist()
+    near = [sum(1 << q for q, x in enumerate(row) if x <= r) for row in d]
+    far = [sum(1 << q for q, x in enumerate(row) if x > leaf_bound) for row in d]
+    budget = EXACT_SEARCH_BUDGET
+    nodes = 0
 
-    def try_place(p: int, c: int) -> list[list[int]] | None:
-        touching = [comp for comp in comps[c] if any(d[p, q] <= r for q in comp)]
-        merged = [p] + [q for comp in touching for q in comp]
-        for a in range(len(merged)):
-            for b in range(a + 1, len(merged)):
-                if d[merged[a], merged[b]] > leaf_bound:
-                    return None
-        return merged
-
-    def backtrack(p: int, used: int) -> bool:
-        if p == npts:
+    def color_from(
+        points: list[int], k: int, used: int, comps: list[list[tuple[int, int]]]
+    ) -> bool:
+        nonlocal nodes
+        if k == len(points):
             return True
-        limit = min(n, used)  # color symmetry: first use of a new color only in order
-        for c in range(limit + 1):
-            merged = try_place(p, c)
-            if merged is None:
+        p = points[k]
+        for c in range(min(n, used) + 1):  # color symmetry: a new color only in order
+            nodes += 1
+            if nodes > budget:
+                raise _OutOfBudget
+            mask, reach = 1 << p, far[p]
+            rest = []
+            for comp in comps[c]:
+                if comp[0] & near[p]:
+                    mask |= comp[0]
+                    reach |= comp[1]
+                else:
+                    rest.append(comp)
+            if mask & reach:
                 continue
-            touching = [comp for comp in comps[c] if any(d[p, q] <= r for q in comp)]
-            for comp in touching:
-                comps[c].remove(comp)
-            comps[c].append(merged)
-            coloring[p] = c
-            if backtrack(p + 1, max(used, c + 1)):
+            saved = comps[c]
+            rest.append((mask, reach))
+            comps[c] = rest
+            if color_from(points, k + 1, max(used, c + 1), comps):
                 return True
-            coloring[p] = -1
-            comps[c].pop()
-            for comp in touching:
-                comps[c].append(comp)
+            comps[c] = saved
         return False
 
-    if backtrack(0, 0):
-        return coloring
-    return None
+    groups: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    left = (1 << space.n) - 1
+    while left:
+        block = todo = left & -left
+        while todo:  # flood the neighbour masks from the lowest point left
+            low = todo & -todo
+            todo ^= low
+            grown = near[low.bit_length() - 1] & ~block
+            block |= grown
+            todo |= grown
+        points = [p for p in range(space.n) if block >> p & 1]
+        comps = [[] for _ in range(n + 1)]
+        if not color_from(points, 0, 0, comps):
+            return None
+        for group, found in zip(groups, comps):
+            group.extend(tuple(p for p in points if mask >> p & 1) for mask, _ in found)
+        left &= ~block
+    return [sorted(group) for group in groups]
 
 
 def _greedy_search(

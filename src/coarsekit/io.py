@@ -53,13 +53,13 @@ keyword shown alone takes none.
   rho table file           <s> <value>                          (one per line)
 
 A missing token of a keyword line is reported just past the line's last
-token and an extra one at its own column.  The ``<member-id>`` of a subsets
-document or certificate, and each member of a ``function`` line, must name a
-member of the family the document is read against, and a certificate entry
-or decomposition stage names each member once (a fibering witness, each
-inner radius once).  Ragged triangular blocks and malformed rows are
-rejected with 1-based line/column diagnostics.  Every writer/parser pair
-round-trips exactly.
+token and an extra one at its own column.  The ``<member-id>`` of a subsets,
+action or certificate document, and each member of a ``function`` line, must
+name a member of the family the document is read against, and an action
+document, a certificate entry or a decomposition stage names each member
+once (a fibering witness, each inner radius once).  Ragged triangular blocks
+and malformed rows are rejected with 1-based line/column diagnostics.  Every
+writer/parser pair round-trips exactly.
 """
 
 from __future__ import annotations
@@ -365,7 +365,9 @@ def write_action(doc: ActionDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_action(text: str) -> ActionDocument:
+def parse_action(text: str, family: MetricFamily) -> ActionDocument:
+    """An action document whose ``member`` blocks each name a member of
+    ``family``, at most once."""
     doc = _Doc(text)
     action_id = doc.word("action")
     _, args = doc.expect("elements", _MANY)
@@ -388,7 +390,8 @@ def parse_action(text: str) -> ActionDocument:
         raise ParseError(f"missing compose row for {missing[0]!r}", doc.line_no())
     perms: dict[str, dict[str, tuple[int, ...]]] = {}
     while not doc.eof():
-        ln, [(member_id, _)] = doc.expect("member", 1)
+        ln = doc.line_no()
+        member_id = _member_line(doc, family, perms).id
         table: dict[str, tuple[int, ...]] = {}
         while doc.peek_key() == "perm":
             usage = "perm row is 'perm <element> : <indices...>'"

@@ -101,6 +101,23 @@ def cyclic_isometric_action(rng, base: FiniteMetricSpace, order: int):
     return sym, action
 
 
+def l1_points_space(points, space_id="X"):
+    """The given integer points of the plane under the l^1 metric, labelled
+    ``p0, p1, ...`` in the given order."""
+    a = np.array(points, dtype=np.float64)
+    d = np.abs(a[:, None, :] - a[None, :, :]).sum(axis=2)
+    return FiniteMetricSpace(space_id, tuple(f"p{i}" for i in range(len(a))), d)
+
+
+# at r = 3, n = 1, bound 1 the first feasible coloring is 0 0 1 1 0 1 0
+SEVEN_POINT_L1 = ((4, 4), (0, 3), (0, 5), (1, 0), (4, 3), (3, 3), (2, 1))
+# at r = 3, n = 2, bound 1 the first feasible coloring is 0 0 1 2 1 0 0 2
+EIGHT_POINT_L1 = ((1, 3), (3, 0), (0, 2), (4, 2), (3, 4), (3, 1), (1, 4), (0, 4))
+# 14 points of the 4x4 grid with no (2, 2, 1)-decomposition (r, n, bound)
+GRID14_L1 = ((0, 0), (3, 0), (3, 3), (1, 0), (1, 3), (0, 3), (2, 0), (0, 2),
+             (2, 3), (3, 1), (1, 1), (3, 2), (2, 2), (2, 1))
+
+
 def family_of(*spaces, family_id="fam"):
     return MetricFamily(family_id, tuple(spaces))
 
@@ -245,6 +262,41 @@ def brute_force_decomposable(space, r, n, leaf_bound):
         if full in reachable:
             return True
     return full in reachable
+
+
+def brute_first_coloring(space, r, n, leaf_bound):
+    """The lexicographically first feasible coloring (point i gets color
+    ``coloring[i]`` in 0..n), or None: every coloring in
+    ``itertools.product`` order, each color class split into its d <= r
+    components by a plain flood and checked pair by pair."""
+    d = space.dist
+    for coloring in itertools.product(range(n + 1), repeat=space.n):
+        feasible = True
+        for c in range(n + 1):
+            left = {i for i in range(space.n) if coloring[i] == c}
+            while left and feasible:
+                comp, todo = set(), [min(left)]
+                while todo:
+                    i = todo.pop()
+                    if i in comp:
+                        continue
+                    comp.add(i)
+                    todo.extend(j for j in left if d[i, j] <= r)
+                left -= comp
+                feasible = all(d[i, j] <= leaf_bound for i in comp for j in comp)
+        if feasible:
+            return list(coloring)
+    return None
+
+
+def coloring_of(cert, npts):
+    """The color of each point of a one-member certificate's member."""
+    coloring = [None] * npts
+    for color, group in enumerate(cert.members[0].pieces):
+        for piece in group:
+            for i in piece.indices:
+                coloring[i] = color
+    return coloring
 
 
 def looped_separation(space, pieces, r):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from coarsekit import decomposition as dec_mod
 from coarsekit.cli import build_parser, run
 from coarsekit.generators import (
     grid_projection_fixture,
@@ -22,7 +23,15 @@ from coarsekit.io import (
 )
 from coarsekit.maps import FamilyMap, MapFunction
 from coarsekit.metric import MetricFamily, PointSubset
-from support import family_of, line_space, run_child, space_from_matrix
+from support import (
+    GRID14_L1,
+    SEVEN_POINT_L1,
+    family_of,
+    l1_points_space,
+    line_space,
+    run_child,
+    space_from_matrix,
+)
 
 
 @pytest.fixture()
@@ -239,6 +248,29 @@ def test_decompose_greedy_flag(files):
     assert code == 0 and "found" in out
     out, code = run(["check-cert", fam_path, out_path])
     assert code == 0
+
+
+def test_decompose_finds_the_seven_point_case(files):
+    save, tmp = files
+    fam_path = save("fam.txt", write_family(family_of(l1_points_space(SEVEN_POINT_L1, "s"), family_id="F")))
+    out_path = str(tmp / "cert.txt")
+    out, code = run(["decompose", fam_path, "--r", "3", "--n", "1", "--bound", "1",
+                     "--format", "machine", "--out", out_path])
+    assert code == 0 and "member.s.result=found" in out.splitlines()
+    out, code = run(["check-cert", fam_path, out_path])
+    assert code == 0 and "PASS" in out
+
+
+def test_decompose_past_the_search_budget_is_unknown(files, monkeypatch):
+    save, _ = files
+    grid = l1_points_space(GRID14_L1, "g")
+    fam_path = save("fam.txt", write_family(family_of(grid, family_id="F")))
+    argv = ["decompose", fam_path, "--r", "2", "--n", "2", "--bound", "1", "--format", "machine"]
+    out, code = run(argv)
+    assert code == 1 and "member.g.result=none" in out.splitlines()
+    monkeypatch.setattr(dec_mod, "EXACT_SEARCH_BUDGET", 5)
+    out, code = run(argv)
+    assert code == 1 and "member.g.result=unknown" in out.splitlines()
 
 
 def test_rho_table_from_file(files):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coarsekit import decomposition
 from coarsekit.decomposition import (
     DecompositionCertificate,
     FiberingWitness,
@@ -27,10 +28,16 @@ from coarsekit.maps import FamilyMap, MapFunction
 from coarsekit.metric import FiniteMetricSpace, PointSubset
 from coarsekit.report import CheckItem
 from support import (
+    EIGHT_POINT_L1,
+    GRID14_L1,
+    SEVEN_POINT_L1,
+    brute_first_coloring,
     brute_force_decomposable,
     closure_blocks,
+    coloring_of,
     family_of,
     integer_points_space,
+    l1_points_space,
     line_space,
     random_symmetric_matrix,
     space_from_matrix,
@@ -233,6 +240,43 @@ class TestSearch:
             assert (res.certificate is not None) == exists
             if res.certificate is not None:
                 assert check_decomposition(res.certificate, family_of(s, family_id=s.id)).passed
+
+    @pytest.mark.parametrize("points, n, first", [
+        (SEVEN_POINT_L1, 1, [0, 0, 1, 1, 0, 1, 0]),
+        (EIGHT_POINT_L1, 2, [0, 0, 1, 2, 1, 0, 0, 2]),
+    ], ids=["seven", "eight"])
+    def test_first_coloring_is_found(self, points, n, first):
+        s = l1_points_space(points, "s")
+        res = search_decomposition(s, 3, n, 1)
+        assert res.status == "found"
+        assert coloring_of(res.certificate, s.n) == first == brute_first_coloring(s, 3, n, 1)
+        assert check_decomposition(res.certificate, family_of(s, family_id=s.id)).passed
+
+    def test_exact_matches_the_oracles_on_grid_subsets(self):
+        rng = np.random.default_rng(43)
+        found = 0
+        for trial in range(60):
+            npts = int(rng.integers(7, 11))
+            s = integer_points_space(rng, npts, coord_range=5, space_id=f"s{trial}")
+            r, n, bound = float(rng.integers(0, 4)), int(rng.integers(0, 3)), float(rng.integers(0, 5))
+            res = search_decomposition(s, r, n, bound)
+            assert res.decided
+            assert (res.certificate is not None) == brute_force_decomposable(s, r, n, bound)
+            if res.certificate is not None:
+                found += 1
+                assert check_decomposition(res.certificate, family_of(s, family_id=s.id)).passed
+                if npts <= 8:
+                    assert coloring_of(res.certificate, npts) == brute_first_coloring(s, r, n, bound)
+        assert 10 < found < 60
+
+    def test_budget_exhausted_is_unknown(self, monkeypatch):
+        s = l1_points_space(GRID14_L1, "g")
+        res = search_decomposition(s, 2, 2, 1)
+        assert res.status == "none"
+        assert not brute_force_decomposable(s, 2, 2, 1)
+        monkeypatch.setattr(decomposition, "EXACT_SEARCH_BUDGET", 5)
+        res = search_decomposition(s, 2, 2, 1)
+        assert res.status == "unknown" and not res.decided
 
 
 class TestFibering:

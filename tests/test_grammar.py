@@ -303,6 +303,8 @@ def test_family_keyword_lines_keep_their_diagnostics(workdir, key, body, message
      ("decomposition", "member grid.0.0", "member zz",
       "line 13, column 8: family 'grid-fam|pieces' has no member 'zz'"),
      ("subsets", "member grid", "member zz", "line 2, column 8: family 'grid-fam' has no member 'zz'"),
+     ("action", "perm g : 3 2 1 0", "perm g : 3 2 1 0\nmember zz\nperm e : 0 1 2 3\nperm g : 3 2 1 0",
+      "line 8, column 8: family 'grid-fam' has no member 'zz'"),
      ("map", "function grid -> line", "function zz -> line",
       "line 4, column 10: family 'grid-fam' has no member 'zz'"),
      ("map", "function grid -> line", "function grid -> zz",
@@ -360,6 +362,8 @@ def test_trailing_line_is_exit_two_at_that_line(workdir, kind):
                   "line 8, column 8: repeated member block for 'grid'", id="decomposition-member"),
      pytest.param("decomposition", "member grid.0.0\ncolor 0\npiece : 0,0 0,1 1,0 1,1",
                   "line 16, column 8: repeated member block for 'grid.0.0'", id="child-member"),
+     pytest.param("action", "member grid\nperm e : 0 1 2 3\nperm g : 3 2 1 0",
+                  "line 8, column 8: repeated member block for 'grid'", id="action-member"),
      pytest.param("fibering", WITNESS[WITNESS.index("inner"):].rstrip("\n"),
                   "line 22, column 7: repeated inner block for radius '2'", id="fibering-inner")],
 )

@@ -123,7 +123,8 @@ def test_action_round_trip():
         ((0, 1), (1, 0)),
         {"m": {"e": (0, 1, 2), "g": (2, 1, 0)}},
     )
-    parsed = parse_action(write_action(doc))
+    fam = family_of(line_space([0, 1, 2], space_id="m"), family_id="F")
+    parsed = parse_action(write_action(doc), fam)
     assert parsed.elements == doc.elements
     assert parsed.compose == doc.compose
     assert parsed.perms == doc.perms
