@@ -82,10 +82,10 @@ def cover_stats(cover: Cover, space: FiniteMetricSpace) -> tuple[np.ndarray, flo
     counts = validate_cover(cover, space)
     best = np.full(space.n, -math.inf)
     for el in cover.elements:
-        mask = np.zeros(space.n, dtype=bool)
-        mask[list(el.indices)] = True
-        outside = space.dist[:, ~mask].min(axis=1, initial=math.inf)  # inf when U is everything
-        best = np.maximum(best, np.where(mask, outside, -math.inf))
+        idx = list(el.indices)
+        outside = np.ones(space.n, dtype=bool)
+        outside[idx] = False  # only U's own rows can raise best; inf when U is everything
+        best[idx] = np.maximum(best[idx], space.dist[idx][:, outside].min(axis=1, initial=math.inf))
     return counts, float(best.min()), [subset_diameter(space, el) for el in cover.elements]
 
 

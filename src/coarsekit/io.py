@@ -238,15 +238,15 @@ def _labels_to_indices(labels, space: FiniteMetricSpace, ln: int) -> tuple[int, 
 
 # family documents
 
-def _fmt_row(row: np.ndarray) -> str:
-    """One row of a triangular block, byte-identical to ``fmt_num`` per entry.
-
-    A row of finite whole numbers below 1e15 prints as integers in one go;
-    any other row goes entry by entry through ``fmt_num``.
-    """
-    if (np.abs(row) < 1e15).all() and (row == np.floor(row)).all():
-        return " ".join(map(str, row.astype(np.int64).tolist()))
-    return " ".join(map(fmt_num, row.tolist()))
+def _block_rows(dist: np.ndarray) -> list[str]:
+    """A member's triangular block, each distinct value formatted once by
+    ``fmt_num`` (-0.0 and 0.0 print alike, so ``np.unique`` may merge them).
+    Row i is the slice [i(i-1)/2, i(i+1)/2) of the lower triangle; rows are
+    joined one at a time, as all the indices at once make a Python int each."""
+    values, inverse = np.unique(dist[np.tril_indices(len(dist), -1)], return_inverse=True)
+    tokens = [fmt_num(v) for v in values.tolist()]
+    return [" ".join(map(tokens.__getitem__, inverse[i * (i - 1) // 2:i * (i + 1) // 2].tolist()))
+            for i in range(1, len(dist))]
 
 
 def write_family(family: MetricFamily) -> str:
@@ -254,7 +254,7 @@ def write_family(family: MetricFamily) -> str:
     for m in family.members:
         lines.append(f"member {m.id}" + (" pseudo" if m.pseudo else ""))
         lines.append("points " + " ".join(m.points))
-        lines.extend(_fmt_row(m.dist[i, :i]) for i in range(1, m.n))
+        lines.extend(_block_rows(m.dist))
     return "\n".join(lines) + "\n"
 
 

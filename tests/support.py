@@ -30,6 +30,7 @@ from coarsekit.metric import (
     ValidationReport,
     Violation,
 )
+from coarsekit.report import fmt_num
 
 
 def line_space(values, space_id="line", labels=None):
@@ -424,10 +425,10 @@ def random_cover_sets(rng, space, elements=4):
     return sets
 
 
-# Reference ingest: the token-by-token family parser and the
-# one-intermediate-point-at-a-time triangle check, kept as the oracles that
-# the bulk reader in coarsekit.io and the tiled check in coarsekit.metric
-# must agree with.
+# Reference ingest and emit: the token-by-token family parser, the
+# row-by-row family writer and the one-intermediate-point-at-a-time triangle
+# check, kept as the oracles that the bulk reader and the block writer in
+# coarsekit.io and the tiled check in coarsekit.metric must agree with.
 
 _TOKEN = re.compile(r"\S+")
 
@@ -512,6 +513,23 @@ def scanned_parse_family(text: str) -> MetricFamily:
                 d[i, j] = d[j, i] = v
         members.append(FiniteMetricSpace(member_id, tuple(labels), d, pseudo=pseudo))
     return MetricFamily(fam_id, tuple(members))
+
+
+def looped_write_family(family: MetricFamily) -> str:
+    """write_family one row at a time: a row of finite whole numbers below
+    1e15 printed as integers in one go, any other row entry by entry
+    through ``fmt_num``."""
+    def row_text(row):
+        if (np.abs(row) < 1e15).all() and (row == np.floor(row)).all():
+            return " ".join(map(str, row.astype(np.int64).tolist()))
+        return " ".join(map(fmt_num, row.tolist()))
+
+    lines = [f"family {family.id}"]
+    for m in family.members:
+        lines.append(f"member {m.id}" + (" pseudo" if m.pseudo else ""))
+        lines.append("points " + " ".join(m.points))
+        lines.extend(row_text(m.dist[i, :i]) for i in range(1, m.n))
+    return "\n".join(lines) + "\n"
 
 
 def looped_validate_metric(space: FiniteMetricSpace, tol: float = 0.0) -> ValidationReport:

@@ -5,7 +5,11 @@ to 5) cannot be enumerated in any reasonable time (~3e10 raw matrices); the
 executed universe is every metric space with <= 4 points and distances <= 5
 plus every space with 5..6 points and distances <= 2, reduced up to isometry
 (the tested agreement is isometry-invariant), across the full integer
-(r, n <= 2, bound) grid.  See the repository notes for the counting details.
+(r, n <= 2, bound) grid.  The counts, as raw matrices -> metrics -> isometry
+classes: 3 points cap 5, 125 -> 95 -> 28; 4 points cap 5, 15625 -> 6321 ->
+418; 5 points cap 2, 1024 -> 1024 -> 34; 6 points cap 2, 32768 -> 32768 ->
+156.  With the 1- and 2-point spaces (1 and 5 classes) that is 642 spaces
+and 53946 (r, n, bound) runs.
 """
 
 import itertools
@@ -359,7 +363,7 @@ def test_c09_decomposition_search_oracle():
             ok = ok and good
     announce(9, "exact search agrees with the enumeration oracle", ok,
              f"{total_spaces} spaces up to isometry, {total_runs} (r,n,bound) runs; "
-             "executed universe: <=4 pts cap 5, 5..6 pts cap 2 (see notes)")
+             "executed universe: <=4 pts cap 5, 5..6 pts cap 2")
 
 
 def test_c10_fibering_witness_end_to_end():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coarsekit.covers import (
     ANControlCertificate,
@@ -12,6 +13,7 @@ from coarsekit.covers import (
     check_an_control,
     check_asdim_certificate,
     cover_dimension,
+    cover_stats,
     greedy_color,
     lebesgue_number,
     mesh,
@@ -28,7 +30,13 @@ from coarsekit.generators import (
     star_tree,
     unit_path,
 )
-from coarsekit.metric import GroupAction, MetricFamily, PointSubset
+from coarsekit.metric import (
+    FiniteMetricSpace,
+    GroupAction,
+    MetricFamily,
+    PointSubset,
+    subset_diameter,
+)
 from support import (
     brute_lebesgue,
     cyclic_isometric_action,
@@ -96,6 +104,32 @@ class TestStatistics:
             sets = random_cover_sets(rng, s, elements=int(rng.integers(2, 5)))
             cov = Cover(s.id, tuple(PointSubset(s.id, t) for t in sets))
             assert lebesgue_number(cov, s) == brute_lebesgue(sets, s)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(1, 3),
+           whole=st.booleans(), singletons=st.booleans(), overlap=st.integers(0, 4))
+    def test_cover_stats_edges_against_brute_force(self, seed, blocks, whole, singletons, overlap):
+        """Blocks at distance inf from each other, an element equal to the
+        whole space, singleton elements and heavily overlapping elements."""
+        rng = np.random.default_rng(seed)
+        base = integer_points_space(rng, int(rng.integers(1, 10)), coord_range=6)
+        block = rng.integers(0, blocks, size=base.n)
+        d = np.where(block[:, None] == block[None, :], base.dist, np.inf)
+        s = FiniteMetricSpace("s", base.points, d)
+        sets = [tuple(range(s.n))] if whole else []
+        if singletons:
+            sets += [(int(i),) for i in rng.permutation(s.n)[:max(1, s.n // 2)]]
+        for _ in range(overlap):
+            keep = rng.permutation(s.n)[:max(1, s.n - int(rng.integers(1, 3)))]
+            sets.append(tuple(int(i) for i in keep))
+        covered = set().union(*sets)
+        sets += [(i,) for i in range(s.n) if i not in covered]
+        cov = Cover(s.id, tuple(PointSubset(s.id, t) for t in sets))
+        counts, leb, diams = cover_stats(cov, s)
+        assert counts.tolist() == [sum(i in t for t in sets) for i in range(s.n)]
+        assert leb == brute_lebesgue(sets, s)
+        assert diams == [subset_diameter(s, el) for el in cov.elements]
+        assert diams == [max(float(d[i, j]) for i in t for j in t) for t in sets]
 
     def test_mesh(self):
         s = path11()

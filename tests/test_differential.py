@@ -1,9 +1,10 @@
-"""Differential tests for the ingest path.
+"""Differential tests for the ingest and emit paths.
 
-The bulk family reader must agree with the token-by-token parser, and the
-tiled triangle check with the per-point loop, both kept in support.py:
-equal distance bytes or the same parse error (message, line, column), and
-equal validation reports in the same order.
+The bulk family reader must agree with the token-by-token parser, the block
+writer with the row-by-row writer, and the tiled triangle check with the
+per-point loop, all kept in support.py: equal distance bytes or the same
+parse error (message, line, column), equal documents, and equal validation
+reports in the same order.
 """
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsekit.errors import ParseError
-from coarsekit.io import parse_family
-from coarsekit.metric import FiniteMetricSpace, validate_metric
-from support import looped_validate_metric, scanned_parse_family
+from coarsekit.io import parse_family, write_family
+from coarsekit.metric import FiniteMetricSpace, MetricFamily, validate_metric
+from support import looped_validate_metric, looped_write_family, scanned_parse_family
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -80,6 +81,44 @@ def _outcome(parse, text):
 @given(family_document())
 def test_bulk_reader_matches_token_scanner(text):
     assert _outcome(parse_family, text) == _outcome(scanned_parse_family, text)
+
+
+EDGE_VALUES = st.sampled_from(
+    [np.inf, -0.0, 0.0, 1e15 - 1, 1e15, 2.5e16, 2.0**62, -(2.0**62)])
+BLOCK_VALUES = {
+    "integer": st.integers(0, 40).map(float),
+    "float": st.floats(0.0, 1e6, allow_nan=False),
+    "sqrt": st.integers(1, 60).map(lambda k: float(np.sqrt(k))),
+}
+
+
+@st.composite
+def emitted_family(draw):
+    """A family of 1- to 10-point members, some pseudo, each block drawn
+    from integers, floats or square roots with edge values mixed in."""
+    members = []
+    for m in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 10))
+        entry = st.one_of(BLOCK_VALUES[draw(st.sampled_from(sorted(BLOCK_VALUES)))], EDGE_VALUES)
+        d = np.zeros((n, n))
+        for i in range(1, n):
+            for j in range(i):
+                d[i, j] = d[j, i] = draw(entry)
+        members.append(FiniteMetricSpace(f"m{m}", tuple(f"p{k}" for k in range(n)), d,
+                                         pseudo=draw(st.booleans())))
+    return MetricFamily("F", tuple(members))
+
+
+def _family_key(fam):
+    return fam.id, [(m.id, m.points, m.pseudo, m.dist.tolist()) for m in fam.members]
+
+
+@SETTINGS
+@given(emitted_family())
+def test_block_writer_matches_row_writer(fam):
+    text = write_family(fam)
+    assert text == looped_write_family(fam)
+    assert _family_key(parse_family(text)) == _family_key(fam)
 
 
 @st.composite
