@@ -202,9 +202,7 @@ def cmd_decompose(args, report: Report) -> int:
     ok = True
     member_entries = []
     for m in fam.members:
-        result = dec_mod.search_decomposition(
-            m, args.r, args.n, args.bound, mode=args.mode, ceiling=args.ceiling
-        )
+        result = dec_mod.search_decomposition(m, args.r, args.n, args.bound, mode=args.mode)
         report.add(f"member.{m.id}.result", result.status)
         report.text(f"{m.id}: {result.status}")
         if result.certificate is None:
@@ -461,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.add_argument("--exact", dest="mode", action="store_const", const="exact")
     p.add_argument("--greedy", dest="mode", action="store_const", const="greedy")
-    p.add_argument("--ceiling", type=int, default=dec_mod.EXACT_SEARCH_CEILING)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("check-cert", parents=[common], help="check a decomposition certificate")

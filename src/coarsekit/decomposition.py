@@ -107,7 +107,10 @@ class DecompositionCertificate:
             )
 
     def depth(self) -> int:
-        return 1 if self.child is None else 1 + self.child.depth()
+        stages, stage = 1, self.child
+        while stage is not None:
+            stages, stage = stages + 1, stage.child
+        return stages
 
 
 def piece_family(
@@ -130,72 +133,73 @@ def check_decomposition(
     cert: DecompositionCertificate,
     family: MetricFamily,
     tol: float = DEFAULT_TOL,
-    _path: str = "",
 ) -> Verdict:
-    """Recursive verification: coverage, per-color r-disjointness (strict
-    > r, no tolerance), then the leaf diameter bound (within ``tol``) or the
-    child certificate over the piece family.  The verdict carries the
-    failing path."""
-    check_certificate_family(cert.family_id, family)
+    """Stage-by-stage verification: coverage, per-color r-disjointness
+    (strict > r, no tolerance), then the leaf diameter bound (within
+    ``tol``) or the child certificate over the piece family.  The verdict
+    carries the failing path, ``child.``-prefixed once per stage down."""
     items: list[CheckItem] = []
-    entries = member_lookup(family, ((m.member_id, m) for m in cert.members))
-    for member in family.members:
-        path = f"{_path}{member.id}"
-        entry = entries.get(member.id)
-        if entry is None:
-            items.append(CheckItem(path, False, "no decomposition supplied for member"))
-            continue
-        if len(entry.pieces) != cert.n + 1:
-            items.append(
-                CheckItem(
-                    path + ".colors",
-                    False,
-                    f"{len(entry.pieces)} colors supplied, n = {cert.n} needs {cert.n + 1}",
+    prefix = ""
+    while True:
+        check_certificate_family(cert.family_id, family)
+        entries = member_lookup(family, ((m.member_id, m) for m in cert.members))
+        for member in family.members:
+            path = f"{prefix}{member.id}"
+            entry = entries.get(member.id)
+            if entry is None:
+                items.append(CheckItem(path, False, "no decomposition supplied for member"))
+                continue
+            if len(entry.pieces) != cert.n + 1:
+                items.append(
+                    CheckItem(
+                        path + ".colors",
+                        False,
+                        f"{len(entry.pieces)} colors supplied, n = {cert.n} needs {cert.n + 1}",
+                    )
                 )
+                continue
+            missing = np.flatnonzero(
+                multiplicity(member, [piece for group in entry.pieces for piece in group]) == 0
             )
-            continue
-        missing = np.flatnonzero(
-            multiplicity(member, [piece for group in entry.pieces for piece in group]) == 0
-        )
-        if missing.size:
-            items.append(
-                CheckItem(
-                    path + ".coverage",
-                    False,
-                    f"point {member.points[missing[0]]!r} not covered",
+            if missing.size:
+                items.append(
+                    CheckItem(
+                        path + ".coverage",
+                        False,
+                        f"point {member.points[missing[0]]!r} not covered",
+                    )
                 )
-            )
-        else:
-            items.append(CheckItem(path + ".coverage", True))
-        for color, group in enumerate(entry.pieces):
-            dist, bad = separation(member, group, cert.r)
-            items.append(
-                CheckItem(f"{path}.color{color}.disjoint", True)
-                if bad is None
-                else CheckItem(
-                    f"{path}.color{color}.disjoint",
-                    False,
-                    f"pieces at distance {fmt_num(dist[bad])} <= r = {fmt_num(cert.r)}",
-                )
-            )
-    if cert.leaf_bound is not None:
-        too_wide: list[CheckItem] = []
-        for entry in entries.values():
-            space = family.member(entry.member_id)
+            else:
+                items.append(CheckItem(path + ".coverage", True))
             for color, group in enumerate(entry.pieces):
-                for k, piece in enumerate(group):
-                    diam = subset_diameter(space, piece)
-                    if diam > cert.leaf_bound + tol:
-                        too_wide.append(
-                            CheckItem(
-                                f"{_path}{piece_id(entry.member_id, color, k)}.bound",
-                                False,
-                                f"piece diameter {fmt_num(diam)} > leaf bound "
-                                f"{fmt_num(cert.leaf_bound)}",
+                dist, bad = separation(member, group, cert.r)
+                items.append(
+                    CheckItem(f"{path}.color{color}.disjoint", True)
+                    if bad is None
+                    else CheckItem(
+                        f"{path}.color{color}.disjoint",
+                        False,
+                        f"pieces at distance {fmt_num(dist[bad])} <= r = {fmt_num(cert.r)}",
+                    )
+                )
+        if cert.leaf_bound is not None:
+            too_wide: list[CheckItem] = []
+            for entry in entries.values():
+                space = family.member(entry.member_id)
+                for color, group in enumerate(entry.pieces):
+                    for k, piece in enumerate(group):
+                        diam = subset_diameter(space, piece)
+                        if diam > cert.leaf_bound + tol:
+                            too_wide.append(
+                                CheckItem(
+                                    f"{prefix}{piece_id(entry.member_id, color, k)}.bound",
+                                    False,
+                                    f"piece diameter {fmt_num(diam)} > leaf bound "
+                                    f"{fmt_num(cert.leaf_bound)}",
+                                )
                             )
-                        )
-        items.extend(too_wide or [CheckItem(f"{_path}leaf", True)])
-    else:
+            items.extend(too_wide or [CheckItem(f"{prefix}leaf", True)])
+            return verdict(items)
         pieces = piece_family(cert, family)
         child_ids = {m.member_id for m in cert.child.members}
         expected = set(pieces.member_ids())
@@ -208,9 +212,7 @@ def check_decomposition(
             raise StructuralError(
                 f"child certificate is for {cert.child.family_id!r}, expected {pieces.id!r}"
             )
-        sub = check_decomposition(cert.child, pieces, tol, _path=_path + "child.")
-        items.extend(sub.items)
-    return verdict(items)
+        cert, family, prefix = cert.child, pieces, prefix + "child."
 
 
 @dataclass(frozen=True)
@@ -225,9 +227,8 @@ class SearchResult:
         return "none" if self.decided else "unknown"
 
 
-EXACT_SEARCH_CEILING = 20
-# placements the exact search may try before it answers "unknown"; read at
-# call time
+# placements the exact search may try before it answers "unknown", its only
+# bound; read at call time
 EXACT_SEARCH_BUDGET = 1_000_000
 
 
@@ -252,17 +253,17 @@ def search_decomposition(
     n: int,
     leaf_bound: float,
     mode: str = "exact",
-    ceiling: int = EXACT_SEARCH_CEILING,
 ) -> SearchResult:
     """Find an (r, n)-decomposition with piece diameters <= leaf_bound.
 
     Exact mode colors each r-component of the space on its own, in index
     order (with pruning on the diameter bound plus color-symmetry breaking),
-    and certifies the lexicographically first feasible coloring.  It is an
-    oracle on small instances: within ``EXACT_SEARCH_BUDGET`` placements a
-    certificate is returned iff one exists; past the budget the answer is
-    "unknown".  Greedy mode seeds pieces by balls of radius leaf_bound/2
-    and may miss; its empty answer is "unknown".
+    and certifies the lexicographically first feasible coloring.  Its only
+    bound is the node budget: within ``EXACT_SEARCH_BUDGET`` placements a
+    certificate is returned iff one exists, whatever the size of the space
+    or of n; past the budget the answer is "unknown".  Greedy mode seeds
+    pieces by balls of radius leaf_bound/2 and may miss; its empty answer is
+    "unknown".
     """
     if r < 0:
         raise PreconditionError("scale r must be >= 0")
@@ -271,15 +272,6 @@ def search_decomposition(
     if leaf_bound < 0:
         raise PreconditionError("leaf bound must be >= 0")
     if mode == "exact":
-        if space.n > ceiling:
-            raise PreconditionError(
-                f"{space.n} points exceeds the exact-search ceiling {ceiling}; "
-                "use greedy mode"
-            )
-        if n > 3:
-            raise PreconditionError(
-                f"exact search supports n <= 3 (got {n}); use greedy mode"
-            )
         try:
             groups = _exact_search(space, r, n, leaf_bound)
         except _OutOfBudget:
@@ -323,43 +315,14 @@ def _exact_search(
     ``near[p]`` holds the points within r of p, ``far[p]`` those farther
     than leaf_bound from p, and a class's components are (mask, far-mask)
     pairs, so a component is too wide iff its mask meets its far-mask; the
-    pairs left when every point is placed are the pieces.
+    pairs left when every point is placed are the pieces.  Depth k of the
+    loop keeps point k's next color, the colors used before it, and the color
+    it took with that color's component list from before, to put back.
     """
-    d = space.dist.tolist()
-    near = [sum(1 << q for q, x in enumerate(row) if x <= r) for row in d]
-    far = [sum(1 << q for q, x in enumerate(row) if x > leaf_bound) for row in d]
+    near = _row_masks(space.dist <= r)
+    far = _row_masks(space.dist > leaf_bound)
     budget = EXACT_SEARCH_BUDGET
     nodes = 0
-
-    def color_from(
-        points: list[int], k: int, used: int, comps: list[list[tuple[int, int]]]
-    ) -> bool:
-        nonlocal nodes
-        if k == len(points):
-            return True
-        p = points[k]
-        for c in range(min(n, used) + 1):  # color symmetry: a new color only in order
-            nodes += 1
-            if nodes > budget:
-                raise _OutOfBudget
-            mask, reach = 1 << p, far[p]
-            rest = []
-            for comp in comps[c]:
-                if comp[0] & near[p]:
-                    mask |= comp[0]
-                    reach |= comp[1]
-                else:
-                    rest.append(comp)
-            if mask & reach:
-                continue
-            saved = comps[c]
-            rest.append((mask, reach))
-            comps[c] = rest
-            if color_from(points, k + 1, max(used, c + 1), comps):
-                return True
-            comps[c] = saved
-        return False
-
     groups: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     left = (1 << space.n) - 1
     while left:
@@ -371,13 +334,51 @@ def _exact_search(
             block |= grown
             todo |= grown
         points = [p for p in range(space.n) if block >> p & 1]
-        comps = [[] for _ in range(n + 1)]
-        if not color_from(points, 0, 0, comps):
-            return None
+        comps: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+        next_color = [0] * len(points)
+        used = [0] * (len(points) + 1)
+        taken: list = [None] * len(points)
+        k = 0
+        while k < len(points):
+            c = next_color[k]
+            if c > min(n, used[k]):  # color symmetry: a new color only in order
+                if k == 0:
+                    return None
+                next_color[k] = 0
+                k -= 1
+                c, saved = taken[k]
+                comps[c] = saved
+                continue
+            next_color[k] = c + 1
+            nodes += 1
+            if nodes > budget:
+                raise _OutOfBudget
+            p = points[k]
+            mask, reach = 1 << p, far[p]
+            rest = []
+            for comp in comps[c]:
+                if comp[0] & near[p]:
+                    mask |= comp[0]
+                    reach |= comp[1]
+                else:
+                    rest.append(comp)
+            if mask & reach:
+                continue
+            rest.append((mask, reach))
+            taken[k] = (c, comps[c])
+            comps[c] = rest
+            used[k + 1] = max(used[k], c + 1)
+            k += 1
         for group, found in zip(groups, comps):
             group.extend(tuple(p for p in points if mask >> p & 1) for mask, _ in found)
         left &= ~block
     return [sorted(group) for group in groups]
+
+
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """Row p of a boolean matrix as an int whose bit q is ``rows[p, q]``."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _greedy_search(

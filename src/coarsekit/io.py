@@ -574,14 +574,13 @@ def write_decomposition_certificate(
     cert: DecompositionCertificate, family: MetricFamily
 ) -> str:
     lines: list[str] = []
-
-    def emit(c: DecompositionCertificate, fam: MetricFamily) -> None:
+    while True:
         lines.append("decomposition-certificate")
-        lines.append(f"family {c.family_id}")
-        lines.append(f"r {fmt_num(c.r)}")
-        lines.append(f"n {c.n}")
-        for entry in c.members:
-            member = fam.member(entry.member_id)
+        lines.append(f"family {cert.family_id}")
+        lines.append(f"r {fmt_num(cert.r)}")
+        lines.append(f"n {cert.n}")
+        for entry in cert.members:
+            member = family.member(entry.member_id)
             lines.append(f"member {entry.member_id}")
             for color, group in enumerate(entry.pieces):
                 lines.append(f"color {color}")
@@ -589,14 +588,11 @@ def write_decomposition_certificate(
                     lines.append(
                         "piece : " + " ".join(member.points[i] for i in piece.indices)
                     )
-        if c.leaf_bound is not None:
-            lines.append(f"leaf-bound {fmt_num(c.leaf_bound)}")
-        else:
-            lines.append("child")
-            emit(c.child, piece_family(c, fam))
-
-    emit(cert, family)
-    return "\n".join(lines) + "\n"
+        if cert.leaf_bound is not None:
+            lines.append(f"leaf-bound {fmt_num(cert.leaf_bound)}")
+            return "\n".join(lines) + "\n"
+        lines.append("child")
+        cert, family = cert.child, piece_family(cert, family)
 
 
 def parse_decomposition_certificate(text: str, family: MetricFamily) -> DecompositionCertificate:
@@ -611,35 +607,41 @@ def parse_decomposition_certificate(text: str, family: MetricFamily) -> Decompos
 
 def _parse_decomposition(doc: _Doc, family: MetricFamily) -> DecompositionCertificate:
     """One certificate, up to its final ``leaf-bound`` line; the rows after
-    it belong to the caller."""
-    doc.expect("decomposition-certificate", 0)
-    fam_id = doc.word("family")
-    r = doc.num("r")
-    n = doc.int("n")
-    members: dict[str, MemberDecomposition] = {}
-    while doc.peek_key() == "member":
-        member = _member_line(doc, family, members)
-        groups: list[tuple[PointSubset, ...]] = []
-        while doc.peek_key() == "color":
-            ln, [(tok, col)] = doc.expect("color", 1)
-            if _int(tok, ln, col) != len(groups):
-                raise ParseError(f"colors must appear in order; expected {len(groups)}", ln, col)
-            pieces: list[PointSubset] = []
-            while doc.peek_key() == "piece":
-                ln, _, tail = doc.colon_row("piece", _NONE, "piece line is 'piece : <label...>'")
-                pieces.append(PointSubset(member.id, _labels_to_indices(tail, member, ln)))
-            groups.append(tuple(pieces))
-        members[member.id] = MemberDecomposition(member.id, tuple(groups))
-    stage = tuple(members.values())
-    key = doc.peek_key()
-    if key == "leaf-bound":
-        return DecompositionCertificate(fam_id, r, n, stage, leaf_bound=doc.num("leaf-bound"))
-    if key == "child":
+    it belong to the caller.  The stages are read top-down, each over the
+    piece family of the one before, and then linked bottom-up."""
+    stages: list[tuple[str, float, int, tuple[MemberDecomposition, ...]]] = []
+    while True:
+        doc.expect("decomposition-certificate", 0)
+        fam_id = doc.word("family")
+        r = doc.num("r")
+        n = doc.int("n")
+        members: dict[str, MemberDecomposition] = {}
+        while doc.peek_key() == "member":
+            member = _member_line(doc, family, members)
+            groups: list[tuple[PointSubset, ...]] = []
+            while doc.peek_key() == "color":
+                ln, [(tok, col)] = doc.expect("color", 1)
+                if _int(tok, ln, col) != len(groups):
+                    raise ParseError(f"colors must appear in order; expected {len(groups)}", ln, col)
+                pieces: list[PointSubset] = []
+                while doc.peek_key() == "piece":
+                    ln, _, tail = doc.colon_row("piece", _NONE, "piece line is 'piece : <label...>'")
+                    pieces.append(PointSubset(member.id, _labels_to_indices(tail, member, ln)))
+                groups.append(tuple(pieces))
+            members[member.id] = MemberDecomposition(member.id, tuple(groups))
+        stage = (fam_id, r, n, tuple(members.values()))
+        key = doc.peek_key()
+        if key == "leaf-bound":
+            cert = DecompositionCertificate(*stage, leaf_bound=doc.num("leaf-bound"))
+            break
+        if key != "child":
+            raise ParseError("certificate needs 'leaf-bound <num>' or 'child'", doc.line_no())
         doc.expect("child", 0)
-        partial = DecompositionCertificate(fam_id, r, n, stage, leaf_bound=0.0)
-        child = _parse_decomposition(doc, piece_family(partial, family))
-        return DecompositionCertificate(fam_id, r, n, stage, child=child)
-    raise ParseError("certificate needs 'leaf-bound <num>' or 'child'", doc.line_no())
+        stages.append(stage)
+        family = piece_family(DecompositionCertificate(*stage, leaf_bound=0.0), family)
+    for stage in reversed(stages):
+        cert = DecompositionCertificate(*stage, child=cert)
+    return cert
 
 
 # fibering witnesses

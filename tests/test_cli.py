@@ -292,6 +292,13 @@ def test_decompose_none_exits_one(files):
     assert code == 1 and "none" in out
 
 
+def test_decompose_has_no_ceiling_option(files):
+    save, _ = files
+    fam_path = save("fam.txt", write_family(family_of(unit_path(4, "p"), family_id="F")))
+    out, code = run(["decompose", fam_path, "--r", "1", "--n", "1", "--bound", "1", "--ceiling", "5"])
+    assert code == 2 and "unrecognized arguments: --ceiling 5" in out
+
+
 @pytest.mark.parametrize("mode", [[], ["--greedy"]], ids=["exact", "greedy"])
 def test_negative_leaf_bound_is_refused(files, mode):
     save, _ = files

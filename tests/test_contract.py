@@ -1,0 +1,54 @@
+"""The exit-code contract on inputs whose size sets the depth of a walk.
+
+Each command runs under a low recursion limit, so a walk that recursed
+once per stage or per point would fail here on small inputs instead of
+only on large ones.
+"""
+
+import sys
+
+from coarsekit.cli import run
+from coarsekit.generators import unit_path
+from coarsekit.io import write_family
+from support import family_of
+
+LOW_RECURSION_LIMIT = 120
+
+
+def one_point_tower(stages: int) -> str:
+    """A decomposition certificate of ``stages`` stages over the one-point
+    family ``f``: each stage keeps the single point in one piece."""
+    lines = []
+    family_id, member_id = "f", "m"
+    for k in range(stages):
+        lines += ["decomposition-certificate", f"family {family_id}", "r 1", "n 0",
+                  f"member {member_id}", "color 0", "piece : a"]
+        lines.append("child" if k < stages - 1 else "leaf-bound 0")
+        family_id, member_id = family_id + "|pieces", member_id + ".0.0"
+    return "\n".join(lines) + "\n"
+
+
+def run_twice_at_low_limit(argv):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(LOW_RECURSION_LIMIT)
+    try:
+        return run(argv), run(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_tall_tower_checks_without_recursion(tmp_path):
+    (tmp_path / "fam.txt").write_text("family f\nmember m\npoints a\n")
+    (tmp_path / "cert.txt").write_text(one_point_tower(150))
+    argv = ["check-cert", str(tmp_path / "fam.txt"), str(tmp_path / "cert.txt")]
+    first, second = run_twice_at_low_limit(argv)
+    assert first[1] == 0 and "PASS" in first[0]
+    assert second == first
+
+
+def test_long_path_exact_search_without_recursion(tmp_path):
+    (tmp_path / "fam.txt").write_text(write_family(family_of(unit_path(120, "p"), family_id="F")))
+    argv = ["decompose", str(tmp_path / "fam.txt"), "--r", "1", "--n", "1", "--bound", "1"]
+    first, second = run_twice_at_low_limit(argv)
+    assert first[1] == 0 and "p: found" in first[0]
+    assert second == first

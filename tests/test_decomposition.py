@@ -205,16 +205,17 @@ class TestSearch:
                 res = search_decomposition(s, r, n, 0)
                 assert res.certificate is not None
 
-    def test_ceiling_suggests_greedy(self):
+    def test_exact_search_decides_past_twenty_points(self):
         s = unit_path(25, "p")
-        with pytest.raises(PreconditionError) as err:
-            search_decomposition(s, 1, 1, 1)
-        assert "greedy" in str(err.value)
+        res = search_decomposition(s, 1, 1, 1)
+        assert res.status == "found" and res.decided
+        assert check_decomposition(res.certificate, family_of(s, family_id=s.id)).passed
 
-    def test_exact_mode_caps_color_count(self):
+    def test_exact_search_takes_any_color_count(self):
         s = unit_path(8, "p")
-        with pytest.raises(PreconditionError):
-            search_decomposition(s, 1, 4, 1)
+        res = search_decomposition(s, 1, 4, 1)
+        assert res.status == "found"
+        assert check_decomposition(res.certificate, family_of(s, family_id=s.id)).passed
         assert search_decomposition(s, 1, 4, 8, mode="greedy").certificate is not None
 
     def test_greedy_certificates_always_verify(self):
