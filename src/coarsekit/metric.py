@@ -71,7 +71,7 @@ class FiniteMetricSpace:
 
     def subspace(self, indices, sub_id: str) -> "FiniteMetricSpace":
         """Metric restriction to the given point indices (kept in sorted order)."""
-        idx = sorted(set(int(i) for i in indices))
+        idx = sorted(set(map(int, indices)))
         if not idx:
             raise PreconditionError(f"empty subspace of {self.id!r}")
         if idx[0] < 0 or idx[-1] >= self.n:
@@ -152,7 +152,7 @@ class PointSubset:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted(set(int(i) for i in self.indices))))
+        object.__setattr__(self, "indices", tuple(sorted(set(map(int, self.indices)))))
 
     def __len__(self) -> int:
         return len(self.indices)

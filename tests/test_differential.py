@@ -4,7 +4,8 @@ The bulk family reader must agree with the token-by-token parser, the block
 writer with the row-by-row writer, and the tiled triangle check with the
 per-point loop, all kept in support.py: equal distance bytes or the same
 parse error (message, line, column), equal documents, and equal validation
-reports in the same order.
+reports in the same order.  The one-split reader of certificate label rows
+must agree with ``colon_row`` and ``_labels_to_indices`` in the same way.
 """
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsekit.errors import ParseError
-from coarsekit.io import parse_family, write_family
+from coarsekit.io import (
+    _NONE, _OPTIONAL, _Doc, _int, _label_row, _labels_to_indices, parse_family, write_family,
+)
 from coarsekit.metric import FiniteMetricSpace, MetricFamily, validate_metric
 from support import looped_validate_metric, looped_write_family, scanned_parse_family
 
@@ -27,42 +30,82 @@ NUMBERS = st.one_of(
     ),
 )
 BAD_TOKENS = st.sampled_from(["bogus", "1.2.3", "0x10", "1__0", "--1", "e5", "member", "family"])
+LITERAL_MUTATIONS = st.sampled_from(["+3", "-0", "٣"])
 SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\xa0", "　"])
+ASCII_SEPARATORS = [" ", "  ", "\t", " \t "]
 NEWLINES = st.sampled_from(["\n", "\r\n"])
+# unsigned literals at the edges of the byte reader: a leading zero, 2**53 + 1,
+# the widest that int64 holds exactly, and two past int64
+WIDE_LITERALS = st.one_of(
+    st.sampled_from(["007", "9007199254740993", "999999999999999999", "9999999999999999999",
+                     "10000000000000000000"]),
+    st.integers(10**14, 10**19 - 1).map(str),
+)
+
+
+def _digit_rows(draw, n):
+    """The rows of an n-point block of unsigned digit literals, mostly small
+    with a few wide ones mixed in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tokens = rng.integers(0, draw(st.sampled_from([10, 1000, 10**6])), n * (n - 1) // 2).astype(str).tolist()
+    for _ in range(draw(st.integers(0, 4))):
+        tokens[int(rng.integers(len(tokens)))] = draw(WIDE_LITERALS)
+    return [tokens[i * (i - 1) // 2:i * (i + 1) // 2] for i in range(1, n)]
 
 
 @st.composite
 def family_document(draw):
-    """A family document, well formed or with one mutation (ragged row,
-    block cut short by a member line, dropped row, bad token), rendered with
-    random spacing, line endings, comments and blank lines."""
+    """A family document, well formed or with one mutation (ragged row or a
+    token moved to the next row, block cut short by a member line, dropped
+    row, bad token, signed or non-ASCII literal), rendered with random
+    spacing, line endings, comments and blank lines.  About one member in
+    four has 46-60 points and a block of unsigned digit literals, past the
+    size where the byte reader takes over."""
     lines = [["family", "F"]]
+    digit_rows = []  # the rows of large blocks, by identity, whose separators a generator picks
     for m in range(draw(st.integers(1, 3))):
-        n = draw(st.integers(1, 7))
+        large = draw(st.integers(0, 3)) == 0
+        n = draw(st.integers(46, 60) if large else st.integers(1, 7))
         lines.append(["member", f"m{m}"] + (["pseudo"] if draw(st.booleans()) else []))
         lines.append(["points"] + [f"p{k}" for k in range(n)])
-        for i in range(1, n):
-            lines.append(draw(st.lists(NUMBERS, min_size=i, max_size=i)))
+        if large:
+            digit_rows += _digit_rows(draw, n)
+            lines += digit_rows[-(n - 1):]
+        else:
+            for i in range(1, n):
+                lines.append(draw(st.lists(NUMBERS, min_size=i, max_size=i)))
     rows = [k for k, line in enumerate(lines) if line[0] not in ("family", "member", "points")]
-    mutation = draw(st.sampled_from(["none", "none", "ragged", "cut", "drop", "bad"]))
+    mutation = draw(st.sampled_from(["none", "none", "ragged", "shift", "cut", "drop", "bad", "literal"]))
     if mutation != "none" and rows:
         k = draw(st.sampled_from(rows))
+        j = draw(st.integers(0, len(lines[k]) - 1))
         if mutation == "ragged":
             lines[k] = lines[k][:-1] if draw(st.booleans()) else lines[k] + [draw(NUMBERS)]
+        elif mutation == "shift":  # row k one short and, within a block, the next one long
+            token = lines[k].pop()
+            if k + 1 in rows:
+                lines[k + 1].insert(0, token)
         elif mutation == "cut":
             lines.insert(k, ["member", "cut"])
         elif mutation == "drop":
             del lines[k]
         else:
-            j = draw(st.integers(0, len(lines[k]) - 1))
-            lines[k] = lines[k][:j] + [draw(BAD_TOKENS)] + lines[k][j + 1:]
+            lines[k][j] = draw(BAD_TOKENS if mutation == "bad" else LITERAL_MUTATIONS)
+    # rows of large blocks take their separators from a seeded generator,
+    # ASCII only or not
+    bulk = {id(row) for row in digit_rows}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    long_separators = ASCII_SEPARATORS + (["\xa0", "　"] if draw(st.integers(0, 3)) == 3 else [])
     out = []
     for tokens in lines:
         if draw(st.integers(0, 5)) == 0:
             out.append(draw(st.sampled_from(["", "# note", "  \t", " # 1 2 3"])) + draw(NEWLINES))
         text = draw(st.sampled_from(["", " ", "\t"]))
-        for t in tokens:
-            text += t + draw(SEPARATORS)
+        if id(tokens) in bulk:
+            text += "".join(t + s for t, s in zip(tokens, rng.choice(long_separators, len(tokens))))
+        else:
+            for t in tokens:
+                text += t + draw(SEPARATORS)
         if draw(st.booleans()):
             text += "# trailing 1 2"
         out.append(text + draw(NEWLINES))
@@ -81,6 +124,66 @@ def _outcome(parse, text):
 @given(family_document())
 def test_bulk_reader_matches_token_scanner(text):
     assert _outcome(parse_family, text) == _outcome(scanned_parse_family, text)
+
+
+LABELS = ("p0", "p1", "q", "x:y", "٣", "7")
+ROW_SPACE = FiniteMetricSpace("m", LABELS, np.ones((6, 6)) - np.eye(6))
+ROW_USAGE = {"element": (_OPTIONAL, "element line is 'element [<color>] : <label...>'"),
+             "piece": (_NONE, "piece line is 'piece : <label...>'")}
+
+
+@st.composite
+def label_row_text(draw):
+    """An ``element`` or ``piece`` row of ROW_SPACE, valid or with one defect,
+    its tokens joined by ASCII or Unicode whitespace."""
+    key = draw(st.sampled_from(sorted(ROW_USAGE)))
+    head = [draw(st.sampled_from(["0", "3", "12"]))] if key == "element" and draw(st.booleans()) else []
+    labels = draw(st.lists(st.sampled_from(LABELS), max_size=5))
+    tokens = [key, *head, ":", *labels]
+    defect = draw(st.sampled_from(
+        ["none", "none", "unknown", "repeat", "no-colon", "colon-colon", "extra-head", "color",
+         "bare", "foreign"]))
+    if defect == "unknown":
+        tokens.insert(draw(st.integers(len(head) + 2, len(tokens))), draw(st.sampled_from(["zz", "P0", "-"])))
+    elif defect == "repeat" and labels:
+        tokens.append(labels[0])
+    elif defect == "no-colon":
+        tokens.remove(":")
+    elif defect == "colon-colon":
+        tokens.insert(len(head) + 1, ":")
+    elif defect == "extra-head":
+        tokens[1:1] = ["1", "2"] if key == "element" else ["1"]
+    elif defect == "color":
+        tokens[1:1 + len(head)] = [draw(st.sampled_from(["+1", "٣", "x", "-2", "1_0"]))]
+    elif defect == "bare":
+        tokens = [key]
+    elif defect == "foreign":
+        tokens[0] = draw(st.sampled_from(["color", "pieces", "element:"]))
+    separators = st.sampled_from([" ", "\t", "  ", "\xa0", "　", "\u2003", "\x1f", "\u3000\t"])
+    return key, draw(st.sampled_from(["", " "])) + "".join(t + draw(separators) for t in tokens)
+
+
+def _row_outcome(read, key, text):
+    doc = _Doc(text)
+    try:
+        ln, head, indices = read(doc, key)
+    except ParseError as err:
+        return ("error", str(err), err.line, err.column)
+    return ("ok", ln, head, indices, doc.pos)
+
+
+def _colon_row_read(doc, key):
+    nhead, usage = ROW_USAGE[key]
+    ln, head, tail = doc.colon_row(key, nhead, usage)
+    return ln, [_int(tok, ln, col) for tok, col in head], _labels_to_indices(tail, ROW_SPACE, ln)
+
+
+@SETTINGS
+@given(label_row_text())
+def test_split_label_row_matches_colon_row(row):
+    key, text = row
+    split = _row_outcome(lambda doc, k: _label_row(doc, k, *ROW_USAGE[k], ROW_SPACE), key, text)
+    assert split == _row_outcome(_colon_row_read, key, text)
 
 
 EDGE_VALUES = st.sampled_from(
