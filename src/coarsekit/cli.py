@@ -383,6 +383,18 @@ def number(text: str) -> float:
     return value
 
 
+def tolerance(text: str) -> float:
+    """The ``--tolerance`` number, which is also not below 0; a malformed
+    literal gets the same message as any other number option."""
+    try:
+        value = number(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance below 0: {text!r}")
+    return value
+
+
 def exponent(text: str) -> str:
     """The ``--p`` number, kept as typed so that the report echoes it."""
     number(text)
@@ -410,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "machine"), default="text",
                         help="report format (machine is line-oriented key=value)")
-    common.add_argument("--tolerance", type=number, default=metric_mod.DEFAULT_TOL,
+    common.add_argument("--tolerance", type=tolerance, default=metric_mod.DEFAULT_TOL,
                         help="absolute tolerance for certificate comparisons")
     common.add_argument("--seed", type=count, default=0, help="seed for randomized suites")
     common.add_argument("--jobs", type=int, default=1,

@@ -87,11 +87,14 @@ class MemberDecomposition:
     pieces: tuple[tuple[PointSubset, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DecompositionCertificate:
     """Finite-stage witness that every member splits into n+1 colors of
     r-disjoint pieces, with either a uniform diameter bound on all pieces or
-    a nested certificate over the piece family."""
+    a nested certificate over the piece family.
+
+    Equality, hashing and repr walk the ``child`` chain with a loop, so a
+    tower of any height compares, hashes and prints."""
 
     family_id: str
     r: float
@@ -106,11 +109,36 @@ class DecompositionCertificate:
                 "certificate needs exactly one of leaf_bound or child"
             )
 
-    def depth(self) -> int:
-        stages, stage = 1, self.child
+    def _stages(self):
+        stage = self
         while stage is not None:
-            stages, stage = stages + 1, stage.child
-        return stages
+            yield stage
+            stage = stage.child
+
+    def _own_fields(self) -> tuple:
+        return (self.family_id, self.r, self.n, self.members, self.leaf_bound)
+
+    def depth(self) -> int:
+        return sum(1 for _ in self._stages())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine, theirs = list(self._stages()), list(other._stages())
+        return len(mine) == len(theirs) and all(
+            a._own_fields() == b._own_fields() for a, b in zip(mine, theirs)
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(stage._own_fields() for stage in self._stages()))
+
+    def __repr__(self) -> str:
+        heads = [
+            f"{stage.__class__.__qualname__}(family_id={stage.family_id!r}, r={stage.r!r}, "
+            f"n={stage.n!r}, members={stage.members!r}, leaf_bound={stage.leaf_bound!r}, child="
+            for stage in self._stages()
+        ]
+        return "".join(heads) + "None" + ")" * len(heads)
 
 
 def piece_family(

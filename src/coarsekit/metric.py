@@ -214,9 +214,10 @@ class ValidationReport:
 
 
 _TILE_ROWS = 64
-# Integers of magnitude up to 2**22 sum to at most 2**23, inside float32's
-# 24-bit significand, so a float32 bound over such entries is exact.
-_EXACT_F32 = 2.0**22
+_BLOCK = 8
+# Integers of magnitude up to 2**14 - 1 sum to at most 2**15 - 2, so every
+# two-term sum is exact in int16 and below the bound's fill of 2**15 - 1.
+_INT16_ENTRY = 2**14 - 1
 
 
 def validate_metric(space: FiniteMetricSpace, tol: float = 0.0) -> ValidationReport:
@@ -226,7 +227,10 @@ def validate_metric(space: FiniteMetricSpace, tol: float = 0.0) -> ValidationRep
     StructuralError, not an axiom violation.  ``tol`` loosens the triangle
     and symmetry comparisons (used for numerically constructed spaces).
     A NaN entry is a ``nan`` violation; no comparison involving it fails.
+    A negative or NaN ``tol`` is a PreconditionError.
     """
+    if not tol >= 0:
+        raise PreconditionError(f"tolerance {tol} is not a number >= 0")
     d = space.dist
     n = space.n
     if d.ndim != 2 or d.shape != (n, n):
@@ -281,54 +285,66 @@ def _triangle_witnesses(d: np.ndarray, tol: float) -> list[tuple[int, int, int]]
     then i, then k.
 
     A tile of rows first gets its min-plus bound m[i,k] = fmin over j of
-    d[i,j] + d[j,k], two in-place ufuncs per j.  Subtraction is monotone,
-    so some j violates at (i, k) exactly when d[i,k] - m[i,k] > tol; fmin
-    skips the NaN of inf + -inf, which never violates, where minimum would
-    let it hide a violation through another j.  Only the rows and columns
-    of a tile with such a pair are then swept per j, in float64, for the
+    d[i,j] + d[j,k].  The intermediate points j come in blocks of 8: one
+    broadcast add of a block's sums, one fmin reduction over the block and
+    one fmin into the bound.  Subtraction is monotone, so some j violates
+    at (i, k) exactly when d[i,k] - m[i,k] > tol; fmin skips the NaN of
+    inf + -inf, which never violates, where minimum would let it hide a
+    violation through another j.  Only the rows and columns of a tile with
+    such a pair are then swept, over the same blocks of j, for the
     witnesses.  On an exactly symmetric matrix a tile covers only columns
     k >= its first row, and each witness (i, j, k), i != k, also yields its
-    mirror (k, j, i).  The bound is computed in float32, where every sum is
-    exact, when each finite entry is an integer of magnitude <= 2**22.
+    mirror (k, j, i).
+
+    The dtype is read off the input.  When every entry is a finite integer
+    of magnitude <= 2**14 - 1, the bound is computed in int16 and the
+    sweep in int32, where every sum and difference is exact; otherwise
+    both run in float64.
     """
     n = d.shape[0]
     symmetric = bool(np.array_equal(d, d.T))
-    finite = d[np.isfinite(d)]
-    exact = bool((np.abs(finite) <= _EXACT_F32).all() and (finite == np.trunc(finite)).all())
-    b = d.astype(np.float32) if exact else d
+    exact = bool((np.abs(d) <= _INT16_ENTRY).all() and (d == np.trunc(d)).all())
+    b, wide = (d.astype(np.int16), d.astype(np.int32)) if exact else (d, d)
+    fill = np.iinfo(np.int16).max if exact else np.inf
     found: list[tuple[int, int, int]] = []
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, n, _TILE_ROWS):
             hi = min(lo + _TILE_ROWS, n)
             c0 = lo if symmetric else 0
-            left = np.ascontiguousarray(b[lo:hi].T)[:, :, None]
-            right = b[:, c0:]
-            m = np.full((hi - lo, n - c0), np.inf, dtype=b.dtype)
-            s = np.empty_like(m)
-            for j in range(n):
-                np.add(left[j], right[j], out=s)
-                np.fmin(m, s, out=m)
+            m = np.full((hi - lo, n - c0), fill, dtype=b.dtype)
+            part = np.empty_like(m)
+            for _, s in _block_sums(b[lo:hi], b[:, c0:]):
+                np.fmin.reduce(s, axis=0, out=part)
+                np.fmin(m, part, out=m)
             over = d[lo:hi, c0:] - m > tol
             if not over.any():
                 continue
             r = lo + np.flatnonzero(over.any(axis=1))
             c = c0 + np.flatnonzero(over.any(axis=0))
-            sub = d[r[:, None], c]
-            left = np.ascontiguousarray(d[r].T)[:, :, None]
-            right = d[:, c]
-            slack = np.empty(sub.shape)
-            hit = np.empty(sub.shape, dtype=bool)
-            for j in range(n):
-                np.add(left[j], right[j], out=slack)
-                np.subtract(sub, slack, out=slack)
-                np.greater(slack, tol, out=hit)
+            sub = wide[r[:, None], c]
+            for j0, s in _block_sums(wide[r], wide[:, c]):
+                np.subtract(sub, s, out=s)
+                hit = s > tol
                 if hit.any():
-                    found.extend((j, int(r[a]), int(c[e])) for a, e in np.argwhere(hit).tolist())
+                    found.extend((j0 + t, int(r[a]), int(c[e]))
+                                 for t, a, e in np.argwhere(hit).tolist())
     if symmetric:
         found = [w for w in found if w[1] <= w[2]]
         found += [(j, k, i) for j, i, k in found if i != k]
     found.sort()
     return [(i, j, k) for j, i, k in found]
+
+
+def _block_sums(rows: np.ndarray, cols: np.ndarray):
+    """For each block of 8 intermediate points from j0, the sums
+    s[t, a, e] = rows[a, j0 + t] + cols[j0 + t, e], in one reused buffer."""
+    left = np.ascontiguousarray(rows.T)[:, :, None]
+    right = cols[:, None, :]
+    buf = np.empty((_BLOCK, rows.shape[0], cols.shape[1]), dtype=rows.dtype)
+    for j0 in range(0, left.shape[0], _BLOCK):
+        s = buf[: min(_BLOCK, left.shape[0] - j0)]
+        np.add(left[j0:j0 + _BLOCK], right[j0:j0 + _BLOCK], out=s)
+        yield j0, s
 
 
 def validate_action(action: GroupAction, space: FiniteMetricSpace) -> None:

@@ -337,6 +337,9 @@ NAN = "invalid number value: 'nan'"
     "argv, option, message",
     [
         (["validate", "{fam}", "--tolerance", "nan"], "--tolerance", NAN),
+        (["validate", "{fam}", "--tolerance", "-1"], "--tolerance", "tolerance below 0: '-1'"),
+        (["components", "{fam}", "--r", "1", "--tolerance", "-0.5"], "--tolerance",
+         "tolerance below 0: '-0.5'"),
         (["components", "{fam}", "--r", "nan"], "--r", NAN),
         (["decompose", "{fam}", "--r", "nan", "--n", "1", "--bound", "2"], "--r", NAN),
         (["decompose", "{fam}", "--r", "1", "--n", "1", "--bound", "NaN"], "--bound",
@@ -353,12 +356,14 @@ NAN = "invalid number value: 'nan'"
         (["phi-suite", "--samples", "2.5"], "--samples", "invalid count value: '2.5'"),
         (["phi-suite", "--seed", "-1"], "--seed", "invalid count value: '-1'"),
     ],
-    ids=["tolerance", "components-r", "decompose-r", "bound", "t", "phi-r", "height-a",
-         "height-b", "p", "p-nan", "samples", "samples-float", "seed"],
+    ids=["tolerance", "tolerance-negative", "components-tolerance-negative", "components-r",
+         "decompose-r", "bound", "t", "phi-r", "height-a", "height-b", "p", "p-nan", "samples",
+         "samples-float", "seed"],
 )
 def test_malformed_numeric_option_is_a_usage_error(files, argv, option, message):
     save, _ = files
-    # a triangle violation: with a nan tolerance no comparison could flag it
+    # a triangle violation: with a nan tolerance no comparison could flag
+    # it, and with a negative one every entry would read as asymmetric
     fam_path = save("fam.txt", "family F\nmember m\npoints a b c\n1\n5 1\n")
     argv = [fam_path if a == "{fam}" else a for a in argv]
     out, code = run(argv)

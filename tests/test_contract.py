@@ -6,10 +6,11 @@ only on large ones.
 """
 
 import sys
+from contextlib import contextmanager
 
 from coarsekit.cli import run
 from coarsekit.generators import unit_path
-from coarsekit.io import write_family
+from coarsekit.io import parse_decomposition_certificate, parse_family, write_family
 from support import family_of
 
 LOW_RECURSION_LIMIT = 120
@@ -28,13 +29,19 @@ def one_point_tower(stages: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_twice_at_low_limit(argv):
+@contextmanager
+def low_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(LOW_RECURSION_LIMIT)
     try:
-        return run(argv), run(argv)
+        yield
     finally:
         sys.setrecursionlimit(limit)
+
+
+def run_twice_at_low_limit(argv):
+    with low_recursion_limit():
+        return run(argv), run(argv)
 
 
 def test_tall_tower_checks_without_recursion(tmp_path):
@@ -44,6 +51,22 @@ def test_tall_tower_checks_without_recursion(tmp_path):
     first, second = run_twice_at_low_limit(argv)
     assert first[1] == 0 and "PASS" in first[0]
     assert second == first
+
+
+def test_tall_tower_compares_hashes_and_prints_without_recursion():
+    family = parse_family("family f\nmember m\npoints a\n")
+    tower = one_point_tower(150)
+    a, b = (parse_decomposition_certificate(tower, family) for _ in range(2))
+    # the same tower with its last stage's leaf bound changed
+    c = parse_decomposition_certificate(tower.replace("leaf-bound 0", "leaf-bound 1"), family)
+    with low_recursion_limit():
+        assert a == b and a is not b
+        assert a != c and c != a
+        assert hash(a) == hash(b)
+        text = repr(a)
+    assert a.depth() == 150 and text.count("DecompositionCertificate(") == 150
+    assert text.startswith("DecompositionCertificate(family_id='f', r=1.0, n=0, members=")
+    assert text.endswith(", leaf_bound=0.0, child=None" + ")" * 150)
 
 
 def test_long_path_exact_search_without_recursion(tmp_path):

@@ -228,14 +228,14 @@ def test_block_writer_matches_row_writer(fam):
 def planted_space(draw):
     """An l^1 space on a small integer grid (so some points coincide),
     possibly rescaled to non-integer floats or to integers on both sides of
-    2**22 (the largest magnitude the triangle check bounds in float32),
-    with planted defects.  Sizes reach past two tiles of the triangle
-    check."""
+    2**14 - 1 (the largest magnitude the triangle check bounds in int16),
+    with planted defects.  A slack-1 defect straddles that limit or 2**22.
+    Sizes reach past two tiles of the triangle check."""
     n = draw(st.integers(1, 150))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.integers(0, 12, size=(n, 2)).astype(np.float64)
     d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-    d *= draw(st.sampled_from([1.0, 0.1, 1 / 3, 2.0**17, 2.0**18, 190651.0]))
+    d *= draw(st.sampled_from([1.0, 0.1, 1 / 3, 744.0, 745.0, 2.0**17, 2.0**18, 190651.0]))
     for _ in range(draw(st.integers(0, 3))):
         i, k = (int(v) for v in rng.integers(0, n, size=2))
         defect = draw(st.sampled_from(
@@ -251,12 +251,13 @@ def planted_space(draw):
         elif defect == "diagonal":
             d[i, i] = 1.0
         elif defect == "slack-1":
-            # d[i,k] is 2**22 or 2**22 + 1, one more than d[i,j] + d[j,k]
+            # d[i,k] is top or top + 1, one more than d[i,j] + d[j,k]
             j = int(rng.integers(0, n))
+            top = draw(st.sampled_from([2.0**14 - 1, 2.0**22]))
             over = draw(st.sampled_from([0.0, 1.0]))
-            d[i, j] = d[j, i] = 2.0**21
-            d[j, k] = d[k, j] = 2.0**21 - 1 + over
-            d[i, k] = d[k, i] = 2.0**22 + over
+            d[i, j] = d[j, i] = top // 2
+            d[j, k] = d[k, j] = top - top // 2 - 1 + over
+            d[i, k] = d[k, i] = top + over
         else:
             d[i, k] = d[k, i] = float(defect)
     labels = tuple(f"x{k}" for k in range(n))
@@ -292,14 +293,44 @@ def _nan_beside_violation():
 def _slack_one(top):
     """d[0,2] = top, one more than d[0,1] + d[1,2]."""
     d = _unit_space(3)
-    d[0, 1] = d[1, 0] = 2.0**21
-    d[1, 2] = d[2, 1] = top - 2.0**21 - 1
+    d[0, 1] = d[1, 0] = top // 2
+    d[1, 2] = d[2, 1] = top - top // 2 - 1
     d[0, 2] = d[2, 0] = top
     return d, (0, 1, 2)
 
 
+def _int16_extremes():
+    """Entries of +-(2**14 - 1) only, so sums reach +-32 766 and the slack
+    of the witness, 16 383 - (-32 766), is past int16."""
+    top = 2**14 - 1
+    d = np.random.default_rng(14).choice([-top, top], size=(12, 12)).astype(np.float64)
+    np.fill_diagonal(d, 0.0)
+    d[0, 2], d[0, 1], d[1, 2] = top, -top, -top
+    return d, (0, 1, 2)
+
+
+def _negative_past_int16():
+    """d[0,1] + d[1,2] = -(2**15 + 1), which int16 cannot hold: an entry of
+    magnitude 2**14 or more on the negative side takes float64 too."""
+    d = _unit_space(3)
+    d[0, 1] = d[1, 0] = -(2.0**14)
+    d[1, 2] = d[2, 1] = -(2.0**14) - 1
+    return d, (0, 1, 2)
+
+
+def _path_with_negative_and_zero():
+    """A 301-point integer path (five tiles, 37 blocks of j and a last
+    block of 5) with one negative and one zero entry planted."""
+    x = np.arange(301.0)
+    d = np.abs(x[:, None] - x)
+    d[10, 200] = d[200, 10] = -1.0
+    d[50, 250] = d[250, 50] = 0.0
+    return d, (0, 10, 200)
+
+
 def _rounds_up_in_float32():
-    """d[0,1] + d[1,2] = 2**24 + 3 rounds up to d[0,2] = 2**24 + 4 in float32."""
+    """d[0,1] + d[1,2] = 2**24 + 3 would round up to d[0,2] = 2**24 + 4 in
+    float32; the float64 bound keeps it exact."""
     d = _unit_space(3)
     d[0, 1] = d[1, 0] = 2.0**24 + 2
     d[0, 2] = d[2, 0] = 2.0**24 + 4
@@ -318,9 +349,11 @@ def _asymmetric_wide():
 @pytest.mark.parametrize(
     "case",
     [_nan_beside_violation(), _slack_one(2.0**22), _slack_one(2.0**22 + 1),
-     _rounds_up_in_float32(), _asymmetric_wide()],
+     _rounds_up_in_float32(), _asymmetric_wide(), _slack_one(2**14 - 1), _slack_one(2**14),
+     _int16_extremes(), _negative_past_int16(), _path_with_negative_and_zero()],
     ids=["nan-beside-violation", "slack-1-at-2^22", "slack-1-above-2^22",
-         "rounds-up-in-float32", "asymmetric-wide"],
+         "rounds-up-in-float32", "asymmetric-wide", "slack-1-at-2^14-1", "slack-1-at-2^14",
+         "int16-extremes", "negative-past-int16", "path-301-negative-and-zero"],
 )
 def test_triangle_check_edge_cases(case):
     d, witness = case

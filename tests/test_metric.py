@@ -62,6 +62,14 @@ class TestValidate:
         assert [(v.kind, v.witness) for v in rep.violations] == [("nan", (0, 1)), ("nan", (1, 0))]
         assert rep.violations[0].detail == "d(a,b) = nan"
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan], ids=["-1", "-1e-300", "nan"])
+    def test_negative_or_nan_tolerance_is_a_precondition(self, tol):
+        # at tol = -1 a symmetric matrix would read as asymmetric everywhere
+        s = space_from_matrix([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+        with pytest.raises(PreconditionError, match="tolerance"):
+            validate_metric(s, tol)
+        assert len(validate_metric(s, -0.0).violations) == 2
+
     def test_repeated_label_is_structural(self):
         with pytest.raises(StructuralError, match="repeats the point label 'a'"):
             FiniteMetricSpace("s", ("a", "b", "a"), np.zeros((3, 3)))
