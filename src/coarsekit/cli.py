@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import math
+import re
 import sys
 
 from . import covers as covers_mod
@@ -410,6 +411,13 @@ def count(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes any argument with a leading minus but -\d+ and
+        # -\d*\.\d+ for an option; every negative literal ``number`` accepts
+        # (-1e3, -1_000, -inf) starts like this and so is read as a value
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf)", re.IGNORECASE)
+
     def error(self, message: str):
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
 

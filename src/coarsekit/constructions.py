@@ -35,20 +35,6 @@ class UltrametricSpace(FiniteMetricSpace):
     inequality d(x,y) <= max(d(x,z), d(z,y)), with d >= 1 off the diagonal."""
 
 
-def strong_triangle_violations(space: FiniteMetricSpace, limit: int = 1) -> list[tuple[int, int, int]]:
-    """Exact witnesses (i, j, k) with d[i,j] > max(d[i,k], d[k,j])."""
-    d = space.dist
-    out: list[tuple[int, int, int]] = []
-    for k in range(space.n):
-        bound = np.maximum.outer(d[:, k], d[k, :])
-        bad = np.argwhere(d > bound)
-        for i, j in bad:
-            out.append((int(i), int(j), int(k)))
-            if len(out) >= limit:
-                return out
-    return out
-
-
 def minimax_ultrametric(space: FiniteMetricSpace) -> UltrametricSpace:
     """Distance = the smallest possible largest hop over chains joining two
     points, floored at 1 off the diagonal.
@@ -148,24 +134,6 @@ class RayTree:
 def build_ray_tree(space_id: str, ray_ids: tuple[str, ...], depth: int) -> RayTree:
     tree = star_space(f"{space_id}|raytree", "root", ray_ids, depth)
     return RayTree("root", ray_ids, depth, tree)
-
-
-def is_tree_metric(space: FiniteMetricSpace, quads=None, tol: float = 0.0) -> bool:
-    """Four-point condition: among the three pairings of any four points,
-    the two largest sums are equal (checked as max <= the other two's max)."""
-    import itertools
-
-    d = space.dist
-    idx = range(space.n)
-    quads = quads if quads is not None else itertools.combinations(idx, 4)
-    for w, x, y, z in quads:
-        s1 = d[w, x] + d[y, z]
-        s2 = d[w, y] + d[x, z]
-        s3 = d[w, z] + d[x, y]
-        lo, mid, hi = sorted((s1, s2, s3))
-        if hi - mid > tol:
-            return False
-    return True
 
 
 def ray_tree_embed(

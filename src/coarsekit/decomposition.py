@@ -352,16 +352,7 @@ def _exact_search(
     budget = EXACT_SEARCH_BUDGET
     nodes = 0
     groups: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    left = (1 << space.n) - 1
-    while left:
-        block = todo = left & -left
-        while todo:  # flood the neighbour masks from the lowest point left
-            low = todo & -todo
-            todo ^= low
-            grown = near[low.bit_length() - 1] & ~block
-            block |= grown
-            todo |= grown
-        points = [p for p in range(space.n) if block >> p & 1]
+    for points in r_components(space, r).blocks:
         comps: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
         next_color = [0] * len(points)
         used = [0] * (len(points) + 1)
@@ -399,7 +390,6 @@ def _exact_search(
             k += 1
         for group, found in zip(groups, comps):
             group.extend(tuple(p for p in points if mask >> p & 1) for mask, _ in found)
-        left &= ~block
     return [sorted(group) for group in groups]
 
 
@@ -412,29 +402,25 @@ def _row_masks(rows: np.ndarray) -> list[int]:
 def _greedy_search(
     space: FiniteMetricSpace, r: float, n: int, leaf_bound: float
 ) -> list[int] | None:
-    """Seed pieces by closed balls of radius leaf_bound/2 around uncovered
-    points, then color the pieces with ``greedy_color``."""
+    """Seed pieces by closed balls of radius leaf_bound/2 around the first
+    free point, which always joins its own piece, then color the pieces with
+    ``greedy_color``.  ``owner`` holds each point's piece, -1 while free."""
     d = space.dist
-    uncovered = set(range(space.n))
+    owner = np.full(space.n, -1)
     pieces: list[PointSubset] = []
-    while uncovered:
-        center = min(uncovered)
-        b = [i for i in sorted(uncovered) if d[center, i] <= leaf_bound / 2.0]
-        pieces.append(PointSubset(space.id, b))
-        uncovered.difference_update(b)
+    for center in range(space.n):
+        if owner[center] < 0:
+            piece = (owner < 0) & (d[center] <= leaf_bound / 2.0)
+            piece[center] = True
+            owner[piece] = len(pieces)
+            pieces.append(PointSubset(space.id, np.flatnonzero(piece).tolist()))
     colored = greedy_color(Cover(space.id, pieces), space, r, n)
     if colored is None:
         return None
     # ball seeding bounds diameters by construction; verify against the bound
-    for piece in pieces:
-        sel = np.array(piece.indices)
-        if (d[np.ix_(sel, sel)] > leaf_bound).any():
-            return None
-    coloring = [0] * space.n
-    for piece, c in zip(pieces, colored.colors):
-        for i in piece.indices:
-            coloring[i] = c
-    return coloring
+    if (d[owner[:, None] == owner] > leaf_bound).any():
+        return None
+    return np.array(colored.colors, dtype=int)[owner].tolist()
 
 
 def decomposition_to_cover(
@@ -479,7 +465,7 @@ def preimage_member_id(subset: PointSubset) -> str:
 
 def ball_preimage_family(
     fmap: FamilyMap, src: MetricFamily, tgt: MetricFamily, radius: float
-) -> tuple[MetricFamily, tuple[PointSubset, ...]]:
+) -> MetricFamily:
     """The preimage family of all closed radius-balls of the target, as
     subspaces with deterministic ids ``<member>/<index ranges>``."""
     balls: list[PointSubset] = []
@@ -491,8 +477,7 @@ def ball_preimage_family(
         src.member(ps.space_id).subspace(ps.indices, preimage_member_id(ps))
         for ps in subsets
     )
-    fam = MetricFamily(f"{src.id}|preimages@{fmt_num(radius)}", members)
-    return fam, subsets
+    return MetricFamily(f"{src.id}|preimages@{fmt_num(radius)}", members)
 
 
 @dataclass(frozen=True)
@@ -548,7 +533,7 @@ def check_fibering_witness(
                 CheckItem(path, False, f"missing inner certificate for radius {fmt_num(radius)}")
             )
             continue
-        fam, _ = ball_preimage_family(witness.fmap, src, tgt, radius)
+        fam = ball_preimage_family(witness.fmap, src, tgt, radius)
         if cert.family_id != fam.id:
             raise StructuralError(
                 f"inner certificate at radius {fmt_num(radius)} is for "

@@ -224,7 +224,7 @@ def grid_projection_fixture(
     target_cert = path_asdim_certificate(tgt, [1, 2, 4])
     inner = []
     for radius in schedule:
-        fam, _ = ball_preimage_family(fmap, src, tgt, float(radius))
+        fam = ball_preimage_family(fmap, src, tgt, float(radius))
         members = tuple(_strip_decomposition(m, n, int(radius)) for m in fam.members)
         rows = max(
             (max(int(lbl.partition(",")[0]) for lbl in m.points)

@@ -726,7 +726,7 @@ def write_fibering_witness(
     lines.append(write_asdim_certificate(witness.target_certificate, tgt).rstrip("\n"))
     for radius, cert in witness.inner:
         lines.append(f"inner {fmt_num(radius)}")
-        fam, _ = ball_preimage_family(witness.fmap, src, tgt, radius)
+        fam = ball_preimage_family(witness.fmap, src, tgt, radius)
         lines.append(write_decomposition_certificate(cert, fam).rstrip("\n"))
     return "\n".join(lines) + "\n"
 
@@ -746,7 +746,7 @@ def parse_fibering_witness(
         radius = _num(tok, ln, col)
         if radius in inner:
             raise ParseError(f"repeated inner block for radius {tok!r}", ln, col)
-        fam, _ = ball_preimage_family(fmap, src, tgt, radius)
+        fam = ball_preimage_family(fmap, src, tgt, radius)
         inner[radius] = _parse_decomposition(doc, fam)
     return FiberingWitness(fmap, schedule, tuple(inner.items()), target_cert)
 

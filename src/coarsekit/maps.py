@@ -100,41 +100,37 @@ class MonotoneEnvelope:
         return self.breakpoints[-1][0] if self.breakpoints else 0.0
 
 
-def _realized_pairs(
-    fmap: FamilyMap, src: MetricFamily, tgt: MetricFamily
-) -> list[tuple[float, float]]:
-    """All (source distance, image distance) pairs over all functions, i <= j."""
-    out: list[tuple[float, float]] = []
+def _envelope_steps(
+    fmap: FamilyMap, src: MetricFamily, tgt: MetricFamily, reduce: np.ufunc
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct realized source distances, ascending, and ``reduce``
+    (``np.maximum`` or ``np.minimum``) of the image distances realized at
+    each, over all functions and pairs i <= j.  The stable sort keeps the
+    first-listed of equal distances, such as 0.0 and -0.0."""
+    validate_map(fmap, src, tgt)
+    ds, dt = [], []
     for fn in fmap.functions:
         s = src.member(fn.source_member)
-        t = tgt.member(fn.target_member)
         a = np.array(fn.assignment, dtype=int)
-        iu = np.triu_indices(s.n)
-        ds = s.dist[iu]
-        dt = t.dist[np.ix_(a, a)][iu]
-        out.extend(zip(ds.tolist(), dt.tolist()))
-    return out
+        i, j = np.triu_indices(s.n)
+        ds.append(s.dist[i, j])
+        dt.append(tgt.member(fn.target_member).dist[a[i], a[j]])
+    ds, dt = np.concatenate(ds), np.concatenate(dt)
+    order = np.argsort(ds, kind="stable")
+    steps, starts = np.unique(ds[order], return_index=True)
+    return steps, reduce.reduceat(dt[order], starts)
 
 
 def control_envelope(fmap: FamilyMap, src: MetricFamily, tgt: MetricFamily) -> MonotoneEnvelope:
     """Pointwise-smallest non-decreasing step function rho with
     d(f x, f y) <= rho(d(x, y)) across all functions of the map.
 
-    Computed as the running maximum of image distances ordered by source
-    distance.
+    Computed as the running maximum, floored at 0, of the per-distance
+    maxima of image distances ordered by source distance.
     """
-    validate_map(fmap, src, tgt)
-    pairs = _realized_pairs(fmap, src, tgt)
-    by_s: dict[float, float] = {}
-    for s, u in pairs:
-        if s not in by_s or u > by_s[s]:
-            by_s[s] = u
-    bps = []
-    running = 0.0
-    for s in sorted(by_s):
-        running = max(running, by_s[s])
-        bps.append((s, running))
-    return MonotoneEnvelope(tuple(bps))
+    steps, top = _envelope_steps(fmap, src, tgt, np.maximum)
+    running = np.maximum.accumulate(np.maximum(top, 0.0))
+    return MonotoneEnvelope(tuple(zip(steps.tolist(), running.tolist())))
 
 
 def properness_envelope(fmap: FamilyMap, src: MetricFamily, tgt: MetricFamily) -> MonotoneEnvelope:
@@ -143,19 +139,9 @@ def properness_envelope(fmap: FamilyMap, src: MetricFamily, tgt: MetricFamily) -
 
     Computed as the reverse running minimum of per-distance minima.
     """
-    validate_map(fmap, src, tgt)
-    pairs = _realized_pairs(fmap, src, tgt)
-    by_s: dict[float, float] = {}
-    for s, u in pairs:
-        if s not in by_s or u < by_s[s]:
-            by_s[s] = u
-    ss = sorted(by_s)
-    suffix_min = [0.0] * len(ss)
-    running = math.inf
-    for k in range(len(ss) - 1, -1, -1):
-        running = min(running, by_s[ss[k]])
-        suffix_min[k] = running
-    return MonotoneEnvelope(tuple(zip(ss, suffix_min)))
+    steps, low = _envelope_steps(fmap, src, tgt, np.minimum)
+    suffix_min = np.minimum.accumulate(low[::-1])[::-1]
+    return MonotoneEnvelope(tuple(zip(steps.tolist(), suffix_min.tolist())))
 
 
 def looks_non_proper(env: MonotoneEnvelope) -> bool:

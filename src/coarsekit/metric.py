@@ -439,16 +439,9 @@ def product(spaces: list[FiniteMetricSpace], p: float) -> FiniteMetricSpace:
         raise PreconditionError("product of an empty list of spaces")
     if not (p >= 1.0):
         raise PreconditionError(f"p = {p} is not a metric exponent (need p >= 1)")
-    sizes = [s.n for s in spaces]
-    combos = list(itertools.product(*[range(n) for n in sizes]))
-    labels = tuple(
-        ",".join(spaces[f].points[c[f]] for f in range(len(spaces))) for c in combos
-    )
-    per_factor = []
-    for f, s in enumerate(spaces):
-        idx = np.array([c[f] for c in combos], dtype=int)
-        per_factor.append(s.dist[np.ix_(idx, idx)])
-    stack = np.stack(per_factor)
+    labels = tuple(",".join(c) for c in itertools.product(*(s.points for s in spaces)))
+    grid = np.indices([s.n for s in spaces])  # grid[f] holds factor f's index per point
+    stack = np.stack([s.dist[np.ix_(g.ravel(), g.ravel())] for s, g in zip(spaces, grid)])
     if math.isinf(p):
         d = stack.max(axis=0)
     elif p == 1.0:

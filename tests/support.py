@@ -21,7 +21,9 @@ import numpy as np
 
 import coarsekit
 
+from coarsekit.covers import Cover, greedy_color
 from coarsekit.errors import ParseError, StructuralError
+from coarsekit.maps import MonotoneEnvelope, validate_map
 from coarsekit.metric import (
     FiniteMetricSpace,
     GroupAction,
@@ -584,6 +586,128 @@ def looped_validate_metric(space: FiniteMetricSpace, tol: float = 0.0) -> Valida
                 )
             )
     return ValidationReport(space.id, tuple(out))
+
+
+def strong_triangle_violations(space: FiniteMetricSpace, limit: int = 1) -> list[tuple[int, int, int]]:
+    """Exact witnesses (i, j, k) with d[i,j] > max(d[i,k], d[k,j])."""
+    d = space.dist
+    out: list[tuple[int, int, int]] = []
+    for k in range(space.n):
+        bound = np.maximum.outer(d[:, k], d[k, :])
+        bad = np.argwhere(d > bound)
+        for i, j in bad:
+            out.append((int(i), int(j), int(k)))
+            if len(out) >= limit:
+                return out
+    return out
+
+
+def is_tree_metric(space: FiniteMetricSpace, quads=None, tol: float = 0.0) -> bool:
+    """Four-point condition: among the three pairings of any four points,
+    the two largest sums are equal (checked as max <= the other two's max)."""
+    d = space.dist
+    quads = quads if quads is not None else itertools.combinations(range(space.n), 4)
+    for w, x, y, z in quads:
+        s1 = d[w, x] + d[y, z]
+        s2 = d[w, y] + d[x, z]
+        s3 = d[w, z] + d[x, y]
+        lo, mid, hi = sorted((s1, s2, s3))
+        if hi - mid > tol:
+            return False
+    return True
+
+
+def _looped_realized_pairs(fmap, src, tgt):
+    """All (source distance, image distance) pairs over all functions, i <= j."""
+    out = []
+    for fn in fmap.functions:
+        s = src.member(fn.source_member)
+        t = tgt.member(fn.target_member)
+        a = np.array(fn.assignment, dtype=int)
+        iu = np.triu_indices(s.n)
+        out.extend(zip(s.dist[iu].tolist(), t.dist[np.ix_(a, a)][iu].tolist()))
+    return out
+
+
+def looped_control_envelope(fmap, src, tgt) -> MonotoneEnvelope:
+    """control_envelope as a dict of per-distance maxima, keyed by the first
+    of equal source distances, then a running maximum from 0."""
+    validate_map(fmap, src, tgt)
+    by_s: dict[float, float] = {}
+    for s, u in _looped_realized_pairs(fmap, src, tgt):
+        if s not in by_s or u > by_s[s]:
+            by_s[s] = u
+    bps = []
+    running = 0.0
+    for s in sorted(by_s):
+        running = max(running, by_s[s])
+        bps.append((s, running))
+    return MonotoneEnvelope(tuple(bps))
+
+
+def looped_properness_envelope(fmap, src, tgt) -> MonotoneEnvelope:
+    """properness_envelope as a dict of per-distance minima, then a reverse
+    running minimum from inf."""
+    validate_map(fmap, src, tgt)
+    by_s: dict[float, float] = {}
+    for s, u in _looped_realized_pairs(fmap, src, tgt):
+        if s not in by_s or u < by_s[s]:
+            by_s[s] = u
+    ss = sorted(by_s)
+    suffix_min = [0.0] * len(ss)
+    running = math.inf
+    for k in range(len(ss) - 1, -1, -1):
+        running = min(running, by_s[ss[k]])
+        suffix_min[k] = running
+    return MonotoneEnvelope(tuple(zip(ss, suffix_min)))
+
+
+def looped_product(spaces, p: float) -> FiniteMetricSpace:
+    """The l^p product from a list of index tuples, one index array per
+    factor, with the same float expression as ``product``."""
+    sizes = [s.n for s in spaces]
+    combos = list(itertools.product(*[range(n) for n in sizes]))
+    labels = tuple(
+        ",".join(spaces[f].points[c[f]] for f in range(len(spaces))) for c in combos
+    )
+    per_factor = []
+    for f, s in enumerate(spaces):
+        idx = np.array([c[f] for c in combos], dtype=int)
+        per_factor.append(s.dist[np.ix_(idx, idx)])
+    stack = np.stack(per_factor)
+    if math.isinf(p):
+        d = stack.max(axis=0)
+    elif p == 1.0:
+        d = stack.sum(axis=0)
+    else:
+        d = (stack**p).sum(axis=0) ** (1.0 / p)
+    pid = "x".join(s.id for s in spaces) + f"|l{p:g}"
+    return FiniteMetricSpace(pid, labels, d, pseudo=any(s.pseudo for s in spaces))
+
+
+def looped_greedy_search(space, r, n, leaf_bound):
+    """Greedy search with ball seeding over a set of uncovered points, the
+    center always in its own ball, then ``greedy_color``."""
+    d = space.dist
+    uncovered = set(range(space.n))
+    pieces = []
+    while uncovered:
+        center = min(uncovered)
+        b = [i for i in sorted(uncovered) if i == center or d[center, i] <= leaf_bound / 2.0]
+        pieces.append(PointSubset(space.id, b))
+        uncovered.difference_update(b)
+    colored = greedy_color(Cover(space.id, pieces), space, r, n)
+    if colored is None:
+        return None
+    for piece in pieces:
+        sel = np.array(piece.indices)
+        if (d[np.ix_(sel, sel)] > leaf_bound).any():
+            return None
+    coloring = [0] * space.n
+    for piece, c in zip(pieces, colored.colors):
+        for i in piece.indices:
+            coloring[i] = c
+    return coloring
 
 
 def run_child(argv):

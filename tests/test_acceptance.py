@@ -30,7 +30,6 @@ from coarsekit.constructions import (
     minimax_ultrametric,
     ray_tree_embed,
     shell_sequence,
-    strong_triangle_violations,
 )
 from coarsekit.covers import (
     Cover,
@@ -82,6 +81,7 @@ from support import (
     numeric_phi,
     random_cover_sets,
     random_symmetric_matrix,
+    strong_triangle_violations,
 )
 
 

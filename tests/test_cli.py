@@ -304,8 +304,7 @@ def test_negative_leaf_bound_is_refused(files, mode):
     save, _ = files
     fam_path = save("fam.txt", write_family(family_of(unit_path(4, "p"), family_id="F")))
     argv = ["decompose", fam_path, "--r", "1", "--n", "1", "--bound", "-1", *mode]
-    # a greedy search with a negative bound never finishes: run it in a
-    # child process that the timeout can stop
+    # in a child process, so that a search that did not stop meets the timeout
     proc = run_child(argv)
     assert (proc.stdout, proc.returncode) == ("refused: leaf bound must be >= 0\n", 1)
 
@@ -338,6 +337,8 @@ NAN = "invalid number value: 'nan'"
     [
         (["validate", "{fam}", "--tolerance", "nan"], "--tolerance", NAN),
         (["validate", "{fam}", "--tolerance", "-1"], "--tolerance", "tolerance below 0: '-1'"),
+        (["validate", "{fam}", "--tolerance", "-1e-9"], "--tolerance",
+         "tolerance below 0: '-1e-9'"),
         (["components", "{fam}", "--r", "1", "--tolerance", "-0.5"], "--tolerance",
          "tolerance below 0: '-0.5'"),
         (["components", "{fam}", "--r", "nan"], "--r", NAN),
@@ -356,7 +357,8 @@ NAN = "invalid number value: 'nan'"
         (["phi-suite", "--samples", "2.5"], "--samples", "invalid count value: '2.5'"),
         (["phi-suite", "--seed", "-1"], "--seed", "invalid count value: '-1'"),
     ],
-    ids=["tolerance", "tolerance-negative", "components-tolerance-negative", "components-r",
+    ids=["tolerance", "tolerance-negative", "tolerance-negative-exponent",
+         "components-tolerance-negative", "components-r",
          "decompose-r", "bound", "t", "phi-r", "height-a", "height-b", "p", "p-nan", "samples",
          "samples-float", "seed"],
 )
@@ -369,6 +371,15 @@ def test_malformed_numeric_option_is_a_usage_error(files, argv, option, message)
     out, code = run(argv)
     assert code == 2 and out.startswith(f"usage: coarsekit {argv[0]} [-h]")
     assert out.endswith(f"\ncoarsekit {argv[0]}: error: argument {option}: {message}\n")
+
+
+@pytest.mark.parametrize("t", ["-1000", "-1e3", "-1_000", "-inf"])
+def test_negative_literal_is_an_option_value(t):
+    # argparse alone reads -1e3, -1_000 and -inf as option flags, so --t
+    # would have no value
+    out = ("refused: phi needs t >= 0 and r >= 0\n", 1)
+    assert run(["phi", "--rho", "exp", "--t", t, "--r", "1"]) == out
+    assert run(["phi", "--rho", "exp", f"--t={t}", "--r", "1"]) == out
 
 
 @pytest.mark.parametrize("p", ["2.50", "inf", "1e0"])

@@ -5,12 +5,10 @@ import pytest
 
 from coarsekit.constructions import (
     build_ray_tree,
-    is_tree_metric,
     minimax_ultrametric,
     ray_tree_embed,
     scale_balls_partition,
     shell_sequence,
-    strong_triangle_violations,
 )
 from coarsekit.decomposition import check_decomposition, r_components
 from coarsekit.errors import PreconditionError
@@ -21,7 +19,9 @@ from support import (
     family_of,
     integer_points_space,
     line_space,
+    is_tree_metric,
     space_from_matrix,
+    strong_triangle_violations,
 )
 
 

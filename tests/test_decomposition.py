@@ -218,6 +218,16 @@ class TestSearch:
         assert check_decomposition(res.certificate, family_of(s, family_id=s.id)).passed
         assert search_decomposition(s, 1, 4, 8, mode="greedy").certificate is not None
 
+    @pytest.mark.parametrize("diagonal, greedy, exact", [
+        (np.nan, "found", "found"),
+        (5.0, "unknown", "none"),
+    ], ids=["nan", "positive"])
+    def test_greedy_seed_joins_its_own_piece(self, diagonal, greedy, exact):
+        # point b is not within leaf_bound / 2 of a, nor of itself
+        s = FiniteMetricSpace("s", ("a", "b"), [[0.0, 1.0], [1.0, diagonal]])
+        assert search_decomposition(s, 0, 1, 1, mode="greedy").status == greedy
+        assert search_decomposition(s, 0, 1, 1).status == exact
+
     def test_greedy_certificates_always_verify(self):
         rng = np.random.default_rng(31)
         for trial in range(10):
@@ -292,7 +302,7 @@ class TestFibering:
         target_cert = path_asdim_certificate(fam, [1, 2])
         inner = []
         for radius in (7.0,):
-            pre_fam, _ = ball_preimage_family(fmap, fam, fam, radius)
+            pre_fam = ball_preimage_family(fmap, fam, fam, radius)
             members = tuple(
                 MemberDecomposition(m.id, ((PointSubset(m.id, tuple(range(m.n))),),))
                 for m in pre_fam.members

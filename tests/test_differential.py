@@ -1,4 +1,4 @@
-"""Differential tests for the ingest and emit paths.
+"""Differential tests: each array pass against the loop it replaced.
 
 The bulk family reader must agree with the token-by-token parser, the block
 writer with the row-by-row writer, and the tiled triangle check with the
@@ -6,18 +6,34 @@ per-point loop, all kept in support.py: equal distance bytes or the same
 parse error (message, line, column), equal documents, and equal validation
 reports in the same order.  The one-split reader of certificate label rows
 must agree with ``colon_row`` and ``_labels_to_indices`` in the same way.
+The map envelopes, the l^p product grid and greedy ball seeding must agree
+with their ``looped_*`` versions: the same breakpoints (each source
+distance with its sign of zero) or error, the same space, the same
+coloring.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coarsekit.errors import ParseError
+from coarsekit.decomposition import _greedy_search
+from coarsekit.errors import ParseError, StructuralError
 from coarsekit.io import (
     _NONE, _OPTIONAL, _Doc, _int, _label_row, _labels_to_indices, parse_family, write_family,
 )
-from coarsekit.metric import FiniteMetricSpace, MetricFamily, validate_metric
-from support import looped_validate_metric, looped_write_family, scanned_parse_family
+from coarsekit.maps import FamilyMap, MapFunction, control_envelope, properness_envelope
+from coarsekit.metric import FiniteMetricSpace, MetricFamily, product, validate_metric
+from support import (
+    looped_control_envelope,
+    looped_greedy_search,
+    looped_product,
+    looped_properness_envelope,
+    looped_validate_metric,
+    looped_write_family,
+    scanned_parse_family,
+)
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -361,3 +377,100 @@ def test_triangle_check_edge_cases(case):
     report = validate_metric(space)
     assert report == looped_validate_metric(space)
     assert witness in [v.witness for v in report.violations if v.kind == "triangle"]
+
+
+# distances with ties, both zeros, negatives and the unbounded sentinel
+SOURCE_DISTANCES = st.sampled_from([0.0, -0.0, 1.0, 1.0, 2.5, 3.0, 7.0, math.inf])
+IMAGE_DISTANCES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 2.0, 4.5, -1.0, -3.0, math.inf])
+
+
+def _matrix(draw, n, values):
+    return np.array([[draw(values) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def family_map(draw):
+    """Source and target families of 1- to 7-point members with arbitrary
+    (not necessarily metric) matrices, and a map of several functions, each
+    source member the domain of at least one.  In about half the draws a
+    source distance may be negative."""
+    def family(fam_id, values, count):
+        sizes = [draw(st.integers(1, 7)) for _ in range(count)]
+        return MetricFamily(fam_id, tuple(
+            FiniteMetricSpace(f"{fam_id}{k}", tuple(f"p{i}" for i in range(n)),
+                              _matrix(draw, n, values))
+            for k, n in enumerate(sizes)))
+
+    negative = draw(st.booleans())  # a negative source distance is a StructuralError
+    src = family("S", SOURCE_DISTANCES | st.just(-2.0) if negative else SOURCE_DISTANCES,
+                 draw(st.integers(1, 2)))
+    tgt = family("T", IMAGE_DISTANCES, draw(st.integers(1, 2)))
+    domains = [m.id for m in src.members] + draw(
+        st.lists(st.sampled_from(src.member_ids()), max_size=3))
+    fns = []
+    for member_id in domains:
+        t = draw(st.sampled_from(tgt.members))
+        assignment = draw(st.lists(st.integers(0, t.n - 1), min_size=src.member(member_id).n,
+                                   max_size=src.member(member_id).n))
+        fns.append(MapFunction(member_id, t.id, tuple(assignment)))
+    return FamilyMap("S", "T", tuple(fns)), src, tgt
+
+
+def _envelope_outcome(envelope, fmap, src, tgt):
+    """Breakpoints with each source distance as typed, -0.0 apart from 0.0,
+    or the error a negative source distance raises."""
+    try:
+        bps = envelope(fmap, src, tgt).breakpoints
+    except StructuralError as exc:
+        return str(exc)
+    return [repr(s) for s, _ in bps], [v for _, v in bps]
+
+
+@SETTINGS
+@given(family_map())
+def test_envelope_passes_match_the_dict_loops(case):
+    fmap, src, tgt = case
+    for envelope, looped in ((control_envelope, looped_control_envelope),
+                             (properness_envelope, looped_properness_envelope)):
+        assert _envelope_outcome(envelope, *case) == _envelope_outcome(looped, *case)
+
+
+@st.composite
+def product_factors(draw):
+    """One to three spaces of 0 to 4 points with fractional entries, some
+    pseudo."""
+    factors = []
+    for f in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 4))
+        values = st.floats(0, 100, allow_nan=False).map(lambda v: round(v, 3))
+        factors.append(FiniteMetricSpace(f"f{f}", tuple(f"{chr(97 + f)}{i}" for i in range(n)),
+                                         _matrix(draw, n, values).reshape(n, n),
+                                         pseudo=draw(st.booleans())))
+    return factors
+
+
+@SETTINGS
+@given(product_factors(), st.sampled_from([1.0, 2.0, 3.5, math.inf]))
+def test_product_grid_matches_the_combo_list(factors, p):
+    assert product(factors, p) == looped_product(factors, p)
+
+
+@st.composite
+def seeded_space(draw):
+    """A 1- to 12-point matrix of small integers, with a zero, NaN or
+    positive diagonal entry here and there, and a scale, dimension and leaf
+    bound."""
+    n = draw(st.integers(1, 12))
+    d = _matrix(draw, n, st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 6.0]))
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, [draw(st.sampled_from([0.0, 0.0, 0.0, math.nan, 1.0, 5.0]))
+                         for _ in range(n)])
+    space = FiniteMetricSpace("s", tuple(f"p{i}" for i in range(n)), d)
+    return (space, draw(st.sampled_from([0.0, 1.0, 2.0])), draw(st.integers(0, 2)),
+            draw(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 8.0])))
+
+
+@SETTINGS
+@given(seeded_space())
+def test_greedy_owner_array_matches_the_uncovered_set(case):
+    assert _greedy_search(*case) == looped_greedy_search(*case)

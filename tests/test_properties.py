@@ -9,11 +9,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from coarsekit.cone import RhoFunction, phi
-from coarsekit.constructions import minimax_ultrametric, strong_triangle_violations
+from coarsekit.constructions import minimax_ultrametric
 from coarsekit.decomposition import r_components
 from coarsekit.maps import FamilyMap, MapFunction, control_envelope, properness_envelope
 from coarsekit.metric import FiniteMetricSpace, MetricFamily
-from support import brute_minimax, closure_blocks
+from support import brute_minimax, closure_blocks, strong_triangle_violations
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
