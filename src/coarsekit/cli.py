@@ -55,7 +55,7 @@ def _finish_verdict(report: Report, v: Verdict) -> int:
     return EXIT_PASS if v.passed else EXIT_FAIL
 
 
-def _emit_document(report: Report, args, text: str, as_text_body: bool) -> None:
+def _emit_document(report: Report, args, text: str) -> None:
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -65,7 +65,7 @@ def _emit_document(report: Report, args, text: str, as_text_body: bool) -> None:
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     report.add("document.sha256", digest)
     report.add("document.lines", text.count("\n"))
-    if as_text_body:
+    if args.format == "text":
         report.text(text.rstrip("\n"))
 
 
@@ -74,7 +74,7 @@ def cmd_validate(args, report: Report) -> int:
     report.add("family", fam.id)
     ok = True
     for m in fam.members:
-        rep = metric_mod.validate_metric(m, tol=args.tolerance if args.tolerance else 0.0)
+        rep = metric_mod.validate_metric(m, tol=args.tolerance)
         report.add(f"member.{m.id}.violations", len(rep.violations))
         if rep.ok:
             report.text(f"{m.id}: ok ({m.n} points)")
@@ -171,7 +171,7 @@ def cmd_quotient_cover(args, report: Report) -> int:
     new_n = len(action_doc.elements) * (cert.n + 1) - 1
     out_cert = covers_mod.AsdimCertificate(q_family.id, new_n, tuple(out_entries))
     text = io_mod.write_family(q_family) + io_mod.write_asdim_certificate(out_cert, q_family)
-    _emit_document(report, args, text, as_text_body=args.format == "text")
+    _emit_document(report, args, text)
     v = covers_mod.check_asdim_certificate(out_cert, q_family, args.tolerance)
     report.extend_verdict("pushed", v)
     combined = ok and v.passed
@@ -188,7 +188,7 @@ def cmd_product(args, report: Report) -> int:
     report.add("p", args.p)
     report.add("points", prod.n)
     report.add("diameter", prod.diameter())
-    _emit_document(report, args, io_mod.write_family(out_fam), as_text_body=args.format == "text")
+    _emit_document(report, args, io_mod.write_family(out_fam))
     report.add("verdict", "pass")
     return EXIT_PASS
 
@@ -214,12 +214,7 @@ def cmd_decompose(args, report: Report) -> int:
         cert = dec_mod.DecompositionCertificate(
             fam.id, float(args.r), args.n, tuple(member_entries), leaf_bound=float(args.bound)
         )
-        _emit_document(
-            report,
-            args,
-            io_mod.write_decomposition_certificate(cert, fam),
-            as_text_body=args.format == "text",
-        )
+        _emit_document(report, args, io_mod.write_decomposition_certificate(cert, fam))
     report.add("verdict", "pass" if ok else "fail", "PASS" if ok else "FAIL")
     return EXIT_PASS if ok else EXIT_FAIL
 
@@ -336,7 +331,7 @@ def cmd_ultrametric(args, report: Report) -> int:
         for u in (minimax_ultrametric(m),)
     )
     out_fam = metric_mod.MetricFamily(f"{fam.id}|ultrametric", members)
-    _emit_document(report, args, io_mod.write_family(out_fam), as_text_body=args.format == "text")
+    _emit_document(report, args, io_mod.write_family(out_fam))
     report.add("verdict", "pass")
     return EXIT_PASS
 
@@ -366,7 +361,7 @@ def cmd_ray_tree(args, report: Report) -> int:
     text = io_mod.write_family(tree_fam) + io_mod.write_map(
         fmap, metric_mod.MetricFamily(member.id, (member,)), tree_fam
     )
-    _emit_document(report, args, text, as_text_body=args.format == "text")
+    _emit_document(report, args, text)
     report.add("verdict", "pass", "PASS")
     return EXIT_PASS
 
@@ -476,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=number, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=number, required=True)
-    p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-    p.add_argument("--exact", dest="mode", action="store_const", const="exact")
+    p.add_argument("--exact", dest="mode", action="store_const", const="exact", default="exact")
     p.add_argument("--greedy", dest="mode", action="store_const", const="greedy")
     p.set_defaults(fn=cmd_decompose)
 

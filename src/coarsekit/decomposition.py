@@ -45,33 +45,43 @@ class RPartition:
     blocks: tuple[tuple[int, ...], ...]
 
 
-def r_components(space: FiniteMetricSpace, r: float, indices=None) -> RPartition:
-    """Connected components of the relation d(x, y) <= r over the given
-    sorted point indices (by default every point), listed by smallest member.
-
-    Min-label hooking with pointer jumping (Shiloach & Vishkin 1982): each
-    point takes the least label among its neighbours, then that label's
-    label, until no label moves; every label is then its component's least
-    member.
-    """
+def r_components(space: FiniteMetricSpace, r: float) -> RPartition:
+    """Connected components of the relation d(x, y) <= r, listed by smallest
+    member.  Blocks are defined for a symmetric distance matrix, which every
+    parsed family has."""
     if r < 0:
         raise PreconditionError("scale r must be >= 0")
-    idx = np.arange(space.n) if indices is None else np.asarray(indices, dtype=np.intp)
-    near = space.dist[idx[:, None], idx] <= r
-    np.fill_diagonal(near, True)
-    rows, cols = np.nonzero(near)
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))  # every row holds its diagonal
-    lab = np.arange(len(idx))
-    while len(lab):
-        low = np.minimum.reduceat(lab[cols], starts)
-        low = low[low]
-        if np.array_equal(low, lab):
-            break
-        lab = low
-    order = np.argsort(lab, kind="stable")
-    cuts = np.flatnonzero(np.diff(lab[order])) + 1
-    blocks = tuple(tuple(b.tolist()) for b in np.split(idx[order], cuts) if b.size)
-    return RPartition(space.id, float(r), blocks)
+    blocks = _components((1 << space.n) - 1, _row_masks(space.dist <= r))
+    return RPartition(space.id, float(r), tuple(blocks))
+
+
+def _components(within: int, near: list[int]) -> list[tuple[int, ...]]:
+    """Components of the points of the bitmask ``within`` under the symmetric
+    relation ``near`` (bit q of ``near[p]`` set when p and q are related),
+    by smallest member.  Each floods from the lowest point left through
+    ``near[q] & within``, taking every point out of ``within`` as it joins."""
+    blocks = []
+    while within:
+        frontier = within & -within
+        within ^= frontier
+        block = []
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            q = low.bit_length() - 1
+            block.append(q)
+            grown = near[q] & within
+            within ^= grown
+            frontier |= grown
+        block.sort()
+        blocks.append(tuple(block))
+    return blocks
+
+
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """Row p of a boolean matrix as an int whose bit q is ``rows[p, q]``."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def piece_id(member_id: str, color: int, index: int) -> str:
@@ -260,21 +270,6 @@ class SearchResult:
 EXACT_SEARCH_BUDGET = 1_000_000
 
 
-def _single_space_certificate(
-    space: FiniteMetricSpace, r: float, n: int, leaf_bound: float, groups
-) -> DecompositionCertificate:
-    """``groups[c]`` lists the pieces of color c as sorted index tuples, by
-    smallest member."""
-    pieces = tuple(tuple(PointSubset(space.id, b) for b in group) for group in groups)
-    return DecompositionCertificate(
-        family_id=space.id,
-        r=float(r),
-        n=n,
-        members=(MemberDecomposition(space.id, pieces),),
-        leaf_bound=float(leaf_bound),
-    )
-
-
 def search_decomposition(
     space: FiniteMetricSpace,
     r: float,
@@ -291,7 +286,8 @@ def search_decomposition(
     certificate is returned iff one exists, whatever the size of the space
     or of n; past the budget the answer is "unknown".  Greedy mode seeds
     pieces by balls of radius leaf_bound/2 and may miss; its empty answer is
-    "unknown".
+    "unknown".  In either mode the pieces of color c are the r-components
+    of the points colored c, by smallest member.
     """
     if r < 0:
         raise PreconditionError("scale r must be >= 0")
@@ -299,28 +295,34 @@ def search_decomposition(
         raise PreconditionError("dimension n must be >= 0")
     if leaf_bound < 0:
         raise PreconditionError("leaf bound must be >= 0")
+    near = _row_masks(space.dist <= r)
     if mode == "exact":
+        decided = True
         try:
-            groups = _exact_search(space, r, n, leaf_bound)
+            coloring = _exact_search(space, near, n, leaf_bound)
         except _OutOfBudget:
             return SearchResult(None, False)
-        if groups is None:
-            return SearchResult(None, True)
-        return SearchResult(
-            _single_space_certificate(space, r, n, leaf_bound, groups), True
-        )
-    if mode == "greedy":
+    elif mode == "greedy":
+        decided = False
         coloring = _greedy_search(space, r, n, leaf_bound)
-        if coloring is None:
-            return SearchResult(None, False)
-        groups = [
-            r_components(space, r, [i for i, col in enumerate(coloring) if col == c]).blocks
-            for c in range(n + 1)
-        ]
-        return SearchResult(
-            _single_space_certificate(space, r, n, leaf_bound, groups), False
-        )
-    raise PreconditionError(f"unknown search mode {mode!r}")
+    else:
+        raise PreconditionError(f"unknown search mode {mode!r}")
+    if coloring is None:
+        return SearchResult(None, decided)
+    classes = [0] * (n + 1)
+    for p, c in enumerate(coloring):
+        classes[c] |= 1 << p
+    pieces = tuple(
+        tuple(PointSubset(space.id, b) for b in _components(mask, near)) for mask in classes
+    )
+    cert = DecompositionCertificate(
+        family_id=space.id,
+        r=float(r),
+        n=n,
+        members=(MemberDecomposition(space.id, pieces),),
+        leaf_bound=float(leaf_bound),
+    )
+    return SearchResult(cert, decided)
 
 
 class _OutOfBudget(Exception):
@@ -328,11 +330,10 @@ class _OutOfBudget(Exception):
 
 
 def _exact_search(
-    space: FiniteMetricSpace, r: float, n: int, leaf_bound: float
-) -> list[list[tuple[int, ...]]] | None:
+    space: FiniteMetricSpace, near: list[int], n: int, leaf_bound: float
+) -> list[int] | None:
     """Backtracking over point colorings, one r-component of the space at a
-    time; the pieces of the lexicographically first feasible coloring, per
-    color and by smallest member, or None.
+    time; the lexicographically first feasible coloring, or None.
 
     A coloring is feasible iff inside every color class each component of the
     d <= r relation has diameter <= leaf_bound, since pieces must be unions
@@ -342,17 +343,16 @@ def _exact_search(
     together is the first coloring of the space.  Point sets are bitmasks:
     ``near[p]`` holds the points within r of p, ``far[p]`` those farther
     than leaf_bound from p, and a class's components are (mask, far-mask)
-    pairs, so a component is too wide iff its mask meets its far-mask; the
-    pairs left when every point is placed are the pieces.  Depth k of the
-    loop keeps point k's next color, the colors used before it, and the color
-    it took with that color's component list from before, to put back.
+    pairs, so a component is too wide iff its mask meets its far-mask.
+    Depth k of the loop keeps point k's next color, the colors used before
+    it, and the color it took with that color's component list from before,
+    to put back.
     """
-    near = _row_masks(space.dist <= r)
     far = _row_masks(space.dist > leaf_bound)
     budget = EXACT_SEARCH_BUDGET
     nodes = 0
-    groups: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    for points in r_components(space, r).blocks:
+    coloring = [0] * space.n
+    for points in _components((1 << space.n) - 1, near):
         comps: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
         next_color = [0] * len(points)
         used = [0] * (len(points) + 1)
@@ -388,15 +388,9 @@ def _exact_search(
             comps[c] = rest
             used[k + 1] = max(used[k], c + 1)
             k += 1
-        for group, found in zip(groups, comps):
-            group.extend(tuple(p for p in points if mask >> p & 1) for mask, _ in found)
-    return [sorted(group) for group in groups]
-
-
-def _row_masks(rows: np.ndarray) -> list[int]:
-    """Row p of a boolean matrix as an int whose bit q is ``rows[p, q]``."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+        for p, (c, _) in zip(points, taken):
+            coloring[p] = c
+    return coloring
 
 
 def _greedy_search(

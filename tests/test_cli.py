@@ -299,6 +299,16 @@ def test_decompose_has_no_ceiling_option(files):
     assert code == 2 and "unrecognized arguments: --ceiling 5" in out
 
 
+def test_decompose_takes_its_mode_from_exact_or_greedy_only(files):
+    save, _ = files
+    fam_path = save("fam.txt", write_family(family_of(unit_path(4, "p"), family_id="F")))
+    argv = ["decompose", fam_path, "--r", "1", "--n", "1", "--bound", "1", "--format", "machine"]
+    out, code = run([*argv, "--mode", "greedy"])
+    assert code == 2 and "unrecognized arguments: --mode greedy" in out
+    for flags, mode in (([], "exact"), (["--greedy"], "greedy"), (["--greedy", "--exact"], "exact")):
+        assert f"\nmode={mode}\n" in run([*argv, *flags])[0]
+
+
 @pytest.mark.parametrize("mode", [[], ["--greedy"]], ids=["exact", "greedy"])
 def test_negative_leaf_bound_is_refused(files, mode):
     save, _ = files

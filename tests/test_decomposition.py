@@ -289,6 +289,18 @@ class TestSearch:
         res = search_decomposition(s, 2, 2, 1)
         assert res.status == "unknown" and not res.decided
 
+    @pytest.mark.parametrize("side, cells, placements", [
+        (6, (20, 5, 0, 9, 12, 14, 22, 24, 15, 30, 7, 8, 1, 2, 35, 3, 19, 10, 6, 34), 246_891),
+        (5, (21, 8, 20, 5, 6, 18, 23, 7, 19, 4, 13, 24, 15, 0, 9, 22, 16, 12, 14, 17), 347_385),
+    ], ids=["side6", "side5"])
+    def test_first_coloring_takes_a_fixed_placement_count(self, monkeypatch, side, cells, placements):
+        # cells of a side x side grid under l^1 at r = 2, n = 3, bound 1
+        s = l1_points_space([(c // side, c % side) for c in cells], "g")
+        monkeypatch.setattr(decomposition, "EXACT_SEARCH_BUDGET", placements)
+        assert search_decomposition(s, 2, 3, 1).status == "found"
+        monkeypatch.setattr(decomposition, "EXACT_SEARCH_BUDGET", placements - 1)
+        assert search_decomposition(s, 2, 3, 1).status == "unknown"
+
 
 class TestFibering:
     def test_grid_projection_passes(self):

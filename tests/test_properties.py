@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from coarsekit.cone import RhoFunction, phi
 from coarsekit.constructions import minimax_ultrametric
-from coarsekit.decomposition import r_components
+from coarsekit.decomposition import _components, _row_masks, r_components
 from coarsekit.maps import FamilyMap, MapFunction, control_envelope, properness_envelope
 from coarsekit.metric import FiniteMetricSpace, MetricFamily
 from support import brute_minimax, closure_blocks, strong_triangle_violations
@@ -60,7 +60,36 @@ def test_components_match_closure(space, r, data):
     assert r_components(space, r).blocks == closure_blocks(space.dist, r)
     idx = sorted(data.draw(st.sets(st.integers(0, space.n - 1))))
     blocks = closure_blocks(space.dist[np.ix_(idx, idx)], r) if idx else ()
-    assert r_components(space, r, idx).blocks == tuple(tuple(idx[k] for k in b) for b in blocks)
+    within = sum(1 << i for i in idx)
+    near = _row_masks(space.dist <= r)
+    assert tuple(_components(within, near)) == tuple(tuple(idx[k] for k in b) for b in blocks)
+
+
+@st.composite
+def wide_space(draw):
+    """65-300 points, so that every bitmask spans several 64-bit words: a
+    random square integer box about a quarter occupied (as the benchmark
+    builds them) under l^1 or l^inf, or a long path with gaps of 1 to 3."""
+    n = draw(st.integers(65, 300))
+    kind = draw(st.sampled_from(["l1", "linf", "path"]))
+    if kind == "path":
+        gaps = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=n - 1, max_size=n - 1))
+        c = np.concatenate([[0], np.cumsum(gaps)]).astype(np.float64)
+        d = np.abs(np.subtract.outer(c, c))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        side = int(np.ceil(2.0 * np.sqrt(n)))
+        flat = rng.choice(side * side, size=n, replace=False)
+        pts = np.stack([flat // side, flat % side], axis=1)
+        diff = np.abs(pts[:, None, :] - pts[None, :, :])
+        d = (diff.sum(axis=2) if kind == "l1" else diff.max(axis=2)).astype(np.float64)
+    return FiniteMetricSpace(kind, tuple(map(str, range(n))), d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(wide_space(), st.sampled_from([0, 1, 2, 3, 5, math.inf]))
+def test_components_past_one_word_match_closure(space, r):
+    assert r_components(space, r).blocks == closure_blocks(space.dist, r)
 
 
 @SETTINGS
