@@ -10,7 +10,6 @@ the whole space makes it the distinguished inf sentinel.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 from dataclasses import dataclass
@@ -22,12 +21,12 @@ from .metric import (
     GroupAction,
     MetricFamily,
     PointSubset,
+    _element_stats,
     check_certificate_family,
     member_lookup,
     product,
     quotient_with_map,
     separation,
-    subset_diameter,
 )
 from .report import CheckItem, Verdict, fmt_num, verdict
 
@@ -80,13 +79,8 @@ def cover_stats(cover: Cover, space: FiniteMetricSpace) -> tuple[np.ndarray, flo
     """Check ``cover`` once; return each point's multiplicity, the Lebesgue
     number and each element's diameter."""
     counts = validate_cover(cover, space)
-    best = np.full(space.n, -math.inf)
-    for el in cover.elements:
-        idx = list(el.indices)
-        outside = np.ones(space.n, dtype=bool)
-        outside[idx] = False  # only U's own rows can raise best; inf when U is everything
-        best[idx] = np.maximum(best[idx], space.dist[idx][:, outside].min(axis=1, initial=math.inf))
-    return counts, float(best.min()), [subset_diameter(space, el) for el in cover.elements]
+    diams, best = _element_stats(space, cover.elements)
+    return counts, float(best.min()), diams
 
 
 def cover_dimension(cover: Cover, space: FiniteMetricSpace) -> int:
@@ -104,7 +98,7 @@ def lebesgue_number(cover: Cover, space: FiniteMetricSpace) -> float:
 def mesh(cover: Cover, space: FiniteMetricSpace) -> float:
     """Largest element diameter."""
     validate_cover(cover, space)
-    return max(subset_diameter(space, el) for el in cover.elements)
+    return max(_element_stats(space, cover.elements, reach=False)[0])
 
 
 def greedy_color(cover: Cover, space: FiniteMetricSpace, r: float, n: int) -> Cover | None:
@@ -239,7 +233,7 @@ def check_an_control(
                     break
             else:
                 items.append(CheckItem(path + ".disjoint", True))
-            ms = max(subset_diameter(member, el) for el in cov.elements)
+            ms = max(_element_stats(member, cov.elements, reach=False)[0])
             if ms > bound + tol:
                 items.append(
                     CheckItem(

@@ -25,12 +25,12 @@ from .metric import (
     FiniteMetricSpace,
     MetricFamily,
     PointSubset,
+    _element_stats,
     ball,
     check_certificate_family,
     member_lookup,
     point_to_set_distance,
     separation,
-    subset_diameter,
 )
 from .report import CheckItem, Verdict, fmt_num, verdict
 
@@ -223,19 +223,22 @@ def check_decomposition(
         if cert.leaf_bound is not None:
             too_wide: list[CheckItem] = []
             for entry in entries.values():
-                space = family.member(entry.member_id)
-                for color, group in enumerate(entry.pieces):
-                    for k, piece in enumerate(group):
-                        diam = subset_diameter(space, piece)
-                        if diam > cert.leaf_bound + tol:
-                            too_wide.append(
-                                CheckItem(
-                                    f"{prefix}{piece_id(entry.member_id, color, k)}.bound",
-                                    False,
-                                    f"piece diameter {fmt_num(diam)} > leaf bound "
-                                    f"{fmt_num(cert.leaf_bound)}",
-                                )
+                ids = [(color, k) for color, group in enumerate(entry.pieces)
+                       for k in range(len(group))]
+                diams, _ = _element_stats(
+                    family.member(entry.member_id),
+                    [piece for group in entry.pieces for piece in group], reach=False,
+                )
+                for (color, k), diam in zip(ids, diams):
+                    if diam > cert.leaf_bound + tol:
+                        too_wide.append(
+                            CheckItem(
+                                f"{prefix}{piece_id(entry.member_id, color, k)}.bound",
+                                False,
+                                f"piece diameter {fmt_num(diam)} > leaf bound "
+                                f"{fmt_num(cert.leaf_bound)}",
                             )
+                        )
             items.extend(too_wide or [CheckItem(f"{prefix}leaf", True)])
             return verdict(items)
         pieces = piece_family(cert, family)

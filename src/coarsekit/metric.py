@@ -507,11 +507,57 @@ def separation(
     return dist, (divmod(int(hit[0]), k) if hit.size else None)
 
 
-def subset_diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
-    if not a.indices:
-        return 0.0
-    sa = np.array(a.indices, dtype=int)
-    return float(space.dist[sa[:, None], sa].max())
+# rows (one per element and point) that _element_stats gathers per block; an
+# element with more points is gathered whole, as its diameter needs
+_STAT_ROWS = 256
+
+
+def _element_stats(
+    space: FiniteMetricSpace, elements, reach: bool = True
+) -> tuple[list[float], np.ndarray | None]:
+    """Each element's diameter (0.0 when empty) and, with ``reach``, each
+    point's best distance to the complement of an element that holds it:
+    the min over the point's row outside the element (inf when the element
+    is the whole space), then the max over the elements that hold the
+    point, in element order (-inf when none does).
+
+    Elements of one size s are gathered together, at most ``_STAT_ROWS``
+    rows at a time: an s x s block per element for its diameter and an
+    s x (n - s) block of the other columns for its reaches.  Each reduction
+    thus sees the values, in the order and number, that a pass over one
+    element sees, so NaN propagates and a zero result keeps its sign.
+    """
+    sizes = np.fromiter(map(len, elements), dtype=np.intp, count=len(elements))
+    starts = np.cumsum(sizes) - sizes
+    pts = np.fromiter(
+        itertools.chain.from_iterable(el.indices for el in elements),
+        dtype=np.intp, count=int(sizes.sum()),
+    )
+    diams = np.zeros(len(elements))
+    reaches = np.empty(pts.size)
+    for s in sorted(set(sizes.tolist()) - {0}):
+        ids = np.flatnonzero(sizes == s)
+        step = max(1, _STAT_ROWS // s)
+        for lo in range(0, ids.size, step):
+            block = ids[lo:lo + step]
+            pos = starts[block][:, None] + np.arange(s)
+            rows = pts[pos]
+            own = space.dist[rows[:, :, None], rows[:, None, :]]
+            diams[block] = own.reshape(block.size, s * s).max(axis=1)
+            if reach:
+                outside = np.ones((block.size, space.n), dtype=bool)
+                outside[np.arange(block.size)[:, None], rows] = False
+                reaches[pos] = (
+                    space.dist[rows.ravel()][np.repeat(outside, s, axis=0)]
+                    .reshape(block.size, s, space.n - s)
+                    .min(axis=2, initial=math.inf)
+                )
+    if not reach:
+        return diams.tolist(), None
+    best = np.full(space.n, -math.inf)
+    with np.errstate(invalid="ignore"):  # a NaN reach propagates quietly, as in np.maximum
+        np.maximum.at(best, pts, reaches)
+    return diams.tolist(), best
 
 
 def point_to_set_distance(space: FiniteMetricSpace, i: int, a: PointSubset) -> float:

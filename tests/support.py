@@ -21,7 +21,7 @@ import numpy as np
 
 import coarsekit
 
-from coarsekit.covers import Cover, greedy_color
+from coarsekit.covers import Cover, greedy_color, validate_cover
 from coarsekit.errors import ParseError, StructuralError
 from coarsekit.maps import MonotoneEnvelope, validate_map
 from coarsekit.metric import (
@@ -51,6 +51,10 @@ def space_from_matrix(rows, space_id="X", labels=None, pseudo=False):
 def integer_points_space(rng, n, dim=2, coord_range=20, metric="l1", space_id="X"):
     """Random integer point cloud with the l^1 or l^inf metric: exact and
     always a valid (pseudo-free after dedup) metric space."""
+    if n > coord_range ** dim:
+        raise ValueError(
+            f"{n} distinct points asked of a box that holds {coord_range ** dim}"
+        )
     seen = set()
     pts = []
     while len(pts) < n:
@@ -300,6 +304,34 @@ def coloring_of(cert, npts):
             for i in piece.indices:
                 coloring[i] = color
     return coloring
+
+
+def subset_diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
+    if not a.indices:
+        return 0.0
+    sa = np.array(a.indices, dtype=int)
+    return float(space.dist[sa[:, None], sa].max())
+
+
+def looped_best_reach(space: FiniteMetricSpace, elements) -> np.ndarray:
+    """Each point's best distance to the complement of an element holding
+    it, by one pass over each element: its own rows against an ``outside``
+    mask, folded into each point's best with np.maximum in element order."""
+    best = np.full(space.n, -math.inf)
+    for el in elements:
+        idx = list(el.indices)
+        outside = np.ones(space.n, dtype=bool)
+        outside[idx] = False  # only U's own rows can raise best; inf when U is everything
+        best[idx] = np.maximum(best[idx], space.dist[idx][:, outside].min(axis=1, initial=math.inf))
+    return best
+
+
+def looped_cover_stats(cover: Cover, space: FiniteMetricSpace):
+    """Multiplicity, Lebesgue number and element diameters, element by
+    element."""
+    counts = validate_cover(cover, space)
+    best = looped_best_reach(space, cover.elements)
+    return counts, float(best.min()), [subset_diameter(space, el) for el in cover.elements]
 
 
 def looped_separation(space, pieces, r):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,11 +32,12 @@ from coarsekit.generators import (
     unit_path,
 )
 from coarsekit.metric import (
+    _STAT_ROWS,
     FiniteMetricSpace,
     GroupAction,
     MetricFamily,
     PointSubset,
-    subset_diameter,
+    _element_stats,
 )
 from support import (
     brute_lebesgue,
@@ -43,9 +45,16 @@ from support import (
     family_of,
     integer_points_space,
     line_space,
+    looped_best_reach,
+    looped_cover_stats,
     random_cover_sets,
     space_from_matrix,
 )
+
+
+def _bits(values) -> list[int]:
+    """The float64 bit patterns of ``values``, so NaN and -0.0 compare exactly."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).ravel().tolist()
 
 
 def path11():
@@ -107,29 +116,119 @@ class TestStatistics:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(1, 3),
-           whole=st.booleans(), singletons=st.booleans(), overlap=st.integers(0, 4))
-    def test_cover_stats_edges_against_brute_force(self, seed, blocks, whole, singletons, overlap):
+           whole=st.booleans(), singletons=st.booleans(), overlap=st.integers(0, 4),
+           big=st.booleans(), clusters=st.booleans(), nan=st.booleans(),
+           negzero=st.booleans(), duplicates=st.booleans())
+    def test_cover_stats_edges_against_brute_force(
+        self, seed, blocks, whole, singletons, overlap, big, clusters, nan, negzero, duplicates
+    ):
         """Blocks at distance inf from each other, an element equal to the
-        whole space, singleton elements and heavily overlapping elements."""
+        whole space, singleton elements, heavily overlapping elements and
+        repeated elements, on up to 60 points with pseudo zero distances
+        inside clusters, NaN entries and -0.0 entries: bit for bit the
+        per-element pass, and the brute-force values where they apply."""
         rng = np.random.default_rng(seed)
-        base = integer_points_space(rng, int(rng.integers(1, 10)), coord_range=6)
+        npts = int(rng.integers(1, 61 if big else 10))
+        base = integer_points_space(rng, npts, coord_range=8 if big else 6)
         block = rng.integers(0, blocks, size=base.n)
         d = np.where(block[:, None] == block[None, :], base.dist, np.inf)
-        s = FiniteMetricSpace("s", base.points, d)
+        if clusters:  # pseudo zero distances; half the time the clusters are elements too
+            cluster = rng.integers(0, max(1, base.n // 4), size=base.n)
+            d[cluster[:, None] == cluster[None, :]] = 0.0
+        flip = np.triu(rng.random(d.shape) < 0.3)
+        flip |= flip.T
+        if negzero:
+            d[flip & (d == 0)] = -0.0
+        if nan:
+            d[flip & (rng.random(d.shape) < 0.1)] = np.nan
+            d = np.where(np.isnan(d.T), d.T, d)
+        s = FiniteMetricSpace("s", base.points, d, pseudo=True)
         sets = [tuple(range(s.n))] if whole else []
         if singletons:
             sets += [(int(i),) for i in rng.permutation(s.n)[:max(1, s.n // 2)]]
         for _ in range(overlap):
-            keep = rng.permutation(s.n)[:max(1, s.n - int(rng.integers(1, 3)))]
+            size = s.n - int(rng.integers(1, 3)) if rng.random() < 0.5 else rng.integers(1, s.n + 1)
+            keep = rng.permutation(s.n)[:max(1, size)]
             sets.append(tuple(int(i) for i in keep))
+        if clusters and rng.random() < 0.5:  # else a point's best reach may be a zero
+            sets += [tuple(np.flatnonzero(cluster == c).tolist()) for c in np.unique(cluster)]
+        if duplicates and sets:
+            sets += [sets[int(i)] for i in rng.integers(0, len(sets), size=3)]
         covered = set().union(*sets)
         sets += [(i,) for i in range(s.n) if i not in covered]
         cov = Cover(s.id, tuple(PointSubset(s.id, t) for t in sets))
         counts, leb, diams = cover_stats(cov, s)
+        want_counts, want_leb, want_diams = looped_cover_stats(cov, s)
+        assert counts.tolist() == want_counts.tolist()
+        assert _bits(leb) == _bits(want_leb)
+        assert _bits(diams) == _bits(want_diams)
+        assert _bits(mesh(cov, s)) == _bits(max(want_diams))
+        assert _bits(_element_stats(s, cov.elements)[1]) == _bits(looped_best_reach(s, cov.elements))
         assert counts.tolist() == [sum(i in t for t in sets) for i in range(s.n)]
-        assert leb == brute_lebesgue(sets, s)
-        assert diams == [subset_diameter(s, el) for el in cov.elements]
-        assert diams == [max(float(d[i, j]) for i in t for j in t) for t in sets]
+        if not nan:
+            assert diams == [max(float(d[i, j]) for i in t for j in t) for t in sets]
+            if s.n <= 12:
+                assert leb == brute_lebesgue(sets, s)
+
+    def test_integer_points_space_refuses_more_points_than_its_box_holds(self):
+        rng = np.random.default_rng(0)
+        assert integer_points_space(rng, 36, coord_range=6).n == 36
+        with pytest.raises(ValueError, match="37 distinct points .* holds 36"):
+            integer_points_space(rng, 37, coord_range=6)
+        with pytest.raises(ValueError, match="149 distinct points .* holds 16"):
+            integer_points_space(rng, 149, coord_range=4)
+
+    def test_cover_stats_keeps_the_later_zero_reach(self):
+        """Point a reaches -0.0 out of {a, b} and 0.0 out of {a, c}; as in
+        np.maximum, the zero of the later element wins."""
+        s = space_from_matrix([[0.0, 0.0, -0.0], [0.0, 0.0, 1.0], [-0.0, 1.0, 0.0]], pseudo=True)
+        ab, ac = PointSubset(s.id, (0, 1)), PointSubset(s.id, (0, 2))
+        for elements, negative in (((ab, ac), False), ((ac, ab), True)):
+            cov = Cover(s.id, elements)
+            leb = cover_stats(cov, s)[1]
+            assert _bits(leb) == _bits(looped_cover_stats(cov, s)[1])
+            assert leb == 0.0 and math.copysign(1.0, leb) == (-1.0 if negative else 1.0)
+
+    def test_cover_stats_past_one_row_block(self):
+        """A 700-point path under length-40 intervals at step 20, with
+        -0.0 and NaN entries, fills several row blocks of each size."""
+        s = unit_path(700, "p")
+        d = s.dist.copy()
+        d[np.eye(s.n, dtype=bool)] = -0.0
+        d[3, 650] = d[650, 3] = np.nan  # the reach of point 3
+        d[100, 110] = d[110, 100] = np.nan  # the diameters of elements 4 and 5
+        s = FiniteMetricSpace("p", s.points, d)
+        cov = Cover(s.id, tuple(PointSubset(s.id, tuple(range(a, min(a + 40, s.n))))
+                                for a in range(0, s.n, 20)))
+        rows = sum(len(el) for el in cov.elements)
+        assert rows > 2 * _STAT_ROWS and 40 * len(cov.elements) > rows
+        counts, leb, diams = cover_stats(cov, s)
+        want_counts, want_leb, want_diams = looped_cover_stats(cov, s)
+        assert counts.tolist() == want_counts.tolist()
+        assert _bits(leb) == _bits(want_leb)
+        assert _bits(diams) == _bits(want_diams)
+        assert math.isnan(leb) and math.isnan(diams[4]) and math.isnan(diams[5])
+        assert diams[:4] + diams[6:] == [39.0] * 32 + [19.0]
+        # x = 20k + j lies 20 - j inside [20k - 20, 20k + 19] and j + 1 inside
+        # [20k, 20k + 39], so the worst point reaches 11
+        assert cover_stats(cov, unit_path(700, "p"))[1] == 11.0
+
+    def test_cover_stats_stays_within_the_row_budget(self):
+        """Peak traced allocation on a 1 500-point path whose overlapping
+        intervals hold about 3 000 rows stays within three row blocks: the
+        gathered rows, their other columns and the masks that pick them."""
+        s = unit_path(1500, "p")
+        cov = Cover(s.id, tuple(PointSubset(s.id, tuple(range(a, min(a + 40, s.n))))
+                                for a in range(0, s.n, 20)))
+        rows = sum(len(el) for el in cov.elements)
+        assert rows > 4 * _STAT_ROWS
+        tracemalloc.start()
+        try:
+            cover_stats(cov, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * _STAT_ROWS * s.n * 8
 
     def test_mesh(self):
         s = path11()

@@ -9,7 +9,8 @@ must agree with ``colon_row`` and ``_labels_to_indices`` in the same way.
 The map envelopes, the l^p product grid and greedy ball seeding must agree
 with their ``looped_*`` versions: the same breakpoints (each source
 distance with its sign of zero) or error, the same space, the same
-coloring.
+coloring.  The leaf-bound items of a decomposition check and the mesh items
+of an AN-control check must equal those of a loop over ``subset_diameter``.
 """
 
 import math
@@ -18,13 +19,18 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from coarsekit.decomposition import _greedy_search
+from coarsekit.covers import ANControlCertificate, ANEntry, Cover, check_an_control
+from coarsekit.decomposition import (
+    DecompositionCertificate, MemberDecomposition, _greedy_search, check_decomposition, piece_id,
+    search_decomposition,
+)
 from coarsekit.errors import ParseError, StructuralError
 from coarsekit.io import (
     _NONE, _OPTIONAL, _Doc, _int, _label_row, _labels_to_indices, parse_family, write_family,
 )
 from coarsekit.maps import FamilyMap, MapFunction, control_envelope, properness_envelope
-from coarsekit.metric import FiniteMetricSpace, MetricFamily, product, validate_metric
+from coarsekit.metric import FiniteMetricSpace, MetricFamily, PointSubset, product, validate_metric
+from coarsekit.report import CheckItem, fmt_num
 from support import (
     looped_control_envelope,
     looped_greedy_search,
@@ -33,6 +39,7 @@ from support import (
     looped_validate_metric,
     looped_write_family,
     scanned_parse_family,
+    subset_diameter,
 )
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -476,3 +483,81 @@ def seeded_space(draw):
 @given(seeded_space())
 def test_greedy_owner_array_matches_the_uncovered_set(case):
     assert _greedy_search(*case) == looped_greedy_search(*case)
+
+
+@st.composite
+def pieced_family(draw):
+    """1-3 members of 1-40 points with pseudo zero and -0.0 entries, a color
+    count n and, per member, n + 1 groups of random pieces, a greedy
+    search's pieces, or (a wrong color count, whose pieces no other check
+    reads) groups holding empty pieces."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 2))
+    members, groups = [], []
+    for m in range(draw(st.integers(1, 3))):
+        size = int(rng.integers(1, 41))
+        d = np.abs(np.subtract.outer(rng.integers(0, 30, size), rng.integers(0, 30, size)))
+        d = np.minimum(d, d.T).astype(float)
+        np.fill_diagonal(d, 0.0)
+        d[np.triu(rng.random(d.shape) < draw(st.sampled_from([0.0, 0.2])), 1)] = -0.0
+        d = np.triu(d) + np.triu(d, 1).T
+        space = FiniteMetricSpace(f"m{m}", tuple(f"p{i}" for i in range(size)), d, pseudo=True)
+        members.append(space)
+        kind = draw(st.sampled_from(["random", "greedy", "empty"]))
+        found = search_decomposition(space, 1.0, n, 4.0, mode="greedy").certificate
+        if kind == "greedy" and found is not None:
+            groups.append(found.members[0].pieces)
+            continue
+        colors = n + 1 + (kind == "empty")
+        pieces = [[] for _ in range(colors)]
+        for _ in range(int(rng.integers(1, 8))):
+            keep = rng.permutation(size)[:int(rng.integers(1, size + 1))]
+            pieces[int(rng.integers(colors))].append(PointSubset(space.id, keep.tolist()))
+        if kind == "empty":
+            for _ in range(int(rng.integers(1, 3))):
+                pieces[int(rng.integers(colors))].append(PointSubset(space.id, ()))
+        groups.append(tuple(tuple(g) for g in pieces))
+    return MetricFamily("F", tuple(members)), n, groups, draw(st.sampled_from([-1.0, 0.0, 3.0, 8.0]))
+
+
+@SETTINGS
+@given(pieced_family())
+def test_leaf_and_mesh_items_match_the_per_piece_loop(case):
+    fam, n, groups, bound = case
+    cert = DecompositionCertificate(
+        "F", 1.0, n, tuple(MemberDecomposition(m.id, g) for m, g in zip(fam.members, groups)),
+        leaf_bound=bound,
+    )
+    want = [
+        CheckItem(f"{piece_id(m.id, color, k)}.bound", False,
+                  f"piece diameter {fmt_num(diam)} > leaf bound {fmt_num(bound)}")
+        for m, g in zip(fam.members, groups)
+        for color, group in enumerate(g)
+        for k, piece in enumerate(group)
+        for diam in [subset_diameter(m, piece)]
+        if diam > bound + 1e-9
+    ] or [CheckItem("leaf", True)]
+    items = check_decomposition(cert, fam).items
+    assert list(items[len(items) - len(want):]) == want
+    assert not any(i.path.endswith(".bound") or i.path == "leaf"
+                   for i in items[:len(items) - len(want)])
+    # the same pieces as colored covers, where a member's pieces cover it
+    entries, want = [], []
+    for scale in (1.0, 2.0):
+        covers = []
+        for m, g in zip(fam.members, groups):
+            listed = [(c, p) for c, group in enumerate(g) for p in group if p.indices][:40]
+            held = {i for _, p in listed for i in p.indices}
+            listed += [(0, PointSubset(m.id, (i,))) for i in range(m.n) if i not in held]
+            covers.append((m.id, Cover(m.id, tuple(p for _, p in listed),
+                                       tuple(min(c, n) for c, _ in listed))))
+            ms = max(subset_diameter(m, p) for _, p in listed)
+            failed = ms > 2.0 * scale + bound + 1e-9
+            want.append(CheckItem(
+                f"entry{len(entries)}.{m.id}.mesh", not failed,
+                f"mesh {fmt_num(ms)} > M*R + b = {fmt_num(2.0 * scale + bound)} at R = "
+                f"{fmt_num(scale)}" if failed else "",
+            ))
+        entries.append(ANEntry(scale, tuple(covers)))
+    v = check_an_control(ANControlCertificate("F", n, 2.0, bound, tuple(entries)), fam)
+    assert [i for i in v.items if i.path.endswith(".mesh")] == want
