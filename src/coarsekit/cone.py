@@ -20,6 +20,8 @@ exactly, up to floating-point rounding, at a few candidate points u:
 - exp: u = 0 below r = 2 e^t, ln(r / 2) - t above (``phi_closed_exp``);
 - step and table: the objective grows on each constant piece, so the
   minimum sits at u = 0 or where u + t reaches a breakpoint.
+
+Only ``phi_with_argmin`` builds the minimizer u*.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class RhoFunction:
         object.__setattr__(
             self, "breaks", tuple((float(s), float(v)) for s, v in self.breaks)
         )
+        if not np.isfinite(self.params + tuple(x for pair in self.breaks for x in pair)).all():
+            raise StructuralError("rho parameters and breakpoints must be finite")
         if self.kind == "const":
             if len(self.params) != 1 or self.params[0] < 0:
                 raise StructuralError("constant rho needs one value c >= 0")
@@ -167,14 +171,18 @@ class ConePoint:
     def __post_init__(self):
         if self.height < 0:
             raise PreconditionError("cone heights must be >= 0")
+        if not np.isfinite(self.height):
+            raise PreconditionError("cone heights must be finite")
 
 
-def _phi_arrays(rho: RhoFunction, t, r):
-    """The exact infimum and a minimizer u*, vectorized; t and r broadcast
-    together."""
+def _phi_arrays(rho: RhoFunction, t, r, argmin: bool = False):
+    """The exact infimum and, with ``argmin``, a minimizer u* (else None),
+    vectorized; t and r broadcast together."""
     t, r = np.broadcast_arrays(np.asarray(t, dtype=np.float64), np.asarray(r, dtype=np.float64))
     if (t < 0).any() or (r < 0).any():
         raise PreconditionError("phi needs t >= 0 and r >= 0")
+    if not np.isfinite(t).all():
+        raise PreconditionError("phi needs finite heights t")
     if rho.kind == "exp":
         # 2u + r e^{-(u+t)} is convex, stationary where e^{u+t} = r / 2.
         # e^t overflows to inf for large t, and the unused branch can be 0 * inf
@@ -183,16 +191,17 @@ def _phi_arrays(rho: RhoFunction, t, r):
             u_star = np.log(np.maximum(r, 1e-300) / 2.0) - t
             best = np.where(linear, np.exp(-t) * r, 2.0 * u_star + 2.0)
         # 2 e^t can round below r while ln(r / 2) < t: u* is then just under 0
-        return best, np.where(linear, 0.0, np.maximum(u_star, 0.0))
+        return best, np.where(linear, 0.0, np.maximum(u_star, 0.0)) if argmin else None
 
     best = r / np.maximum(rho(t), 1.0)  # u = 0
-    arg = np.zeros_like(best)
+    arg = np.zeros_like(best) if argmin else None
 
-    def consider(u, val, where=True):
+    def consider(u, val):
         nonlocal best, arg
-        better = (val < best) & where
+        better = val < best  # a nan candidate (inf / inf) is never taken
         best = np.where(better, val, best)
-        arg = np.where(better, u, arg)
+        if argmin:
+            arg = np.where(better, u, arg)
 
     if rho.kind == "affine" and rho.params[0] > 0.0:
         # 2u + r / (M (u + t) + L) is convex, stationary where M (u + t) + L =
@@ -206,18 +215,22 @@ def _phi_arrays(rho: RhoFunction, t, r):
             consider(u, 2.0 * u + r / np.maximum(rho(u + t), 1.0))
     elif rho.kind in ("step", "table"):
         for s, v in rho.breaks:
-            u = s - t
-            consider(u, 2.0 * u + r / max(v, 1.0), where=u > 0.0)
-        # t + (s - t) can round to just below s: step such a minimizer up
-        # one ulp, so that rho(t + u*) is the breakpoint's value
-        up = np.nextafter(arg, np.inf)
-        arg = np.where((arg > 0.0) & (rho(t + arg) < rho(t + up)), up, arg)
+            u = np.maximum(s - t, 0.0)  # s <= t: r / max(v, 1) >= best, as v <= rho(t)
+            twice = 2.0 * u
+            if (twice >= best).all():  # u grows with s: no later 2u + r / w is below best
+                break
+            consider(u, twice + r / max(v, 1.0))
+        if argmin:
+            # t + (s - t) can round to just below s: step such a minimizer
+            # up one ulp, so that rho(t + u*) is the breakpoint's value
+            up = np.nextafter(arg, np.inf)
+            arg = np.where((arg > 0.0) & (rho(t + arg) < rho(t + up)), up, arg)
     return best, arg
 
 
 def phi_with_argmin(rho: RhoFunction, t, r):
     """phi and a minimizer u* >= 0 of 2u + r / max(rho(u + t), 1)."""
-    val, arg = _phi_arrays(rho, t, r)
+    val, arg = _phi_arrays(rho, t, r, argmin=True)
     if np.isscalar(t) and np.isscalar(r):
         return float(val), float(arg)
     return val, arg
@@ -228,7 +241,8 @@ def phi(rho: RhoFunction, t, r):
     floating-point rounding for every supported rho (see the module
     docstring).  Accepts scalars or broadcastable arrays.
     """
-    return phi_with_argmin(rho, t, r)[0]
+    val, _ = _phi_arrays(rho, t, r)
+    return float(val) if np.isscalar(t) and np.isscalar(r) else val
 
 
 def phi_closed_exp(t, r):

@@ -48,6 +48,21 @@ def _margin_item(path: str, margin: np.ndarray, fields: dict, strict: bool = Fal
                      "worst sample: " + ", ".join(parts) + f", margin={margin.ravel()[k]:.3g}")
 
 
+def _bisect_inverse(rho: RhoFunction, t: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The r in [0, 200] with phi_t(r) = target, by at most 70 bisection
+    steps; it stops at a step that moves no bracket, as every later would."""
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, 200.0)
+    for _ in range(70):
+        mid = (lo + hi) / 2.0
+        if ((mid == lo) | (mid == hi)).all():
+            break
+        below = phi(rho, t, mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return (lo + hi) / 2.0
+
+
 def run_phi_suite(
     rhos: list[RhoFunction] | None = None,
     samples: int = 1000,
@@ -58,11 +73,8 @@ def run_phi_suite(
     items: list[CheckItem] = []
     for rho in rhos:
         rng = np.random.default_rng(seed)
-        t = rng.uniform(0.0, 10.0, samples)
-        t2 = rng.uniform(0.0, 10.0, samples)
-        delta = rng.uniform(0.0, 10.0, samples)
-        r = rng.uniform(0.0, 100.0, samples)
-        r2 = rng.uniform(0.0, 100.0, samples)
+        t, t2, delta = rng.uniform(0.0, 10.0, (3, samples))
+        r, r2 = rng.uniform(0.0, 100.0, (2, samples))
         lam = rng.uniform(0.0, 1.0, samples)
         big_m = rng.uniform(1.0, 10.0, samples)
         name = rho.literal()
@@ -71,16 +83,20 @@ def run_phi_suite(
         t_hi = np.maximum(t, t2)
         r_lo = np.minimum(r, r2)
         r_hi = np.maximum(r, r2)
+        r_up = r_lo + STRICT_GAP + (r_hi - r_lo)
+        mix = lam * r + (1.0 - lam) * r2
+
+        # phi is elementwise: one evaluation per height vector serves all
+        phi_r, phi_lo, phi_up, phi_hi, phi_r2, phi_mix, phi_sum, phi_mr = phi(
+            rho, t, np.stack([r, r_lo, r_up, r_hi, r2, mix, r + r2, big_m * r]))
+        phi_t_lo, phi_t_hi, phi_shift = phi(rho, np.stack([t_lo, t_hi, t + delta]), r)
 
         # 1: larger heights never increase the distortion
-        margin = phi(rho, t_lo, r) + tol - phi(rho, t_hi, r)
+        margin = phi_t_lo + tol - phi_t_hi
         items.append(_margin_item(f"{name}.monotone-in-t", margin, {"t": t_lo, "t2": t_hi, "r": r}))
 
         # 2: strictly increasing in r, resolvable at input gaps >= 1e-3
-        r_up = r_lo + STRICT_GAP + (r_hi - r_lo)
-        lo_vals = phi(rho, t, r_lo)
-        up_vals = phi(rho, t, r_up)
-        items.append(_margin_item(f"{name}.strictly-increasing", up_vals - lo_vals,
+        items.append(_margin_item(f"{name}.strictly-increasing", phi_up - phi_lo,
                                   {"t": t, "r": r_lo, "r2": r_up}, strict=True))
 
         # 3: unbounded growth along r = 4^k, monotone in k
@@ -94,18 +110,14 @@ def run_phi_suite(
                                "" if ok else f"monotone={mono}, exceeded {GROWTH_BOUND}={grown}"))
 
         # 4: Lipschitz with constant 1 / max(rho(t), 1)
-        lip = np.abs(phi(rho, t, r_hi) - phi(rho, t, r_lo))
+        lip = np.abs(phi_hi - phi_lo)
         allowed = (r_hi - r_lo) / np.maximum(rho(t), 1.0) + tol
         items.append(_margin_item(f"{name}.lipschitz", allowed - lip, {"t": t, "r": r_lo, "r2": r_hi}))
 
-        # 5: decay in t for proper rho, found by doubling
+        # 5: decay in t for proper rho, at the doubling heights 1, 2, 4, ...
         if rho.proper:
-            found = np.zeros(samples, dtype=bool)
-            height = 1.0
-            while height <= DECAY_T_LIMIT and not found.all():
-                vals = phi(rho, np.full(samples, height), r)
-                found |= vals <= DECAY_TARGET
-                height *= 2.0
+            heights = 2.0 ** np.arange(int(np.log2(DECAY_T_LIMIT)) + 1)
+            found = (phi(rho, heights[:, None], r) <= DECAY_TARGET).any(axis=0)
             ok = bool(found.all())
             items.append(CheckItem(f"{name}.decay-in-t", ok,
                                    "" if ok else f"{int((~found).sum())} samples never reached {DECAY_TARGET}"))
@@ -113,29 +125,20 @@ def run_phi_suite(
             items.append(CheckItem(f"{name}.decay-in-t", True, "skipped: rho not proper"))
 
         # 6: numeric inverse by bisection recovers r
-        target = phi(rho, t, r)
-        lo = np.zeros(samples)
-        hi = np.full(samples, 200.0)
-        for _ in range(70):
-            mid = (lo + hi) / 2.0
-            below = phi(rho, t, mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        rec = (lo + hi) / 2.0
+        rec = _bisect_inverse(rho, t, phi_r)
         items.append(_margin_item(f"{name}.bijection", INVERSE_TOL - np.abs(rec - r), {"t": t, "r": r}))
 
         # 7: concavity
-        mix = lam * r + (1.0 - lam) * r2
-        margin = phi(rho, t, mix) - (lam * phi(rho, t, r) + (1.0 - lam) * phi(rho, t, r2)) + tol
+        margin = phi_mix - (lam * phi_r + (1.0 - lam) * phi_r2) + tol
         items.append(_margin_item(f"{name}.concave", margin, {"t": t, "r": r, "r2": r2, "lam": lam}))
 
         # 8: subadditive, and phi(M r) <= M phi(r)
-        sub = phi(rho, t, r) + phi(rho, t, r2) + tol - phi(rho, t, r + r2)
-        scal = big_m * phi(rho, t, r) + tol - phi(rho, t, big_m * r)
+        sub = phi_r + phi_r2 + tol - phi_sum
+        scal = big_m * phi_r + tol - phi_mr
         items.append(_margin_item(f"{name}.subadditive", np.minimum(sub, scal),
                                   {"t": t, "r": r, "r2": r2, "M": big_m}))
 
         # 9: phi_t <= phi_{t+delta} + 2 delta
-        margin = phi(rho, t + delta, r) + 2.0 * delta + tol - phi(rho, t, r)
+        margin = phi_shift + 2.0 * delta + tol - phi_r
         items.append(_margin_item(f"{name}.shift-bound", margin, {"t": t, "delta": delta, "r": r}))
     return verdict(items)

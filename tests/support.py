@@ -22,7 +22,7 @@ import numpy as np
 import coarsekit
 
 from coarsekit.covers import Cover, greedy_color, validate_cover
-from coarsekit.errors import ParseError, StructuralError
+from coarsekit.errors import ParseError, PreconditionError, StructuralError
 from coarsekit.maps import MonotoneEnvelope, validate_map
 from coarsekit.metric import (
     FiniteMetricSpace,
@@ -32,7 +32,17 @@ from coarsekit.metric import (
     ValidationReport,
     Violation,
 )
-from coarsekit.report import fmt_num
+from coarsekit.phisuite import (
+    DECAY_T_LIMIT,
+    DECAY_TARGET,
+    GROWTH_BOUND,
+    GROWTH_EXPONENTS,
+    INVERSE_TOL,
+    STRICT_GAP,
+    _margin_item,
+    standard_rho_family,
+)
+from coarsekit.report import CheckItem, Verdict, fmt_num, verdict
 
 
 def line_space(values, space_id="line", labels=None):
@@ -406,6 +416,134 @@ def numeric_phi(rho, t, r, u_tol=1e-9):
             consider(a)
             consider(b)
     return float(best) if scalar else best
+
+
+def looped_phi(rho, t, r):
+    """The exact infimum and a minimizer u*, vectorized, by one pass over
+    every candidate with the minimizer kept throughout: the reference for
+    ``cone.phi`` and ``cone.phi_with_argmin``, which must match it bit for
+    bit.  Step and table rho visit every breakpoint, with no early stop."""
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=np.float64), np.asarray(r, dtype=np.float64))
+    if (t < 0).any() or (r < 0).any():
+        raise PreconditionError("phi needs t >= 0 and r >= 0")
+    if rho.kind == "exp":
+        with np.errstate(over="ignore", invalid="ignore"):
+            linear = r < 2.0 * np.exp(t)
+            u_star = np.log(np.maximum(r, 1e-300) / 2.0) - t
+            best = np.where(linear, np.exp(-t) * r, 2.0 * u_star + 2.0)
+        return best, np.where(linear, 0.0, np.maximum(u_star, 0.0))
+
+    best = r / np.maximum(rho(t), 1.0)  # u = 0
+    arg = np.zeros_like(best)
+
+    def consider(u, val, where=True):
+        nonlocal best, arg
+        better = (val < best) & where
+        best = np.where(better, val, best)
+        arg = np.where(better, u, arg)
+
+    if rho.kind == "affine" and rho.params[0] > 0.0:
+        slope, offset = rho.params
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.maximum(0.0, (np.sqrt(r * slope / 2.0) - offset) / slope - t)
+            consider(u, 2.0 * u + r / np.maximum(rho(u + t), 1.0))
+    elif rho.kind in ("step", "table"):
+        for s, v in rho.breaks:
+            u = s - t
+            consider(u, 2.0 * u + r / max(v, 1.0), where=u > 0.0)
+        up = np.nextafter(arg, np.inf)
+        arg = np.where((arg > 0.0) & (rho(t + arg) < rho(t + up)), up, arg)
+    return best, arg
+
+
+def looped_inverse(rho, t, target):
+    """The suite's numeric inverse of phi_t, by all 70 bisection steps."""
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, 200.0)
+    for _ in range(70):
+        mid = (lo + hi) / 2.0
+        below = looped_phi(rho, t, mid)[0] < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return (lo + hi) / 2.0
+
+
+def looped_phi_suite(rhos=None, samples=1000, seed=0, tol=1e-6) -> Verdict:
+    """``phisuite.run_phi_suite`` with one ``looped_phi`` evaluation per
+    property term and the full 70-step bisection: the reference the suite's
+    verdict must equal."""
+    rhos = rhos if rhos is not None else standard_rho_family()
+
+    def phi(rho, t, r):
+        return looped_phi(rho, t, r)[0]
+
+    items: list[CheckItem] = []
+    for rho in rhos:
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(0.0, 10.0, samples)
+        t2 = rng.uniform(0.0, 10.0, samples)
+        delta = rng.uniform(0.0, 10.0, samples)
+        r = rng.uniform(0.0, 100.0, samples)
+        r2 = rng.uniform(0.0, 100.0, samples)
+        lam = rng.uniform(0.0, 1.0, samples)
+        big_m = rng.uniform(1.0, 10.0, samples)
+        name = rho.literal()
+
+        t_lo = np.minimum(t, t2)
+        t_hi = np.maximum(t, t2)
+        r_lo = np.minimum(r, r2)
+        r_hi = np.maximum(r, r2)
+
+        margin = phi(rho, t_lo, r) + tol - phi(rho, t_hi, r)
+        items.append(_margin_item(f"{name}.monotone-in-t", margin, {"t": t_lo, "t2": t_hi, "r": r}))
+
+        r_up = r_lo + STRICT_GAP + (r_hi - r_lo)
+        lo_vals = phi(rho, t, r_lo)
+        up_vals = phi(rho, t, r_up)
+        items.append(_margin_item(f"{name}.strictly-increasing", up_vals - lo_vals,
+                                  {"t": t, "r": r_lo, "r2": r_up}, strict=True))
+
+        radii = 4.0 ** np.arange(GROWTH_EXPONENTS)
+        grid = phi(rho, t[:, None], radii[None, :])
+        steps = np.diff(grid, axis=1)
+        mono = bool((steps >= -1e-9).all())
+        grown = bool((grid.max(axis=1) > GROWTH_BOUND).all())
+        ok = mono and grown
+        items.append(CheckItem(f"{name}.unbounded-growth", ok,
+                               "" if ok else f"monotone={mono}, exceeded {GROWTH_BOUND}={grown}"))
+
+        lip = np.abs(phi(rho, t, r_hi) - phi(rho, t, r_lo))
+        allowed = (r_hi - r_lo) / np.maximum(rho(t), 1.0) + tol
+        items.append(_margin_item(f"{name}.lipschitz", allowed - lip, {"t": t, "r": r_lo, "r2": r_hi}))
+
+        if rho.proper:
+            found = np.zeros(samples, dtype=bool)
+            height = 1.0
+            while height <= DECAY_T_LIMIT and not found.all():
+                vals = phi(rho, np.full(samples, height), r)
+                found |= vals <= DECAY_TARGET
+                height *= 2.0
+            ok = bool(found.all())
+            items.append(CheckItem(f"{name}.decay-in-t", ok,
+                                   "" if ok else f"{int((~found).sum())} samples never reached {DECAY_TARGET}"))
+        else:
+            items.append(CheckItem(f"{name}.decay-in-t", True, "skipped: rho not proper"))
+
+        rec = looped_inverse(rho, t, phi(rho, t, r))
+        items.append(_margin_item(f"{name}.bijection", INVERSE_TOL - np.abs(rec - r), {"t": t, "r": r}))
+
+        mix = lam * r + (1.0 - lam) * r2
+        margin = phi(rho, t, mix) - (lam * phi(rho, t, r) + (1.0 - lam) * phi(rho, t, r2)) + tol
+        items.append(_margin_item(f"{name}.concave", margin, {"t": t, "r": r, "r2": r2, "lam": lam}))
+
+        sub = phi(rho, t, r) + phi(rho, t, r2) + tol - phi(rho, t, r + r2)
+        scal = big_m * phi(rho, t, r) + tol - phi(rho, t, big_m * r)
+        items.append(_margin_item(f"{name}.subadditive", np.minimum(sub, scal),
+                                  {"t": t, "r": r, "r2": r2, "M": big_m}))
+
+        margin = phi(rho, t + delta, r) + 2.0 * delta + tol - phi(rho, t, r)
+        items.append(_margin_item(f"{name}.shift-bound", margin, {"t": t, "delta": delta, "r": r}))
+    return verdict(items)
 
 
 def heap_chain_oracle(rho, y, a, b, waypoint_heights):

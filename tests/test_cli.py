@@ -80,6 +80,39 @@ def test_unreadable_input_file_exits_two(files, name, content):
     assert out.startswith("error: cannot read") and name in out
 
 
+NOT_FINITE = "structural error: rho parameters and breakpoints must be finite\n"
+INF_HEIGHT = "refused: phi needs finite heights t\n"
+
+
+@pytest.mark.parametrize(
+    "argv, out, code",
+    [
+        (["phi", "--rho", "const:nan", "--t", "0", "--r", "1"], NOT_FINITE, 2),
+        (["phi", "--rho", "step:0:nan", "--t", "0", "--r", "1"], NOT_FINITE, 2),
+        (["phi", "--rho", "affine:inf,0", "--t", "0", "--r", "1"], NOT_FINITE, 2),
+        (["phi", "--rho", "const:inf", "--t", "0", "--r", "inf"], NOT_FINITE, 2),
+        (["phi", "--rho", "const:inf", "--t", "0", "--r", "1"], NOT_FINITE, 2),
+        (["phi-suite", "--rho", "const:inf", "--samples", "10"], NOT_FINITE, 2),
+        (["phi", "--rho", "exp", "--t", "inf", "--r", "inf"], INF_HEIGHT, 1),
+        (["phi", "--rho", "exp", "--t", "inf", "--r", "1"], INF_HEIGHT, 1),
+        (["phi", "--rho", "affine:1,0", "--t", "inf", "--r", "inf"], INF_HEIGHT, 1),
+        (["cone-dist", "{fam}", "--rho", "exp", "--base-a", "a", "--height-a", "inf", "--base-b", "b", "--height-b", "0"],
+         "refused: cone heights must be finite\n", 1),
+    ],
+)
+def test_non_finite_rho_or_height_gives_no_traceback(files, argv, out, code):
+    save, _ = files
+    fam_path = save("fam.txt", "family F\nmember m\npoints a b\n1\n")
+    proc = run_child([fam_path if a == "{fam}" else a for a in argv])
+    assert (proc.stdout, proc.stderr, proc.returncode) == (out, "", code)
+
+
+def test_non_finite_rho_table_entry_exits_two(files):
+    save, _ = files
+    table_path = save("rho.txt", "0 1\ninf 2\n")
+    assert run(["phi", "--rho", f"table:{table_path}", "--t", "0", "--r", "1"]) == (NOT_FINITE, 2)
+
+
 @pytest.mark.parametrize("literal", ["affine:1", "step:1"])
 def test_malformed_rho_literal_exits_two(literal):
     out, code = run(["phi", "--rho", literal, "--t", "0", "--r", "1"])

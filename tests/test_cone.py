@@ -58,6 +58,14 @@ class TestPhi:
         with pytest.raises(PreconditionError):
             phi(EXP, 1.0, -1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_heights_rejected(self, t):
+        for rho in standard_rho_family():
+            with pytest.raises(PreconditionError, match="phi needs finite heights t"):
+                phi(rho, np.array([1.0, t]), 1.0)
+        with pytest.raises(PreconditionError, match="cone heights must be finite"):
+            ConePoint(0, t)
+
     def test_against_dense_scan(self):
         rng = np.random.default_rng(6)
         for rho in standard_rho_family():
@@ -244,6 +252,19 @@ class TestRhoPlumbing:
             RhoFunction.step(((2.0, 3.0), (1.0, 5.0)))
         with pytest.raises(StructuralError):
             RhoFunction.step(((0.0, 3.0), (1.0, 1.0)))
+
+    @pytest.mark.parametrize("build", [
+        lambda x: RhoFunction.constant(x),
+        lambda x: RhoFunction.affine(x, 0.0),
+        lambda x: RhoFunction.affine(1.0, x),
+        lambda x: RhoFunction.step(((0.0, x),)),
+        lambda x: RhoFunction.step(((0.0, 1.0), (x, 2.0))),
+        lambda x: RhoFunction.table(((0.0, 1.0), (1.0, x))),
+    ], ids=["const", "slope", "offset", "step-value", "step-break", "table-value"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, build, x):
+        with pytest.raises(StructuralError, match="must be finite"):
+            build(x)
 
     def test_rho_from_control_matches_definition(self):
         env = MonotoneEnvelope(((0.0, 0.0), (1.0, 2.0), (5.0, 9.0), (14.0, 40.0)))
