@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import math
 import re
 import sys
@@ -56,6 +55,8 @@ def _finish_verdict(report: Report, v: Verdict) -> int:
 
 
 def _emit_document(report: Report, args, text: str) -> None:
+    import hashlib  # only the emitting subcommands need it: kept off the import path
+
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

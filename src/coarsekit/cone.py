@@ -292,6 +292,8 @@ def chain_oracle(
     heights = sorted({float(h) for h in waypoint_heights})
     if any(h < 0 for h in heights):
         raise PreconditionError("waypoint heights must be >= 0")
+    if not np.isfinite(heights).all():
+        raise PreconditionError("waypoint heights must be finite")
     nodes: list[tuple[int, float]] = [(i, h) for h in heights for i in range(y.n)]
     start = (a.base, float(a.height))
     goal = (b.base, float(b.height))
@@ -324,6 +326,8 @@ def cone_sample(
     hs = sorted({float(h) for h in heights})
     if not hs:
         raise PreconditionError("cone sample needs at least one height")
+    if not np.isfinite(hs).all():
+        raise PreconditionError("cone heights must be finite")
     pts: list[tuple[int, float]] = [(i, h) for h in hs for i in range(y.n)]
     labels = tuple(f"{y.points[i]}@{fmt_num(h)}" for i, h in pts)
     t_of = np.array([h for _, h in pts])
@@ -338,11 +342,6 @@ def cone_sample(
             f"cone sample failed validation: {report.violations[0].detail}"
         )
     return space
-
-
-def sample_index(y: FiniteMetricSpace, heights, base: int, height: float) -> int:
-    hs = sorted({float(h) for h in heights})
-    return hs.index(float(height)) * y.n + base
 
 
 def theta_embedding(
@@ -420,39 +419,19 @@ def cone_extension(
         heights.append(float(h))
     height_set = sorted(set(heights) | {0.0})
     sample = cone_sample(rho, y, height_set, sample_id=f"C({y.id})|ext({space.id})")
-    assignment = tuple(
-        sample_index(y, height_set, image_of[nearest[i]], heights[i])
-        for i in range(space.n)
-    )
+    first = {h: k * y.n for k, h in enumerate(height_set)}  # index of (y_0, h)
+    assignment = tuple(first[heights[i]] + image_of[nearest[i]] for i in range(space.n))
     src = MetricFamily(space.id, (space,))
     tgt = MetricFamily(sample.id, (sample,))
     full_map = FamilyMap(src.id, tgt.id, (MapFunction(space.id, sample.id, assignment),))
     part = space.subspace(x0.indices, f"{space.id}|X0")
     part_family = MetricFamily(part.id, (part,))
-    restricted = FamilyMap(
-        part_family.id,
-        tgt.id,
-        (
-            MapFunction(
-                part.id,
-                sample.id,
-                tuple(assignment[i] for i in x0_list),
-            ),
-        ),
-    )
-    slice_map = FamilyMap(
-        part_family.id,
-        tgt.id,
-        (
-            MapFunction(
-                part.id,
-                sample.id,
-                tuple(
-                    sample_index(y, height_set, image_of[i], 0.0) for i in x0_list
-                ),
-            ),
-        ),
-    )
+
+    def part_map(images):
+        return FamilyMap(part_family.id, tgt.id, (MapFunction(part.id, sample.id, tuple(images)),))
+
+    restricted = part_map(assignment[i] for i in x0_list)
+    slice_map = part_map(first[0.0] + image_of[i] for i in x0_list)
     return ConeExtension(
         rho=rho,
         sample=sample,

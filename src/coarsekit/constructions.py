@@ -18,7 +18,6 @@ from .decomposition import (
     r_components,
 )
 from .errors import PreconditionError
-from .generators import star_space
 from .maps import FamilyMap, MapFunction
 from .metric import (
     FiniteMetricSpace,
@@ -116,6 +115,20 @@ def shell_sequence(
         shells.append(PointSubset(space.id, merged))
     covers = len(shells[-1]) == space.n
     return shells, covers
+
+
+def star_space(space_id: str, center: str, ray_ids, length: int) -> FiniteMetricSpace:
+    """Integer rays ``r<id>:1`` .. ``r<id>:<length>`` glued at a center point
+    (level 0): distance |m - m'| along one ray, m + m' across two rays."""
+    ray = np.repeat(np.arange(-1, len(ray_ids)), [1] + [length] * len(ray_ids))
+    level = np.concatenate(([0], np.tile(np.arange(1, length + 1), len(ray_ids))))
+    d = np.where(
+        ray[:, None] == ray[None, :],
+        np.abs(level[:, None] - level[None, :]),
+        level[:, None] + level[None, :],
+    )
+    labels = [center] + [f"r{rid}:{m}" for rid in ray_ids for m in range(1, length + 1)]
+    return FiniteMetricSpace(space_id, tuple(labels), d)
 
 
 @dataclass(frozen=True)

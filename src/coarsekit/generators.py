@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .constructions import star_space
 from .covers import (
     ANControlCertificate,
     ANEntry,
@@ -40,20 +41,6 @@ def integer_grid(w: int, h: int, space_id: str = "grid") -> FiniteMetricSpace:
     a = np.array(pts, dtype=np.float64)
     d = np.abs(a[:, None, :] - a[None, :, :]).sum(axis=2)
     return FiniteMetricSpace(space_id, tuple(f"{i},{j}" for i, j in pts), d)
-
-
-def star_space(space_id: str, center: str, ray_ids, length: int) -> FiniteMetricSpace:
-    """Integer rays ``r<id>:1`` .. ``r<id>:<length>`` glued at a center point
-    (level 0): distance |m - m'| along one ray, m + m' across two rays."""
-    ray = np.repeat(np.arange(-1, len(ray_ids)), [1] + [length] * len(ray_ids))
-    level = np.concatenate(([0], np.tile(np.arange(1, length + 1), len(ray_ids))))
-    d = np.where(
-        ray[:, None] == ray[None, :],
-        np.abs(level[:, None] - level[None, :]),
-        level[:, None] + level[None, :],
-    )
-    labels = [center] + [f"r{rid}:{m}" for rid in ray_ids for m in range(1, length + 1)]
-    return FiniteMetricSpace(space_id, tuple(labels), d)
 
 
 def star_tree(rays: int, length: int, space_id: str = "star") -> FiniteMetricSpace:

@@ -258,15 +258,21 @@ def _label_row(doc: _Doc, key: str, nhead: range, usage: str,
 
 # family documents
 
-def _block_rows(dist: np.ndarray) -> list[str]:
+def _block_rows(space: FiniteMetricSpace) -> list[str]:
     """A member's triangular block, each distinct value formatted once by
     ``fmt_num`` (-0.0 and 0.0 print alike, so ``np.unique`` may merge them).
-    Row i is the slice [i(i-1)/2, i(i+1)/2) of the lower triangle; rows are
-    joined one at a time, as all the indices at once make a Python int each."""
-    values, inverse = np.unique(dist[np.tri(len(dist), k=-1, dtype=bool)], return_inverse=True)
-    tokens = [fmt_num(v) for v in values.tolist()]
-    return [" ".join(map(tokens.__getitem__, inverse[i * (i - 1) // 2:i * (i + 1) // 2].tolist()))
-            for i in range(1, len(dist))]
+    Row i is the slice [i(i-1)/2, i(i+1)/2) of the lower triangle; each
+    row gathers its tokens from an object array in one indexing step.  Rows
+    are gathered one at a time: the whole triangle at once is slower and
+    holds an object array of every entry.  A NaN entry, which no reader
+    accepts, is refused."""
+    values, inverse = np.unique(space.dist[np.tri(space.n, k=-1, dtype=bool)],
+                                return_inverse=True)
+    if values.size and np.isnan(values[-1]):  # np.unique sorts NaN last
+        raise StructuralError(f"member {space.id!r} has a NaN distance, which a document cannot hold")
+    tokens = np.array([fmt_num(v) for v in values.tolist()], dtype=object)
+    return [" ".join(tokens[inverse[i * (i - 1) // 2:i * (i + 1) // 2]].tolist())
+            for i in range(1, space.n)]
 
 
 def write_family(family: MetricFamily) -> str:
@@ -274,7 +280,7 @@ def write_family(family: MetricFamily) -> str:
     for m in family.members:
         lines.append(f"member {m.id}" + (" pseudo" if m.pseudo else ""))
         lines.append("points " + " ".join(m.points))
-        lines.extend(_block_rows(m.dist))
+        lines.extend(_block_rows(m))
     return "\n".join(lines) + "\n"
 
 

@@ -440,14 +440,23 @@ def product(spaces: list[FiniteMetricSpace], p: float) -> FiniteMetricSpace:
     if not (p >= 1.0):
         raise PreconditionError(f"p = {p} is not a metric exponent (need p >= 1)")
     labels = tuple(",".join(c) for c in itertools.product(*(s.points for s in spaces)))
-    grid = np.indices([s.n for s in spaces])  # grid[f] holds factor f's index per point
-    stack = np.stack([s.dist[np.ix_(g.ravel(), g.ravel())] for s, g in zip(spaces, grid)])
-    if math.isinf(p):
-        d = stack.max(axis=0)
-    elif p == 1.0:
-        d = stack.sum(axis=0)
-    else:
-        d = (stack**p).sum(axis=0) ** (1.0 / p)
+    # Factor f's term spans axes f (row) and k + f (column) of a 2k-axis
+    # grid, so a row-major reshape of the folded grid is the N x N matrix.
+    # The terms fold left to right from the reduction's identity, as an
+    # axis-0 sum or max over stacked N x N matrices does (so a lone -0.0
+    # sums to 0.0); each partial result spans only the factors folded so
+    # far, and the last is the one N x N array.
+    k = len(spaces)
+    power = not (math.isinf(p) or p == 1.0)
+    op, acc = (np.maximum, -math.inf) if math.isinf(p) else (np.add, 0.0)
+    for f, s in enumerate(spaces):
+        shape = [1] * (2 * k)
+        shape[f] = shape[k + f] = s.n
+        term = s.dist.reshape(shape)
+        acc = op(acc, term**p if power else term)
+    d = acc.reshape(len(labels), len(labels))
+    if power:
+        d **= 1.0 / p
     pid = "x".join(s.id for s in spaces) + f"|l{p:g}"
     return FiniteMetricSpace(pid, labels, d, pseudo=any(s.pseudo for s in spaces))
 
@@ -476,8 +485,8 @@ def separation(
     ``itertools.combinations`` order, that is not r-separated, or None.
 
     A pair is not separated when the pieces share a point or lie at set
-    distance d <= r: separation is strict (> r), with no tolerance.  An
-    empty piece is separated from every piece.  The distances among all
+    distance d <= r or NaN: separation is strict (> r), with no tolerance.
+    An empty piece is separated from every piece.  The distances among all
     pieces' points are gathered once and min-reduced per piece, first over
     rows, then over columns; a point shared by two pieces shows up as equal
     neighbours once the gathered points are sorted.
@@ -496,7 +505,7 @@ def separation(
         sub = np.minimum.reduceat(rows, starts, axis=1)
         f = np.array(full)
         dist[f[:, None], f] = sub
-        bad[f[:, None], f] = sub <= r
+        bad[f[:, None], f] = ~(sub > r)  # a NaN distance separates nothing
         order = np.argsort(idx, kind="stable")
         shared = idx[order][1:] == idx[order][:-1]
         if shared.any():

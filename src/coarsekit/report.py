@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 
 def fmt_num(v) -> str:
-    """Integers without a trailing .0, floats via repr, explicit inf sentinel."""
+    """Integers without a trailing .0, floats via repr, explicit inf and nan."""
     f = float(v)
-    if math.isinf(f):
-        return "inf" if f > 0 else "-inf"
+    if not math.isfinite(f):
+        return repr(f)
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return repr(f)

@@ -880,9 +880,11 @@ def looped_greedy_search(space, r, n, leaf_bound):
     return coloring
 
 
-def run_child(argv):
-    """The CLI in a child process, with its stdout, stderr and exit code."""
+def run_child(argv, entry=("-m", "coarsekit.cli")):
+    """The CLI, or with ``entry=("-c", code)`` a script, in a child process
+    that imports this checkout's coarsekit, with its stdout, stderr and
+    exit code."""
     src = str(Path(coarsekit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "coarsekit.cli", *argv],
+    return subprocess.run([sys.executable, *entry, *argv],
                           capture_output=True, text=True, env=env, timeout=60)

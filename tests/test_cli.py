@@ -107,6 +107,14 @@ def test_non_finite_rho_or_height_gives_no_traceback(files, argv, out, code):
     assert (proc.stdout, proc.stderr, proc.returncode) == (out, "", code)
 
 
+def test_importing_the_cli_leaves_the_generators_unloaded():
+    code = "import sys, coarsekit.cli; print(*sorted(m for m in sys.modules if 'coarsekit' in m))"
+    proc = run_child([], entry=("-c", code))
+    assert (proc.stderr, proc.returncode) == ("", 0)
+    assert "coarsekit.cli" in proc.stdout.split()
+    assert "coarsekit.generators" not in proc.stdout.split()
+
+
 def test_non_finite_rho_table_entry_exits_two(files):
     save, _ = files
     table_path = save("rho.txt", "0 1\ninf 2\n")

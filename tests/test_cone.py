@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from coarsekit.cone import (
     chain_oracle,
     cone_distance,
     cone_extension,
+    cone_sample,
     minimizer_height,
     parse_rho,
     phi,
@@ -65,6 +67,13 @@ class TestPhi:
                 phi(rho, np.array([1.0, t]), 1.0)
         with pytest.raises(PreconditionError, match="cone heights must be finite"):
             ConePoint(0, t)
+        y = line_space([0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NumPy RuntimeWarning on the way
+            with pytest.raises(PreconditionError, match="waypoint heights must be finite"):
+                chain_oracle(EXP, y, ConePoint(0, 0.0), ConePoint(1, 1.0), [1.0, t])
+            with pytest.raises(PreconditionError, match="cone heights must be finite"):
+                cone_sample(EXP, y, [1.0, t])
 
     def test_against_dense_scan(self):
         rng = np.random.default_rng(6)

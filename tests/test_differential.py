@@ -446,12 +446,13 @@ def test_envelope_passes_match_the_dict_loops(case):
 
 @st.composite
 def product_factors(draw):
-    """One to three spaces of 0 to 4 points with fractional entries, some
-    pseudo."""
+    """One to four spaces of 0 to 4 points with fractional, -0.0 and inf
+    entries, some pseudo."""
     factors = []
-    for f in range(draw(st.integers(1, 3))):
+    values = st.one_of(st.floats(0, 100, allow_nan=False).map(lambda v: round(v, 3)),
+                       st.sampled_from([-0.0, math.inf]))
+    for f in range(draw(st.integers(1, 4))):
         n = draw(st.integers(0, 4))
-        values = st.floats(0, 100, allow_nan=False).map(lambda v: round(v, 3))
         factors.append(FiniteMetricSpace(f"f{f}", tuple(f"{chr(97 + f)}{i}" for i in range(n)),
                                          _matrix(draw, n, values).reshape(n, n),
                                          pseudo=draw(st.booleans())))
@@ -459,9 +460,29 @@ def product_factors(draw):
 
 
 @SETTINGS
-@given(product_factors(), st.sampled_from([1.0, 2.0, 3.5, math.inf]))
+@given(product_factors(), st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
 def test_product_grid_matches_the_combo_list(factors, p):
-    assert product(factors, p) == looped_product(factors, p)
+    got, want = product(factors, p), looped_product(factors, p)
+    assert (got.id, got.points, got.pseudo) == (want.id, want.points, want.pseudo)
+    assert got.dist.shape == want.dist.shape
+    assert got.dist.tobytes() == want.dist.tobytes()
+
+
+@pytest.mark.parametrize("sizes, p", [((18, 30), 2.0), ((1, 1, 1), math.inf)])
+def test_product_member_block_matches_row_writer(sizes, p):
+    """A 540-point l2 product (fractional rows, -0.0 and inf entries) and a
+    1-point product (no rows) are written as the row writer writes them."""
+    rng = np.random.default_rng(20)
+    factors = []
+    for f, n in enumerate(sizes):
+        d = np.round(rng.random((n, n)) * 9, 2)
+        d[rng.random((n, n)) < 0.1] = -0.0
+        d[rng.random((n, n)) < 0.02] = math.inf
+        d = np.triu(d, 1)
+        d = np.where(np.tri(n, dtype=bool), d.T, d)
+        factors.append(FiniteMetricSpace(f"f{f}", tuple(f"{chr(97 + f)}{i}" for i in range(n)), d))
+    fam = MetricFamily("F|product", (product(factors, p),))
+    assert write_family(fam) == looped_write_family(fam)
 
 
 @st.composite

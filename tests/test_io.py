@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from coarsekit.decomposition import DecompositionCertificate
-from coarsekit.errors import ParseError
+from coarsekit.errors import ParseError, StructuralError
 from coarsekit.generators import (
     grid_projection_fixture,
     path_an_certificate,
@@ -108,6 +110,14 @@ def test_write_family_matches_fmt_num_per_entry():
     assert rows[:3] == ["7", "0 3", "999999999999999 2 0"]
     header = "family f\nmember m\npoints " + " ".join(fam.members[0].points) + "\n"
     assert write_family(fam) == header + "\n".join(rows) + "\n"
+
+
+def test_write_family_refuses_a_nan_entry():
+    assert fmt_num(math.nan) == "nan"
+    d = np.array([[0.0, 1.0, math.nan], [1.0, 0.0, 1.0], [math.nan, 1.0, 0.0]])
+    fam = MetricFamily("f", (FiniteMetricSpace("m", ("a", "b", "c"), d),))
+    with pytest.raises(StructuralError, match="member 'm' has a NaN distance"):
+        write_family(fam)
 
 
 def test_comments_and_blank_lines_ignored():

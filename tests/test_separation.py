@@ -47,6 +47,21 @@ def test_check_decomposition_refuses_tie(r, failures):
     assert [(i.path, i.detail) for i in v.failures] == failures
 
 
+def test_nan_distance_separates_nothing():
+    # d(a, c) is NaN: {a} and {c} are not separated, and the failure of
+    # {a, b} and {b, c} (which share b, at NaN set distance) is reported
+    d = np.array([[0.0, 1.0, math.nan], [1.0, 0.0, 1.0], [math.nan, 1.0, 0.0]])
+    space = FiniteMetricSpace("s", ("a", "b", "c"), d)
+    a, c = PointSubset("s", (0,)), PointSubset("s", (2,))
+    assert separation(space, [a, c], 0.5)[1] == (0, 1)
+    pieces = (PointSubset("s", (0, 1)), PointSubset("s", (1, 2)))
+    cert = DecompositionCertificate("F", 0.5, 0, (MemberDecomposition("s", (pieces,)),),
+                                    leaf_bound=5.0)
+    v = check_decomposition(cert, MetricFamily("F", (space,)))
+    assert [(i.path, i.detail) for i in v.failures] == [
+        ("s.color0.disjoint", "pieces at distance nan <= r = 0.5")]
+
+
 @pytest.mark.parametrize("colors, failure", [
     ((0, 0), ("entry0.p.disjoint.color0", "elements at distance 1 <= R = 1")),
     (None, ("entry0.p.colors", "uncolored cover not greedily 1-colorable at R = 1")),
