@@ -406,6 +406,18 @@ def count(text: str) -> int:
     return value
 
 
+def positive_count(text: str) -> int:
+    """The ``--samples`` count, which is also not 0; a malformed literal
+    gets the same message as any other count option."""
+    try:
+        value = count(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count value: {text!r}") from None
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"count below 1: {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -502,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phi-suite", parents=[common], help="randomized phi property suite")
     p.add_argument("--rho", action="append", default=None)
-    p.add_argument("--samples", type=count, default=1000)
+    p.add_argument("--samples", type=positive_count, default=1000)
     p.set_defaults(fn=cmd_phi_suite)
 
     p = sub.add_parser("cone-dist", parents=[common], help="cone distance between two cone points")

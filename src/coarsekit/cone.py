@@ -22,6 +22,17 @@ exactly, up to floating-point rounding, at a few candidate points u:
   minimum sits at u = 0 or where u + t reaches a breakpoint.
 
 Only ``phi_with_argmin`` builds the minimizer u*.
+
+Each candidate increases in r, so phi_t is inverted in closed form: the
+largest r with phi_t(r) <= y is the largest of the candidates' inverses,
+sup over u of (y - 2u) max(rho(u + t), 1) (``_phi_inverse``):
+
+- u = 0: y max(rho(t), 1);
+- step and table: w_k (y - 2 u_k) at each breakpoint, with
+  u_k = max(s_k - t, 0) and w_k = max(v_k, 1);
+- affine: (M / 2)(y / 2 + t + L / M)^2 where its maximizer
+  u* = y / 4 - (t + L / M) / 2 is >= 0;
+- exp: 2 e^{y/2 - 1 + t} where u* = y / 2 - 1 is >= 0.
 """
 
 from __future__ import annotations
@@ -179,7 +190,7 @@ def _phi_arrays(rho: RhoFunction, t, r, argmin: bool = False):
     """The exact infimum and, with ``argmin``, a minimizer u* (else None),
     vectorized; t and r broadcast together."""
     t, r = np.broadcast_arrays(np.asarray(t, dtype=np.float64), np.asarray(r, dtype=np.float64))
-    if (t < 0).any() or (r < 0).any():
+    if (t < 0).any() or not (r >= 0).all():  # a nan radius is refused too
         raise PreconditionError("phi needs t >= 0 and r >= 0")
     if not np.isfinite(t).all():
         raise PreconditionError("phi needs finite heights t")
@@ -228,6 +239,28 @@ def _phi_arrays(rho: RhoFunction, t, r, argmin: bool = False):
     return best, arg
 
 
+def _phi_inverse(rho: RhoFunction, t, y):
+    """The largest r with phi_t(r) <= y, vectorized: the largest of the
+    candidates' inverses (see the module docstring).  Where phi_t is flat
+    this is the upper end of the flat piece."""
+    t, y = np.broadcast_arrays(np.asarray(t, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = y * np.maximum(rho(t), 1.0)  # u = 0
+        if rho.kind == "exp":
+            best = np.maximum(best, np.where(y >= 2.0, 2.0 * np.exp(y / 2.0 - 1.0 + t), 0.0))
+        elif rho.kind == "affine" and rho.params[0] > 0.0:
+            # (y - 2u)(M (u + t) + L) is concave in u.  Where u* < 0 its best
+            # u >= 0 is u = 0; where rho(u* + t) < 1 its value at u* is below
+            # y - 2u* <= y, so it never wins and needs no clip
+            slope, offset = rho.params
+            c = t + offset / slope
+            best = np.maximum(best, np.where(y >= 2.0 * c, slope / 2.0 * (y / 2.0 + c) ** 2, 0.0))
+        elif rho.kind in ("step", "table"):
+            u = np.maximum(rho._ss - t[..., None], 0.0)
+            best = np.maximum(best, (np.maximum(rho._vs, 1.0) * (y[..., None] - 2.0 * u)).max(axis=-1))
+    return best
+
+
 def phi_with_argmin(rho: RhoFunction, t, r):
     """phi and a minimizer u* >= 0 of 2u + r / max(rho(u + t), 1)."""
     val, arg = _phi_arrays(rho, t, r, argmin=True)
@@ -263,13 +296,6 @@ def cone_distance(rho: RhoFunction, y: FiniteMetricSpace, a: ConePoint, b: ConeP
     tmax = max(a.height, b.height)
     horizontal = phi(rho, tmax, float(y.dist[a.base, b.base]))
     return float(horizontal) + abs(a.height - b.height)
-
-
-def minimizer_height(rho: RhoFunction, a: ConePoint, b: ConePoint, d_base: float) -> float:
-    """Height max(t, t') + u* where u* attains the phi infimum."""
-    tmax = max(a.height, b.height)
-    _, u = phi_with_argmin(rho, tmax, d_base)
-    return tmax + u
 
 
 def chain_oracle(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covers import (
-    AsdimCertificate, Cover, check_asdim_certificate, greedy_color, multiplicity, validate_cover,
+    AsdimCertificate, Cover, check_asdim_certificate, greedy_color, multiplicity,
 )
 from .errors import PreconditionError, StructuralError
 from .maps import FamilyMap, MapFunction, preimage_family, validate_map
@@ -418,29 +418,6 @@ def _greedy_search(
     if (d[owner[:, None] == owner] > leaf_bound).any():
         return None
     return np.array(colored.colors, dtype=int)[owner].tolist()
-
-
-def decomposition_to_cover(
-    cert: DecompositionCertificate, member: FiniteMetricSpace
-) -> Cover:
-    """All pieces of one member as a colored cover: dimension <= n, mesh
-    bounded by the leaf bound when the certificate is a leaf.  The
-    certificate must list the member exactly once, and its pieces must
-    cover it."""
-    entries = [e for e in cert.members if e.member_id == member.id]
-    if not entries:
-        raise StructuralError(f"certificate has no entry for {member.id!r}")
-    if len(entries) > 1:
-        raise StructuralError(f"certificate lists member {member.id!r} more than once")
-    elements: list[PointSubset] = []
-    colors: list[int] = []
-    for color, group in enumerate(entries[0].pieces):
-        for piece in group:
-            elements.append(piece)
-            colors.append(color)
-    cover = Cover(member.id, tuple(elements), tuple(colors))
-    validate_cover(cover, member)
-    return cover
 
 
 def _ranges(indices: tuple[int, ...]) -> str:

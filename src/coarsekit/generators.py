@@ -160,21 +160,6 @@ def path_decomposition(space: FiniteMetricSpace, r: int) -> DecompositionCertifi
     )
 
 
-def path_multiplicity_cover(space: FiniteMetricSpace) -> Cover:
-    """Three 1-disjoint colors of length-3 intervals with stride 4 and
-    per-color offsets: every point lies in at least two elements."""
-    elements, colors = [], []
-    for c in range(3):
-        k = -1
-        while 4 * k + c < space.n:
-            el = _clipped_interval(space, 4 * k + c, 4 * k + c + 2)
-            if el is not None:
-                elements.append(el)
-                colors.append(c)
-            k += 1
-    return Cover(space.id, tuple(elements), tuple(colors))
-
-
 def _strip_decomposition(
     member: FiniteMetricSpace, grid_cols: int, r: int
 ) -> MemberDecomposition:

@@ -254,10 +254,3 @@ def compose(map_f: FamilyMap, map_g: FamilyMap) -> FamilyMap:
                     )
                 )
     return FamilyMap(map_f.source, map_g.target, tuple(fns))
-
-
-def identity_map(family: MetricFamily) -> FamilyMap:
-    fns = tuple(
-        MapFunction(m.id, m.id, tuple(range(m.n))) for m in family.members
-    )
-    return FamilyMap(family.id, family.id, fns)

@@ -21,9 +21,11 @@ import numpy as np
 
 import coarsekit
 
+from coarsekit.cone import phi_with_argmin
 from coarsekit.covers import Cover, greedy_color, validate_cover
 from coarsekit.errors import ParseError, PreconditionError, StructuralError
-from coarsekit.maps import MonotoneEnvelope, validate_map
+from coarsekit.generators import _clipped_interval
+from coarsekit.maps import FamilyMap, MapFunction, MonotoneEnvelope, validate_map
 from coarsekit.metric import (
     FiniteMetricSpace,
     GroupAction,
@@ -316,6 +318,47 @@ def coloring_of(cert, npts):
     return coloring
 
 
+def path_multiplicity_cover(space: FiniteMetricSpace) -> Cover:
+    """Three 1-disjoint colors of length-3 intervals with stride 4 and
+    per-color offsets: every point lies in at least two elements."""
+    elements, colors = [], []
+    for c in range(3):
+        k = -1
+        while 4 * k + c < space.n:
+            el = _clipped_interval(space, 4 * k + c, 4 * k + c + 2)
+            if el is not None:
+                elements.append(el)
+                colors.append(c)
+            k += 1
+    return Cover(space.id, tuple(elements), tuple(colors))
+
+
+def decomposition_to_cover(cert, member: FiniteMetricSpace) -> Cover:
+    """All pieces of one member as a colored cover: dimension <= n, mesh
+    bounded by the leaf bound when the certificate is a leaf.  The
+    certificate must list the member exactly once, and its pieces must
+    cover it."""
+    entries = [e for e in cert.members if e.member_id == member.id]
+    if not entries:
+        raise StructuralError(f"certificate has no entry for {member.id!r}")
+    if len(entries) > 1:
+        raise StructuralError(f"certificate lists member {member.id!r} more than once")
+    elements: list[PointSubset] = []
+    colors: list[int] = []
+    for color, group in enumerate(entries[0].pieces):
+        for piece in group:
+            elements.append(piece)
+            colors.append(color)
+    cover = Cover(member.id, tuple(elements), tuple(colors))
+    validate_cover(cover, member)
+    return cover
+
+
+def identity_map(family: MetricFamily) -> FamilyMap:
+    fns = tuple(MapFunction(m.id, m.id, tuple(range(m.n))) for m in family.members)
+    return FamilyMap(family.id, family.id, fns)
+
+
 def subset_diameter(space: FiniteMetricSpace, a: PointSubset) -> float:
     if not a.indices:
         return 0.0
@@ -454,6 +497,13 @@ def looped_phi(rho, t, r):
         up = np.nextafter(arg, np.inf)
         arg = np.where((arg > 0.0) & (rho(t + arg) < rho(t + up)), up, arg)
     return best, arg
+
+
+def minimizer_height(rho, a, b, d_base: float) -> float:
+    """Height max(t, t') + u* where u* attains the phi infimum."""
+    tmax = max(a.height, b.height)
+    _, u = phi_with_argmin(rho, tmax, d_base)
+    return tmax + u
 
 
 def looped_inverse(rho, t, target):

@@ -23,7 +23,6 @@ from coarsekit.cone import (
     ConePoint,
     chain_oracle,
     cone_distance,
-    minimizer_height,
     phi_closed_exp,
 )
 from coarsekit.constructions import (
@@ -78,6 +77,7 @@ from support import (
     family_of,
     integer_points_space,
     line_space,
+    minimizer_height,
     numeric_phi,
     random_cover_sets,
     random_symmetric_matrix,

@@ -406,12 +406,13 @@ NAN = "invalid number value: 'nan'"
         (["product", "{fam}", "--p", "nan"], "--p", "invalid exponent value: 'nan'"),
         (["phi-suite", "--samples", "-5"], "--samples", "invalid count value: '-5'"),
         (["phi-suite", "--samples", "2.5"], "--samples", "invalid count value: '2.5'"),
+        (["phi-suite", "--samples", "0"], "--samples", "count below 1: '0'"),
         (["phi-suite", "--seed", "-1"], "--seed", "invalid count value: '-1'"),
     ],
     ids=["tolerance", "tolerance-negative", "tolerance-negative-exponent",
          "components-tolerance-negative", "components-r",
          "decompose-r", "bound", "t", "phi-r", "height-a", "height-b", "p", "p-nan", "samples",
-         "samples-float", "seed"],
+         "samples-float", "samples-zero", "seed"],
 )
 def test_malformed_numeric_option_is_a_usage_error(files, argv, option, message):
     save, _ = files

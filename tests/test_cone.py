@@ -11,7 +11,6 @@ from coarsekit.cone import (
     cone_distance,
     cone_extension,
     cone_sample,
-    minimizer_height,
     parse_rho,
     phi,
     phi_closed_exp,
@@ -27,7 +26,7 @@ from coarsekit.maps import (
 )
 from coarsekit.metric import PointSubset
 from coarsekit.phisuite import run_phi_suite, standard_rho_family
-from support import integer_points_space, line_space, numeric_phi
+from support import integer_points_space, line_space, minimizer_height, numeric_phi
 
 
 EXP = RhoFunction.exponential()
@@ -59,6 +58,16 @@ class TestPhi:
             phi(EXP, -1.0, 1.0)
         with pytest.raises(PreconditionError):
             phi(EXP, 1.0, -1.0)
+
+    def test_nan_radius_rejected(self):
+        # every kind is in the standard family; inf stays a valid radius
+        for rho in standard_rho_family():
+            for call in (phi, phi_with_argmin):
+                with pytest.raises(PreconditionError, match="phi needs t >= 0 and r >= 0"):
+                    call(rho, 1.0, math.nan)
+                with pytest.raises(PreconditionError, match="phi needs t >= 0 and r >= 0"):
+                    call(rho, np.array([1.0, 2.0]), np.array([3.0, math.nan]))
+            assert phi(rho, 1.0, math.inf) == math.inf
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_heights_rejected(self, t):
@@ -285,3 +294,9 @@ class TestRhoPlumbing:
 def test_phi_suite_smoke():
     v = run_phi_suite(samples=60, seed=1)
     assert v.passed, [i.path + ": " + i.detail for i in v.failures]
+
+
+def test_phi_suite_refuses_an_empty_sample():
+    # with nothing sampled every margin check is over an empty array
+    with pytest.raises(PreconditionError, match="at least one sample"):
+        run_phi_suite(samples=0)

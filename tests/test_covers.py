@@ -26,7 +26,6 @@ from coarsekit.errors import PreconditionError, StructuralError
 from coarsekit.generators import (
     path_an_certificate,
     path_asdim_certificate,
-    path_multiplicity_cover,
     star_an_certificate,
     star_tree,
     unit_path,
@@ -47,6 +46,7 @@ from support import (
     line_space,
     looped_best_reach,
     looped_cover_stats,
+    path_multiplicity_cover,
     random_cover_sets,
     space_from_matrix,
 )

@@ -9,7 +9,6 @@ from coarsekit.decomposition import (
     ball_preimage_family,
     check_decomposition,
     check_fibering_witness,
-    decomposition_to_cover,
     piece_family,
     r_components,
     search_decomposition,
@@ -35,6 +34,7 @@ from support import (
     brute_force_decomposable,
     closure_blocks,
     coloring_of,
+    decomposition_to_cover,
     family_of,
     integer_points_space,
     l1_points_space,

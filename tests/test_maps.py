@@ -11,7 +11,6 @@ from coarsekit.maps import (
     closeness_constant,
     compose,
     control_envelope,
-    identity_map,
     is_coarsely_onto,
     looks_non_proper,
     preimage_family,
@@ -19,7 +18,7 @@ from coarsekit.maps import (
     validate_map,
 )
 from coarsekit.metric import PointSubset
-from support import family_of, integer_points_space, line_space
+from support import family_of, identity_map, integer_points_space, line_space
 
 
 def doubling_fixture():

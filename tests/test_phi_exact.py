@@ -6,15 +6,18 @@ Exact phi is compared with the numeric line search in support.py
 minimizer ``phi_with_argmin`` returns must attain the value; ``phi`` and
 ``phi_with_argmin`` must match the full-scan kernel ``looped_phi`` bit for
 bit at every shape; the suite's verdict must equal ``looped_phi_suite``'s,
-and its bisection the 70-step loop; the dense Dijkstra of ``chain_oracle``
-must agree with the heap Dijkstra (``heap_chain_oracle``).
+its bisection the 70-step loop, and the closed-form inverse the bisection's
+pass or fail; the dense Dijkstra of ``chain_oracle`` must agree with the
+heap Dijkstra (``heap_chain_oracle``).
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coarsekit.cone import ConePoint, RhoFunction, chain_oracle, phi, phi_with_argmin
-from coarsekit.phisuite import _bisect_inverse, run_phi_suite, standard_rho_family
+from coarsekit import phisuite
+from coarsekit.cone import ConePoint, RhoFunction, _phi_inverse, chain_oracle, phi, phi_with_argmin
+from coarsekit.phisuite import INVERSE_TOL, _bisect_inverse, run_phi_suite, standard_rho_family
 from support import (
     heap_chain_oracle,
     integer_points_space,
@@ -164,6 +167,34 @@ def test_bisection_recovers_the_70_step_result(rho, seed, samples):
     r = rng.uniform(0.0, 100.0, samples)
     target = phi(rho, t, r)
     assert bits(_bisect_inverse(rho, t, target)) == bits(looped_inverse(rho, t, target))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.one_of(ALL_RHOS, st.sampled_from([JUMP, ROUNDING_CASE[0]])),
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 17, 1000]))
+@example(JUMP, 5, 1000)
+def test_closed_form_inverse_agrees_with_the_bisection(rho, seed, samples):
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 10.0, samples)
+    r = rng.uniform(0.0, 100.0, samples)
+    target = phi(rho, t, r)
+    rec = _phi_inverse(rho, t, target)
+
+    def recovers(inverse):
+        return bool((INVERSE_TOL - np.abs(inverse - r) >= 0).all())
+
+    # on JUMP's flat pieces both fail, at different worst margins
+    assert recovers(rec) == recovers(looped_inverse(rho, t, target))
+    assert np.allclose(phi(rho, t, rec), target, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, 13, 40])
+def test_standard_family_never_bisects(monkeypatch, seed):
+    def refuse(*_):
+        raise AssertionError("the bisection ran")
+
+    monkeypatch.setattr(phisuite, "_bisect_inverse", refuse)
+    assert run_phi_suite(seed=seed).passed
 
 
 @SETTINGS
