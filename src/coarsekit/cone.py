@@ -21,8 +21,6 @@ exactly, up to floating-point rounding, at a few candidate points u:
 - step and table: the objective grows on each constant piece, so the
   minimum sits at u = 0 or where u + t reaches a breakpoint.
 
-Only ``phi_with_argmin`` builds the minimizer u*.
-
 Each candidate increases in r, so phi_t is inverted in closed form: the
 largest r with phi_t(r) <= y is the largest of the candidates' inverses,
 sup over u of (y - 2u) max(rho(u + t), 1) (``_phi_inverse``):
@@ -116,7 +114,8 @@ class RhoFunction:
         if self.kind == "const":
             out = np.full_like(a, self.params[0])
         elif self.kind == "affine":
-            out = self.params[0] * a + self.params[1]
+            with np.errstate(over="ignore"):
+                out = self.params[0] * a + self.params[1]  # inf beyond float range, as for exp
         elif self.kind == "exp":
             with np.errstate(over="ignore"):
                 out = np.exp(a)  # inf beyond float range is the right limit here
@@ -186,9 +185,8 @@ class ConePoint:
             raise PreconditionError("cone heights must be finite")
 
 
-def _phi_arrays(rho: RhoFunction, t, r, argmin: bool = False):
-    """The exact infimum and, with ``argmin``, a minimizer u* (else None),
-    vectorized; t and r broadcast together."""
+def _phi_arrays(rho: RhoFunction, t, r):
+    """The exact infimum, vectorized; t and r broadcast together."""
     t, r = np.broadcast_arrays(np.asarray(t, dtype=np.float64), np.asarray(r, dtype=np.float64))
     if (t < 0).any() or not (r >= 0).all():  # a nan radius is refused too
         raise PreconditionError("phi needs t >= 0 and r >= 0")
@@ -200,43 +198,33 @@ def _phi_arrays(rho: RhoFunction, t, r, argmin: bool = False):
         with np.errstate(over="ignore", invalid="ignore"):
             linear = r < 2.0 * np.exp(t)
             u_star = np.log(np.maximum(r, 1e-300) / 2.0) - t
-            best = np.where(linear, np.exp(-t) * r, 2.0 * u_star + 2.0)
-        # 2 e^t can round below r while ln(r / 2) < t: u* is then just under 0
-        return best, np.where(linear, 0.0, np.maximum(u_star, 0.0)) if argmin else None
-
-    best = r / np.maximum(rho(t), 1.0)  # u = 0
-    arg = np.zeros_like(best) if argmin else None
-
-    def consider(u, val):
-        nonlocal best, arg
-        better = val < best  # a nan candidate (inf / inf) is never taken
-        best = np.where(better, val, best)
-        if argmin:
-            arg = np.where(better, u, arg)
+            return np.where(linear, np.exp(-t) * r, 2.0 * u_star + 2.0)
 
     if rho.kind == "affine" and rho.params[0] > 0.0:
         # 2u + r / (M (u + t) + L) is convex, stationary where M (u + t) + L =
         # sqrt(r M / 2).  While rho(u + t) <= 1 the objective is 2u + r, never
         # below its value at u = 0, so a stationary point there cannot win.
         # A tiny M overflows u to inf, and r = inf makes the value inf / inf =
-        # nan: neither is ever below best.
+        # nan: neither is ever below best.  A huge M overflows rho(t) to inf,
+        # where r = inf at u = 0 is inf / inf too: phi_t(inf) = inf.
         slope, offset = rho.params
         with np.errstate(over="ignore", invalid="ignore"):
+            best = np.where(r == np.inf, r, r / np.maximum(rho(t), 1.0))  # u = 0
             u = np.maximum(0.0, (np.sqrt(r * slope / 2.0) - offset) / slope - t)
-            consider(u, 2.0 * u + r / np.maximum(rho(u + t), 1.0))
-    elif rho.kind in ("step", "table"):
-        for s, v in rho.breaks:
-            u = np.maximum(s - t, 0.0)  # s <= t: r / max(v, 1) >= best, as v <= rho(t)
-            twice = 2.0 * u
-            if (twice >= best).all():  # u grows with s: no later 2u + r / w is below best
-                break
-            consider(u, twice + r / max(v, 1.0))
-        if argmin:
-            # t + (s - t) can round to just below s: step such a minimizer
-            # up one ulp, so that rho(t + u*) is the breakpoint's value
-            up = np.nextafter(arg, np.inf)
-            arg = np.where((arg > 0.0) & (rho(t + arg) < rho(t + up)), up, arg)
-    return best, arg
+            val = 2.0 * u + r / np.maximum(rho(u + t), 1.0)
+            return np.where(val < best, val, best)
+
+    best = r / np.maximum(rho(t), 1.0)  # u = 0
+    if rho.kind in ("step", "table"):
+        with np.errstate(over="ignore"):  # 2u beyond float range is inf, never below best
+            for s, v in rho.breaks:
+                u = np.maximum(s - t, 0.0)  # s <= t: r / max(v, 1) >= best, as v <= rho(t)
+                twice = 2.0 * u
+                if (twice >= best).all():  # u grows with s: no later 2u + r / w is below best
+                    break
+                val = twice + r / max(v, 1.0)
+                best = np.where(val < best, val, best)
+    return best
 
 
 def _phi_inverse(rho: RhoFunction, t, y):
@@ -261,20 +249,12 @@ def _phi_inverse(rho: RhoFunction, t, y):
     return best
 
 
-def phi_with_argmin(rho: RhoFunction, t, r):
-    """phi and a minimizer u* >= 0 of 2u + r / max(rho(u + t), 1)."""
-    val, arg = _phi_arrays(rho, t, r, argmin=True)
-    if np.isscalar(t) and np.isscalar(r):
-        return float(val), float(arg)
-    return val, arg
-
-
 def phi(rho: RhoFunction, t, r):
     """The infimum of 2u + r / max(rho(u + t), 1) over u >= 0, exact up to
     floating-point rounding for every supported rho (see the module
     docstring).  Accepts scalars or broadcastable arrays.
     """
-    val, _ = _phi_arrays(rho, t, r)
+    val = _phi_arrays(rho, t, r)
     return float(val) if np.isscalar(t) and np.isscalar(r) else val
 
 

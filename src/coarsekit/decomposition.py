@@ -524,7 +524,7 @@ def check_fibering_witness(
     return verdict(items)
 
 
-def largest_certified_radius(witness: FiberingWitness, v: Verdict) -> float:
+def largest_certified_radius(v: Verdict) -> float:
     best = -math.inf
     for item in v.items:
         if item.path.startswith("radius") and item.passed:

@@ -45,10 +45,6 @@ def verdict(items: list[CheckItem]) -> Verdict:
     return Verdict(tuple(items))
 
 
-def single(path: str, passed: bool, detail: str = "") -> Verdict:
-    return Verdict((CheckItem(path, passed, detail),))
-
-
 @dataclass
 class Report:
     """Accumulates machine key=value pairs and human-readable text lines."""

@@ -21,7 +21,6 @@ import numpy as np
 
 import coarsekit
 
-from coarsekit.cone import phi_with_argmin
 from coarsekit.covers import Cover, greedy_color, validate_cover
 from coarsekit.errors import ParseError, PreconditionError, StructuralError
 from coarsekit.generators import _clipped_interval
@@ -464,8 +463,11 @@ def numeric_phi(rho, t, r, u_tol=1e-9):
 def looped_phi(rho, t, r):
     """The exact infimum and a minimizer u*, vectorized, by one pass over
     every candidate with the minimizer kept throughout: the reference for
-    ``cone.phi`` and ``cone.phi_with_argmin``, which must match it bit for
-    bit.  Step and table rho visit every breakpoint, with no early stop."""
+    ``cone.phi``, which must match its value bit for bit, and the one place
+    the minimizer is built.  Step and table rho visit every breakpoint, with
+    no early stop; a minimizer that t + (s - t) rounds to just below its
+    breakpoint is stepped up one ulp, so that rho(t + u*) is the
+    breakpoint's value."""
     t, r = np.broadcast_arrays(np.asarray(t, dtype=np.float64), np.asarray(r, dtype=np.float64))
     if (t < 0).any() or (r < 0).any():
         raise PreconditionError("phi needs t >= 0 and r >= 0")
@@ -476,7 +478,8 @@ def looped_phi(rho, t, r):
             best = np.where(linear, np.exp(-t) * r, 2.0 * u_star + 2.0)
         return best, np.where(linear, 0.0, np.maximum(u_star, 0.0))
 
-    best = r / np.maximum(rho(t), 1.0)  # u = 0
+    with np.errstate(invalid="ignore"):  # r = inf over a rho(t) beyond float range is inf / inf
+        best = np.where(r == np.inf, r, r / np.maximum(rho(t), 1.0))  # u = 0
     arg = np.zeros_like(best)
 
     def consider(u, val, where=True):
@@ -502,8 +505,7 @@ def looped_phi(rho, t, r):
 def minimizer_height(rho, a, b, d_base: float) -> float:
     """Height max(t, t') + u* where u* attains the phi infimum."""
     tmax = max(a.height, b.height)
-    _, u = phi_with_argmin(rho, tmax, d_base)
-    return tmax + u
+    return tmax + float(looped_phi(rho, tmax, d_base)[1])
 
 
 def looped_inverse(rho, t, target):

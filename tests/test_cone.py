@@ -14,7 +14,6 @@ from coarsekit.cone import (
     parse_rho,
     phi,
     phi_closed_exp,
-    phi_with_argmin,
     rho_from_control,
     theta_embedding,
 )
@@ -26,7 +25,7 @@ from coarsekit.maps import (
 )
 from coarsekit.metric import PointSubset
 from coarsekit.phisuite import run_phi_suite, standard_rho_family
-from support import integer_points_space, line_space, minimizer_height, numeric_phi
+from support import integer_points_space, line_space, looped_phi, minimizer_height, numeric_phi
 
 
 EXP = RhoFunction.exponential()
@@ -60,13 +59,13 @@ class TestPhi:
             phi(EXP, 1.0, -1.0)
 
     def test_nan_radius_rejected(self):
-        # every kind is in the standard family; inf stays a valid radius
-        for rho in standard_rho_family():
-            for call in (phi, phi_with_argmin):
-                with pytest.raises(PreconditionError, match="phi needs t >= 0 and r >= 0"):
-                    call(rho, 1.0, math.nan)
-                with pytest.raises(PreconditionError, match="phi needs t >= 0 and r >= 0"):
-                    call(rho, np.array([1.0, 2.0]), np.array([3.0, math.nan]))
+        # every kind is in the standard family; inf stays a valid radius, also
+        # where rho(t) is beyond float range
+        for rho in standard_rho_family() + [RhoFunction.affine(1e308, 1e308)]:
+            with pytest.raises(PreconditionError, match="phi needs t >= 0 and r >= 0"):
+                phi(rho, 1.0, math.nan)
+            with pytest.raises(PreconditionError, match="phi needs t >= 0 and r >= 0"):
+                phi(rho, np.array([1.0, 2.0]), np.array([3.0, math.nan]))
             assert phi(rho, 1.0, math.inf) == math.inf
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
@@ -107,7 +106,8 @@ class TestPhi:
 
     def test_argmin_attains_value(self):
         for rho in standard_rho_family():
-            val, u = phi_with_argmin(rho, 1.5, 20.0)
+            val, u = (float(x) for x in looped_phi(rho, 1.5, 20.0))
+            assert val == phi(rho, 1.5, 20.0)
             direct = 2.0 * u + 20.0 / max(rho(u + 1.5), 1.0)
             assert direct == pytest.approx(val, abs=1e-9)
 

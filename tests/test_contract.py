@@ -1,12 +1,18 @@
-"""The exit-code contract on inputs whose size sets the depth of a walk.
+"""The exit-code contract on inputs whose size sets the depth of a walk,
+and on the phi-family commands at the edges of their values.
 
-Each command runs under a low recursion limit, so a walk that recursed
-once per stage or per point would fail here on small inputs instead of
-only on large ones.
+Each walk runs under a low recursion limit, so a walk that recursed once
+per stage or per point would fail here on small inputs instead of only on
+large ones.  The phi-family commands take rho literals and options drawn
+at the edges of float range; a stray NumPy warning is an error under the
+test configuration, so it escapes ``run`` as an exception.
 """
 
 import sys
 from contextlib import contextmanager
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coarsekit.cli import run
 from coarsekit.generators import unit_path
@@ -75,3 +81,71 @@ def test_long_path_exact_search_without_recursion(tmp_path):
     first, second = run_twice_at_low_limit(argv)
     assert first[1] == 0 and "p: found" in first[0]
     assert second == first
+
+
+EDGE_PARAMS = ["0", "5e-324", "1e308", "1", "2.5"]
+EDGE_OPTIONS = st.sampled_from(["0", "-0", "-1", "-1e3", "inf", "-inf", "nan", "5e-324", "1e308", "1", "2.5"])
+TABLES = ("0 0\n", "0 5e-324\n5e-324 1e308\n", "1e308 1\n", "0 1\n1 2\n2.5 1e308\n")
+
+
+@pytest.fixture(scope="module")
+def phi_files(tmp_path_factory):
+    """The 3-point family and the rho tables the drawn command lines name."""
+    path = tmp_path_factory.mktemp("phi-contract")
+    (path / "fam.txt").write_text("family F\nmember m\npoints a b c\n1\n2 1\n")
+    for k, text in enumerate(TABLES):
+        (path / f"table{k}.txt").write_text(text)
+    return path
+
+
+@st.composite
+def rho_literals(draw) -> str:
+    param = st.sampled_from(EDGE_PARAMS)
+    kind = draw(st.sampled_from(["const", "affine", "exp", "step", "table"]))
+    if kind == "const":
+        return f"const:{draw(param)}"
+    if kind == "affine":
+        return f"affine:{draw(param)},{draw(param)}"
+    if kind == "exp":
+        return "exp"
+    if kind == "step":
+        pairs = draw(st.lists(st.tuples(param, param), min_size=1, max_size=3))
+        return "step:" + ",".join(f"{s}:{v}" for s, v in pairs)
+    return "table:{table%d}" % draw(st.integers(0, len(TABLES) - 1))
+
+
+@st.composite
+def phi_command_lines(draw) -> list[str]:
+    """A ``phi``, ``phi-suite`` or ``cone-dist`` command line; ``{fam}`` and
+    ``{tableK}`` stand for the files of ``phi_files``."""
+    command = draw(st.sampled_from(["phi", "phi-suite", "cone-dist"]))
+    if command == "phi":
+        argv = ["phi", "--rho", draw(rho_literals()), "--t", draw(EDGE_OPTIONS), "--r", draw(EDGE_OPTIONS)]
+    elif command == "phi-suite":
+        argv = ["phi-suite", "--samples", str(draw(st.integers(1, 17))), "--seed", draw(st.sampled_from(["0", "3", "-1"]))]
+        for literal in draw(st.lists(rho_literals(), max_size=2)):
+            argv += ["--rho", literal]
+    else:
+        base = st.sampled_from(["a", "b", "c", "z"])
+        argv = ["cone-dist", "{fam}", "--rho", draw(rho_literals()), "--base-a", draw(base),
+                "--height-a", draw(EDGE_OPTIONS), "--base-b", draw(base), "--height-b", draw(EDGE_OPTIONS)]
+    if draw(st.booleans()):
+        argv += ["--tolerance", draw(EDGE_OPTIONS)]
+    return argv + ["--format", draw(st.sampled_from(["text", "machine"]))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(phi_command_lines())
+@example(["phi", "--rho", "affine:1e308,1e308", "--t", "5", "--r", "1"])
+@example(["phi", "--rho", "affine:1e308,1e308", "--t", "5", "--r", "inf"])
+@example(["phi-suite", "--rho", "affine:1e308,1e308", "--samples", "17"])
+@example(["phi", "--rho", "step:0:1,1e308:2", "--t", "0", "--r", "1"])
+@example(["phi-suite", "--samples", "1", "--rho", "table:{table2}"])
+@example(["cone-dist", "{fam}", "--rho", "affine:1e308,0", "--base-a", "a", "--height-a", "1e308",
+          "--base-b", "c", "--height-b", "0"])
+def test_phi_commands_keep_the_exit_code_contract_at_the_edges(phi_files, argv):
+    argv = [a.format(fam=phi_files / "fam.txt", **{f"table{k}": phi_files / f"table{k}.txt" for k in range(len(TABLES))})
+            for a in argv]
+    out, code = run(argv)
+    assert code in (0, 1, 2), out
+    assert run(argv) == (out, code)
