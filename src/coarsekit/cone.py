@@ -31,6 +31,10 @@ sup over u of (y - 2u) max(rho(u + t), 1) (``_phi_inverse``):
 - affine: (M / 2)(y / 2 + t + L / M)^2 where its maximizer
   u* = y / 4 - (t + L / M) / 2 is >= 0;
 - exp: 2 e^{y/2 - 1 + t} where u* = y / 2 - 1 is >= 0.
+
+A cone sample of N = H |Y| points is certified a metric from its stack of
+H phi matrices by one min-plus product, O(N^2 |Y|); the generic O(N^3)
+check runs only where that cannot settle it (``_cone_certified``).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 
 from .errors import PreconditionError, StructuralError
 from .maps import FamilyMap, MapFunction, MonotoneEnvelope
-from .metric import FiniteMetricSpace, MetricFamily, PointSubset, validate_metric
+from .metric import FiniteMetricSpace, MetricFamily, PointSubset, _min_plus_tiles, validate_metric
 from .report import fmt_num
 
 
@@ -205,13 +209,21 @@ def _phi_arrays(rho: RhoFunction, t, r):
         # sqrt(r M / 2).  While rho(u + t) <= 1 the objective is 2u + r, never
         # below its value at u = 0, so a stationary point there cannot win.
         # A tiny M overflows u to inf, and r = inf makes the value inf / inf =
-        # nan: neither is ever below best.  A huge M overflows rho(t) to inf,
-        # where r = inf at u = 0 is inf / inf too: phi_t(inf) = inf.
+        # nan: neither is ever below best.  A huge M overflows rho(s) to inf;
+        # there r / rho(s) is (r / 2c) / (s M / 2c + L / 2c), c = max(M, 1),
+        # all in range, and r = inf at u = 0 is inf: phi_t(inf) = inf.
         slope, offset = rho.params
-        with np.errstate(over="ignore", invalid="ignore"):
-            best = np.where(r == np.inf, r, r / np.maximum(rho(t), 1.0))  # u = 0
+        c = max(slope, 1.0)
+
+        def quotient(s):  # r / max(rho(s), 1); both forms run everywhere
+            w = rho(s)
+            return np.where(w < np.inf, r / np.maximum(w, 1.0),
+                            0.5 * (r / c) / (0.5 * (s * (slope / c)) + 0.5 * (offset / c)))
+
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            best = np.where(r == np.inf, r, quotient(t))  # u = 0
             u = np.maximum(0.0, (np.sqrt(r * slope / 2.0) - offset) / slope - t)
-            val = 2.0 * u + r / np.maximum(rho(u + t), 1.0)
+            val = 2.0 * u + quotient(u + t)
             return np.where(val < best, val, best)
 
     best = r / np.maximum(rho(t), 1.0)  # u = 0
@@ -328,26 +340,78 @@ def cone_sample(
     rho: RhoFunction, y: FiniteMetricSpace, heights, sample_id: str | None = None
 ) -> FiniteMetricSpace:
     """The finite subspace Y x {given heights} of the cone, ordered by
-    height then base point and labeled ``<point>@<height>``."""
+    height then base point and labeled ``<point>@<height>``.  phi runs once
+    per height; a sample the height-stack certificate (``_cone_certified``)
+    cannot settle is checked by ``validate_metric``."""
     hs = sorted({float(h) for h in heights})
     if not hs:
         raise PreconditionError("cone sample needs at least one height")
     if not np.isfinite(hs).all():
         raise PreconditionError("cone heights must be finite")
-    pts: list[tuple[int, float]] = [(i, h) for h in hs for i in range(y.n)]
-    labels = tuple(f"{y.points[i]}@{fmt_num(h)}" for i, h in pts)
-    t_of = np.array([h for _, h in pts])
-    base_of = np.array([i for i, _ in pts], dtype=int)
-    d = phi(rho, np.maximum.outer(t_of, t_of), y.dist[np.ix_(base_of, base_of)])
-    d += np.abs(np.subtract.outer(t_of, t_of))
+    n, h = y.n, np.array(hs)
+    labels = tuple(f"{p}@{fmt_num(t)}" for t in hs for p in y.points)
+    # contiguous inputs: every element takes the ufunc loops of a full-matrix evaluation
+    phis = phi(rho, np.repeat(h, n * n).reshape(len(hs), n, n), np.tile(y.dist, (len(hs), 1, 1)))
+    t_of = np.repeat(h, n)
+    level = np.arange(len(hs))
+    d = phis[np.maximum.outer(level, level)].transpose(0, 2, 1, 3).reshape(len(t_of), len(t_of))
+    with np.errstate(over="ignore"):  # beyond float range the distance is inf
+        d += np.abs(np.subtract.outer(t_of, t_of))
     np.fill_diagonal(d, 0.0)
     space = FiniteMetricSpace(sample_id or f"C({y.id})", labels, d)
-    report = validate_metric(space, tol=1e-7)
-    if not report.ok:
-        raise StructuralError(
-            f"cone sample failed validation: {report.violations[0].detail}"
-        )
+    if not _cone_certified(y.dist, phis, h, d, tol=1e-7):
+        report = validate_metric(space, tol=1e-7)
+        if not report.ok:
+            raise StructuralError(
+                f"cone sample failed validation: {report.violations[0].detail}"
+            )
     return space
+
+
+def _cone_certified(ydist, phis, h, d, tol: float) -> bool:
+    """Whether validate_metric(tol) surely passes the cone sample d, whose
+    off-diagonal entries are phis[max(k, l)] + |h[k] - h[l]| (heights
+    sorted), in O(N^2 |Y|) work.  The screen (zero diagonal of d_Y, finite
+    phis, d exactly symmetric, d > 0 off the diagonal) settles every check
+    but the triangles, and makes each phis[k] symmetric.
+
+    By symmetry take k1 <= k3.  Through (y2, k2), with g the height gaps and
+    P[a, b] = min over y2 of phis[a][y1, y2] + phis[b][y2, y3], d12 + d23 is
+    at least g13 + P[k2, k3] for k1 <= k2 <= k3, g13 + P[k2, k2] + 2 g32 for
+    k2 > k3, and its value at k2 = k1 for k2 < k1 (same phis, larger gaps).
+    Q, the least of these, passes the check where D - Q <= tol.  P's tiles
+    skip the columns left of their first row; its mirror fills them in.
+
+    Rounding: all terms are >= 0, so each rounding moves a sum by at most
+    u = 2^-53 of it.  The sample entries (two), the check's sum (one), Q's
+    sums (three) and this test (two) move the comparison by at most
+    8u (D + Q); the gap identity, on rounded gaps and as
+    (P + 2 h[k2]) - 2 h[k3], by at most 4u max h.  eps = 2^-46 (D + Q +
+    4 max h) covers both with room.  An inf (Q or eps) fails
+    D - Q + eps <= tol, and the sample falls back to validate_metric.
+    """
+    k, n = phis.shape[:2]
+    if not ((np.diagonal(ydist) == 0).all() and np.isfinite(phis).all()
+            and np.array_equal(d, d.T) and np.count_nonzero(d > 0) == d.size - len(d)):
+        return False
+    stack = phis.reshape(k * n, n)  # row (a, y1) is phis[a][y1]
+    p = np.full((k * n, k * n), np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, c0, m in _min_plus_tiles(stack, np.ascontiguousarray(stack.T), np.inf, True):
+            p[lo:hi, c0:] = m
+        p = np.fmin(p, p.T).reshape(k, n, k, n)  # [k2, y1, k3, y3]
+        level = np.arange(k)
+        upper = (level[:, None] <= level)[:, None, :, None]
+        between = np.where(upper, p, np.inf)
+        lift = 2.0 * h[:, None, None]
+        above = p[level, :, level] + lift  # [k2, y1, y3]
+        for a in range(k - 2, -1, -1):  # minima over k2 >= a
+            np.minimum(between[a], between[a + 1], out=between[a])
+            np.minimum(above[a], above[a + 1], out=above[a])
+        gaps = np.abs(np.subtract.outer(h, h))[:, None, :, None]
+        q = gaps + np.minimum(between, (above - lift).transpose(1, 0, 2))  # [k1, y1, k3, y3]
+        q = np.where(upper, q, q.transpose(2, 3, 0, 1)).reshape(k * n, k * n)  # k1 > k3: the mirror
+        return bool((d - q + 2.0**-46 * (d + q + 4.0 * h[-1]) <= tol).all())
 
 
 def theta_embedding(

@@ -285,37 +285,27 @@ def _triangle_witnesses(d: np.ndarray, tol: float) -> list[tuple[int, int, int]]
     then i, then k.
 
     A tile of rows first gets its min-plus bound m[i,k] = fmin over j of
-    d[i,j] + d[j,k].  The intermediate points j come in blocks of 8: one
-    broadcast add of a block's sums, one fmin reduction over the block and
-    one fmin into the bound.  Subtraction is monotone, so some j violates
-    at (i, k) exactly when d[i,k] - m[i,k] > tol; fmin skips the NaN of
-    inf + -inf, which never violates, where minimum would let it hide a
-    violation through another j.  Only the rows and columns of a tile with
-    such a pair are then swept, over the same blocks of j, for the
-    witnesses.  On an exactly symmetric matrix a tile covers only columns
-    k >= its first row, and each witness (i, j, k), i != k, also yields its
-    mirror (k, j, i).
+    d[i,j] + d[j,k] (``_min_plus_tiles``).  Subtraction is monotone, so
+    some j violates at (i, k) exactly when d[i,k] - m[i,k] > tol; fmin
+    skips the NaN of inf + -inf, which never violates, where minimum would
+    let it hide a violation through another j.  Only the rows and columns
+    of a tile with such a pair are then swept, over the same blocks of j,
+    for the witnesses.  On an exactly symmetric matrix a tile covers only
+    columns k >= its first row, and each witness (i, j, k), i != k, also
+    yields its mirror (k, j, i).
 
     The dtype is read off the input.  When every entry is a finite integer
     of magnitude <= 2**14 - 1, the bound is computed in int16 and the
     sweep in int32, where every sum and difference is exact; otherwise
     both run in float64.
     """
-    n = d.shape[0]
     symmetric = bool(np.array_equal(d, d.T))
     exact = bool((np.abs(d) <= _INT16_ENTRY).all() and (d == np.trunc(d)).all())
     b, wide = (d.astype(np.int16), d.astype(np.int32)) if exact else (d, d)
     fill = np.iinfo(np.int16).max if exact else np.inf
     found: list[tuple[int, int, int]] = []
     with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(0, n, _TILE_ROWS):
-            hi = min(lo + _TILE_ROWS, n)
-            c0 = lo if symmetric else 0
-            m = np.full((hi - lo, n - c0), fill, dtype=b.dtype)
-            part = np.empty_like(m)
-            for _, s in _block_sums(b[lo:hi], b[:, c0:]):
-                np.fmin.reduce(s, axis=0, out=part)
-                np.fmin(m, part, out=m)
+        for lo, hi, c0, m in _min_plus_tiles(b, b, fill, symmetric):
             over = d[lo:hi, c0:] - m > tol
             if not over.any():
                 continue
@@ -333,6 +323,23 @@ def _triangle_witnesses(d: np.ndarray, tol: float) -> list[tuple[int, int, int]]
         found += [(j, k, i) for j, i, k in found if i != k]
     found.sort()
     return [(i, j, k) for j, i, k in found]
+
+
+def _min_plus_tiles(rows: np.ndarray, cols: np.ndarray, fill, upper: bool):
+    """For each tile of 64 rows from lo to hi, m[a, e] = fmin over j of
+    rows[lo + a, j] + cols[j, c0 + e] from c0 = lo if ``upper`` else 0, with
+    ``fill`` the dtype's +inf: per block of 8 j, one broadcast add, one fmin
+    reduction over the block and one fmin into m.  Sums that overflow or
+    are NaN follow the caller's errstate."""
+    for lo in range(0, rows.shape[0], _TILE_ROWS):
+        hi = min(lo + _TILE_ROWS, rows.shape[0])
+        c0 = lo if upper else 0
+        m = np.full((hi - lo, cols.shape[1] - c0), fill, dtype=rows.dtype)
+        part = np.empty_like(m)
+        for _, s in _block_sums(rows[lo:hi], cols[:, c0:]):
+            np.fmin.reduce(s, axis=0, out=part)
+            np.fmin(m, part, out=m)
+        yield lo, hi, c0, m
 
 
 def _block_sums(rows: np.ndarray, cols: np.ndarray):

@@ -21,6 +21,7 @@ import numpy as np
 
 import coarsekit
 
+from coarsekit.cone import phi
 from coarsekit.covers import Cover, greedy_color, validate_cover
 from coarsekit.errors import ParseError, PreconditionError, StructuralError
 from coarsekit.generators import _clipped_interval
@@ -32,6 +33,7 @@ from coarsekit.metric import (
     PointSubset,
     ValidationReport,
     Violation,
+    validate_metric,
 )
 from coarsekit.phisuite import (
     DECAY_T_LIMIT,
@@ -478,8 +480,17 @@ def looped_phi(rho, t, r):
             best = np.where(linear, np.exp(-t) * r, 2.0 * u_star + 2.0)
         return best, np.where(linear, 0.0, np.maximum(u_star, 0.0))
 
-    with np.errstate(invalid="ignore"):  # r = inf over a rho(t) beyond float range is inf / inf
-        best = np.where(r == np.inf, r, r / np.maximum(rho(t), 1.0))  # u = 0
+    def quotient(s):  # r / max(rho(s), 1); where M s + L overflows, scaled by 1 / 2c, c = max(M, 1)
+        w = rho(s)
+        if rho.kind != "affine":
+            return r / np.maximum(w, 1.0)
+        slope, offset = rho.params
+        c = max(slope, 1.0)
+        return np.where(w < np.inf, r / np.maximum(w, 1.0),
+                        0.5 * (r / c) / (0.5 * (s * (slope / c)) + 0.5 * (offset / c)))
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # r = inf over a rho(t) beyond float range is inf / inf
+        best = np.where(r == np.inf, r, quotient(t))  # u = 0
     arg = np.zeros_like(best)
 
     def consider(u, val, where=True):
@@ -490,9 +501,9 @@ def looped_phi(rho, t, r):
 
     if rho.kind == "affine" and rho.params[0] > 0.0:
         slope, offset = rho.params
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             u = np.maximum(0.0, (np.sqrt(r * slope / 2.0) - offset) / slope - t)
-            consider(u, 2.0 * u + r / np.maximum(rho(u + t), 1.0))
+            consider(u, 2.0 * u + quotient(u + t))
     elif rho.kind in ("step", "table"):
         for s, v in rho.breaks:
             u = s - t
@@ -596,6 +607,38 @@ def looped_phi_suite(rhos=None, samples=1000, seed=0, tol=1e-6) -> Verdict:
         margin = phi(rho, t + delta, r) + 2.0 * delta + tol - phi(rho, t, r)
         items.append(_margin_item(f"{name}.shift-bound", margin, {"t": t, "delta": delta, "r": r}))
     return verdict(items)
+
+
+def cone_sample_matrix(rho, y: FiniteMetricSpace, heights):
+    """The sorted heights, labels and distance matrix of the cone sample
+    Y x heights, with phi evaluated once on the full N x N matrix of
+    (larger height, base distance) pairs."""
+    hs = sorted({float(h) for h in heights})
+    if not hs:
+        raise PreconditionError("cone sample needs at least one height")
+    if not np.isfinite(hs).all():
+        raise PreconditionError("cone heights must be finite")
+    pts = [(i, h) for h in hs for i in range(y.n)]
+    labels = tuple(f"{y.points[i]}@{fmt_num(h)}" for i, h in pts)
+    t_of = np.array([h for _, h in pts])
+    base_of = np.array([i for i, _ in pts], dtype=int)
+    d = phi(rho, np.maximum.outer(t_of, t_of), y.dist[np.ix_(base_of, base_of)])
+    with np.errstate(over="ignore"):
+        d += np.abs(np.subtract.outer(t_of, t_of))
+    np.fill_diagonal(d, 0.0)
+    return np.array(hs), labels, d
+
+
+def looped_cone_sample(rho, y: FiniteMetricSpace, heights, sample_id=None) -> FiniteMetricSpace:
+    """``cone.cone_sample`` with phi on the full matrix and the generic
+    ``validate_metric`` on every sample: the reference whose labels, bytes
+    and errors the height-stack certificate must keep."""
+    _, labels, d = cone_sample_matrix(rho, y, heights)
+    space = FiniteMetricSpace(sample_id or f"C({y.id})", labels, d)
+    report = validate_metric(space, tol=1e-7)
+    if not report.ok:
+        raise StructuralError(f"cone sample failed validation: {report.violations[0].detail}")
+    return space
 
 
 def heap_chain_oracle(rho, y, a, b, waypoint_heights):

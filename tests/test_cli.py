@@ -383,18 +383,20 @@ def test_validate_prints_no_numpy_warnings(files, text, points):
 @pytest.mark.parametrize(
     "argv, first, code",
     [
-        (["phi", "--rho", "affine:1e308,1e308", "--t", "5", "--r", "1"], "phi_5(1) = 0.0", 0),
+        (["phi", "--rho", "affine:1e308,1e308", "--t", "5", "--r", "1"], "phi_5(1) = 1.66666666666667e-309", 0),
         (["phi", "--rho", "affine:1e308,1e308", "--t", "5", "--r", "inf"], "phi_5(inf) = inf", 0),
         (["phi-suite", "--rho", "affine:1e308,1e308", "--samples", "50"],
-         "FAIL affine:1e+308,1e+308.strictly-increasing: worst sample: t=6.36962, r=0.995456, r2=31.9692, margin=0", 1),
+         "FAIL affine:1e+308,1e+308.unbounded-growth: monotone=True, exceeded 50.0=False", 1),
         (["phi-suite", "--rho", "affine:1e308,0", "--samples", "50"],
-         "FAIL affine:1e+308,0.strictly-increasing: worst sample: t=6.36962, r=0.995456, r2=31.9692, margin=0", 1),
+         "FAIL affine:1e+308,0.unbounded-growth: monotone=True, exceeded 50.0=False", 1),
         (["phi", "--rho", "step:0:1,1e308:2", "--t", "0", "--r", "1"], "phi_0(1) = 1.0", 0),
     ],
 )
 def test_rho_beyond_float_range_prints_no_numpy_warnings(argv, first, code):
-    # rho(t) = M t + L overflows to inf, its limit: phi at r = inf is inf, not
-    # inf / inf; 2u to a breakpoint near 1e308 overflows to inf, never the minimum
+    # rho(t) = M t + L overflows to inf: phi at r = inf is inf, not inf / inf,
+    # and at r = 1 the subnormal 1 / (M t + L), not 0, so the suite fails only
+    # its finite growth test; 2u to a breakpoint near 1e308 overflows to inf,
+    # never the minimum
     proc = run_child(argv)
     assert (proc.stderr, proc.returncode) == ("", code)
     assert proc.stdout.splitlines()[0] == first

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +68,16 @@ class TestPhi:
             with pytest.raises(PreconditionError, match="phi needs t >= 0 and r >= 0"):
                 phi(rho, np.array([1.0, 2.0]), np.array([3.0, math.nan]))
             assert phi(rho, 1.0, math.inf) == math.inf
+
+    @pytest.mark.parametrize(
+        "slope, offset, t, r",
+        [(1e308, 1e308, 5.0, 1.0), (1e308, 0.0, 2.0, 1.0), (2.5, 1e308, 7.3, 3.7),
+         (1.0, 1e308, 1e308, 1e308), (0.5, 1.5e308, 1e308, 1e308)],
+    )
+    def test_affine_rho_beyond_float_range(self, slope, offset, t, r):
+        # M t + L overflows, but u = 0 wins and r / (M t + L) is in range
+        exact = Fraction(r) / (Fraction(slope) * Fraction(t) + Fraction(offset))
+        assert phi(RhoFunction.affine(slope, offset), t, r) == pytest.approx(float(exact), rel=4e-16, abs=1e-323)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_heights_rejected(self, t):

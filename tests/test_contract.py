@@ -5,18 +5,27 @@ Each walk runs under a low recursion limit, so a walk that recursed once
 per stage or per point would fail here on small inputs instead of only on
 large ones.  The phi-family commands take rho literals and options drawn
 at the edges of float range; a stray NumPy warning is an error under the
-test configuration, so it escapes ``run`` as an exception.
+test configuration, so it escapes ``run`` as an exception.  ``cone_sample``
+takes such rho literals, heights and base distances directly, under a
+filter that makes every warning an error.
 """
 
+import math
 import sys
+import warnings
 from contextlib import contextmanager
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coarsekit.cli import run
+from coarsekit.cone import cone_sample, parse_rho
+from coarsekit.errors import CoarsekitError
 from coarsekit.generators import unit_path
-from coarsekit.io import parse_decomposition_certificate, parse_family, write_family
+from coarsekit.io import parse_decomposition_certificate, parse_family, parse_rho_table, write_family
+from coarsekit.metric import FiniteMetricSpace
 from support import family_of
 
 LOW_RECURSION_LIMIT = 120
@@ -149,3 +158,39 @@ def test_phi_commands_keep_the_exit_code_contract_at_the_edges(phi_files, argv):
     out, code = run(argv)
     assert code in (0, 1, 2), out
     assert run(argv) == (out, code)
+
+
+CONE_HEIGHTS = st.sampled_from([0.0, 5e-324, 1.0, 1e308, math.nan, math.inf])
+CONE_ENTRIES = st.sampled_from([0.0, 5e-324, 1e308, math.inf])
+
+
+@st.composite
+def cone_sample_args(draw):
+    """A rho literal, a 1-3 point base space with every entry drawn (so
+    asymmetric, with a nonzero diagonal too) and 1-4 heights."""
+    n = draw(st.integers(1, 3))
+    d = np.array(draw(st.lists(CONE_ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    y = FiniteMetricSpace("Y", tuple("abc"[:n]), d, pseudo=draw(st.booleans()))
+    return draw(rho_literals()), y, draw(st.lists(CONE_HEIGHTS, min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cone_sample_args())
+# phi at the top height plus the height gap passes float max
+@example(("const:0", FiniteMetricSpace("Y", ("a", "b"), [[0.0, 1e308], [1e308, 0.0]]), [0.0, 1e308]))
+@example(("affine:1e308,1e308", FiniteMetricSpace("Y", ("a", "b"), [[0.0, 1e308], [1e308, 0.0]]), [5e-324, 1.0]))
+def test_cone_sample_raises_only_its_own_errors_at_the_edges(phi_files, args):
+    literal, y, heights = args
+    literal = literal.format(**{f"table{k}": phi_files / f"table{k}.txt" for k in range(len(TABLES))})
+
+    def outcome():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rho = parse_rho(literal, table_loader=lambda path: parse_rho_table(Path(path).read_text()))
+                sample = cone_sample(rho, y, heights)
+            except CoarsekitError as exc:
+                return type(exc), str(exc)
+        return sample.points, sample.dist.tobytes()
+
+    assert outcome() == outcome()

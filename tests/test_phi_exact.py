@@ -8,19 +8,28 @@ and ``phi`` must match that kernel's value bit for bit at every shape; the
 suite's verdict must equal ``looped_phi_suite``'s, its bisection the 70-step
 loop, and the closed-form inverse the bisection's pass or fail; the dense
 Dijkstra of ``chain_oracle`` must agree with the heap Dijkstra
-(``heap_chain_oracle``).
+(``heap_chain_oracle``); ``cone_sample`` must keep the labels, bytes and
+errors of ``looped_cone_sample`` (phi on the full matrix, then
+``validate_metric``), and its height-stack certificate may pass only
+samples that ``validate_metric`` passes.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coarsekit import phisuite
-from coarsekit.cone import ConePoint, RhoFunction, _phi_inverse, chain_oracle, phi
+from coarsekit import cone, phisuite
+from coarsekit.cone import (
+    ConePoint, RhoFunction, _cone_certified, _phi_inverse, chain_oracle, cone_sample, phi,
+)
+from coarsekit.errors import CoarsekitError
+from coarsekit.metric import FiniteMetricSpace, _min_plus_tiles, validate_metric
 from coarsekit.phisuite import INVERSE_TOL, _bisect_inverse, run_phi_suite, standard_rho_family
 from support import (
+    cone_sample_matrix,
     heap_chain_oracle,
     integer_points_space,
+    looped_cone_sample,
     looped_inverse,
     looped_phi,
     looped_phi_suite,
@@ -225,3 +234,114 @@ def test_dense_chain_oracle_matches_heap(seed, rho, n, waypoints, same_endpoints
     assert abs(dense - heap) <= 1e-12 * max(1.0, heap)
     if same_endpoints:
         assert dense == 0.0
+
+
+def base_space(rng, n, scale=1.0):
+    """n random points of the plane under a random l^p metric, p in {1, 2, inf}."""
+    pts = rng.uniform(0.0, 10.0, size=(n, 2))
+    d = np.linalg.norm(pts[:, None] - pts[None], ord=rng.choice([1, 2, np.inf]), axis=-1) * scale
+    return FiniteMetricSpace("Y", tuple(f"y{i}" for i in range(n)), d)
+
+
+@st.composite
+def cone_sample_args(draw):
+    """A rho, a base space Y and 1-12 heights.  Y is a metric, a metric with
+    one distance raised 1e-9, 5e-8, 2e-7 or 1e-3 above two sides of a
+    triangle, a pseudometric with a repeated point, or a metric with a
+    nonzero diagonal or an inf entry.  Heights include 0 and 1e6; up to
+    12 points x 12 heights reach a third tile of 64 rows."""
+    rho = draw(ALL_RHOS)
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = base_space(rng, n, draw(st.sampled_from([1.0, 1e-3, 1e3]))).dist.copy()
+    kind = draw(st.sampled_from(["metric", "bump", "pseudo", "diagonal", "inf"]))
+    pseudo = kind == "pseudo"
+    if kind == "bump" and n >= 3:
+        d[0, 2] = d[2, 0] = d[0, 1] + d[1, 2] + draw(st.sampled_from([1e-9, 5e-8, 2e-7, 1e-3]))
+    elif pseudo and n >= 2:
+        d[1], d[:, 1] = d[0], d[:, 0]
+        d[0, 1] = d[1, 0] = 0.0
+    elif kind == "diagonal":
+        d[0, 0] = 0.5
+    elif kind == "inf" and n >= 2:
+        d[0, 1] = d[1, 0] = np.inf
+    y = FiniteMetricSpace("Y", tuple(f"y{i}" for i in range(n)), d, pseudo=pseudo)
+    heights = draw(st.lists(st.one_of(HEIGHTS, st.sampled_from([0.0, 1e6])), min_size=1, max_size=12))
+    return rho, y, heights
+
+
+def line_with_raised_side(xs, raise_by):
+    """The line metric on xs with d(x1, x3) raised to d(x1, x2) + d(x2, x3) + raise_by."""
+    d = np.abs(np.subtract.outer(np.array(xs), np.array(xs)))
+    d[1, 3] = d[3, 1] = d[1, 2] + d[2, 3] + raise_by
+    return FiniteMetricSpace("Y", tuple(f"y{i}" for i in range(len(xs))), d)
+
+
+@SETTINGS
+@given(cone_sample_args())
+# the triangle's excess sits at the tolerance: without the margin eps the
+# certificate passes a sample that validate_metric rejects by rounding
+@example((RhoFunction.constant(1.0), line_with_raised_side([0.88, 2.99, 4.23, 7.21], 9.99999911182158e-08),
+          [307.50152, 421.74014, 621.40584, 728.01257, 863.69477]))
+def test_cone_sample_matches_the_full_matrix_oracle(args):
+    rho, y, heights = args
+    try:
+        want = looped_cone_sample(rho, y, heights)
+    except CoarsekitError as exc:
+        with pytest.raises(type(exc)) as got:
+            cone_sample(rho, y, heights)
+        assert str(got.value) == str(exc)
+    else:
+        got = cone_sample(rho, y, heights)
+        assert got.points == want.points
+        assert got.dist.tobytes() == want.dist.tobytes()
+    try:
+        h, _, d = cone_sample_matrix(rho, y, heights)
+    except CoarsekitError:
+        return
+    n = y.n
+    phis = np.stack([d[k * n:(k + 1) * n, k * n:(k + 1) * n] for k in range(len(h))])
+    if _cone_certified(y.dist, phis, h, d, 1e-7):
+        assert validate_metric(FiniteMetricSpace("S", tuple(map(str, range(len(d)))), d), tol=1e-7).ok
+
+
+BENCH_STEP = RhoFunction.step(((0.0, 0.5), (2.0, 3.0), (5.0, 40.0), (9.0, 200.0)))
+BENCH_HEIGHTS = (0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 9.0, 12.0, 15.0)
+
+
+@pytest.mark.parametrize("rho", [BENCH_STEP, RhoFunction.exponential(), RhoFunction.affine(2.0, 1.0)])
+@pytest.mark.parametrize(
+    "n, heights",
+    [(30, BENCH_HEIGHTS), (30, (0.0, 1.0, 2.5)), (7, tuple(range(12))), (1, tuple(np.linspace(0.0, 30.0, 300))),
+     (300, (1.5,))],
+    ids=["30x10", "30x3", "7x12", "1x300", "300x1"],
+)
+def test_certificate_settles_metric_samples(monkeypatch, rho, n, heights):
+    # 30 x 3 puts a tile's first row inside the top height block, where only
+    # P's mirror holds the pairs left of that row
+    y = base_space(np.random.default_rng(n), n)
+    want = looped_cone_sample(rho, y, heights)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate_metric ran on a sample the certificate should settle")
+
+    monkeypatch.setattr(cone, "validate_metric", refuse)
+    got = cone_sample(rho, y, heights)
+    assert got.points == want.points
+    assert got.dist.tobytes() == want.dist.tobytes()
+
+
+def test_min_plus_tiles_match_a_broadcast_product():
+    # 5 heights of 30 points: the tiles of 64 rows start inside height blocks
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.0, 10.0, size=(5, 30, 30))
+    stack = (a + a.transpose(0, 2, 1)).reshape(150, 30)
+    cols = np.ascontiguousarray(stack.T)
+    want = (stack[:, :, None] + cols[None, :, :]).min(axis=1)
+    p = np.full((150, 150), np.inf)
+    for lo, hi, c0, m in _min_plus_tiles(stack, cols, np.inf, True):
+        assert (c0, m.shape) == (lo, (hi - lo, 150 - lo))
+        p[lo:hi, c0:] = m
+    assert np.array_equal(np.fmin(p, p.T), want)
+    full = np.vstack([m for *_, m in _min_plus_tiles(stack, cols, np.inf, False)])
+    assert np.array_equal(full, want)
