@@ -16,7 +16,8 @@ exactly, up to floating-point rounding, at a few candidate points u:
 
 - const, and affine with M = 0: u = 0, so phi = r / max(rho(t), 1);
 - affine: the candidates are u = 0 and the stationary point
-  (sqrt(r M / 2) - L) / M - t of the convex objective, clipped to u >= 0;
+  (sqrt(r M / 2) - L) / M - t of the convex objective, clipped to u >= 0,
+  with sqrt(r / 2) sqrt(M) for sqrt(r M / 2) where r M overflows;
 - exp: u = 0 below r = 2 e^t, ln(r / 2) - t above (``phi_closed_exp``);
 - step and table: the objective grows on each constant piece, so the
   minimum sits at u = 0 or where u + t reaches a breakpoint.
@@ -25,7 +26,8 @@ Each candidate increases in r, so phi_t is inverted in closed form: the
 largest r with phi_t(r) <= y is the largest of the candidates' inverses,
 sup over u of (y - 2u) max(rho(u + t), 1) (``_phi_inverse``):
 
-- u = 0: y max(rho(t), 1);
+- u = 0: y max(rho(t), 1), or for an affine rho(t) beyond float range
+  2 (y k)(t M / 2k + L / 2k) with k = max(M, 1);
 - step and table: w_k (y - 2 u_k) at each breakpoint, with
   u_k = max(s_k - t, 0) and w_k = max(v_k, 1);
 - affine: (M / 2)(y / 2 + t + L / M)^2 where its maximizer
@@ -45,7 +47,7 @@ import numpy as np
 
 from .errors import PreconditionError, StructuralError
 from .maps import FamilyMap, MapFunction, MonotoneEnvelope
-from .metric import FiniteMetricSpace, MetricFamily, PointSubset, _min_plus_tiles, validate_metric
+from .metric import FiniteMetricSpace, MetricFamily, PointSubset, _min_plus_tiles, nearest_points, validate_metric
 from .report import fmt_num
 
 
@@ -222,7 +224,8 @@ def _phi_arrays(rho: RhoFunction, t, r):
 
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             best = np.where(r == np.inf, r, quotient(t))  # u = 0
-            u = np.maximum(0.0, (np.sqrt(r * slope / 2.0) - offset) / slope - t)
+            root = np.where(r * slope < np.inf, np.sqrt(r * slope / 2.0), np.sqrt(r / 2.0) * np.sqrt(slope))
+            u = np.maximum(0.0, (root - offset) / slope - t)
             val = 2.0 * u + quotient(u + t)
             return np.where(val < best, val, best)
 
@@ -253,6 +256,8 @@ def _phi_inverse(rho: RhoFunction, t, y):
             # u >= 0 is u = 0; where rho(u* + t) < 1 its value at u* is below
             # y - 2u* <= y, so it never wins and needs no clip
             slope, offset = rho.params
+            k = max(slope, 1.0)  # y rho(t) where M t + L overflows (module docstring)
+            best = np.where(rho(t) < np.inf, best, 2.0 * ((y * k) * (0.5 * (t * (slope / k)) + 0.5 * (offset / k))))
             c = t + offset / slope
             best = np.maximum(best, np.where(y >= 2.0 * c, slope / 2.0 * (y / 2.0 + c) ** 2, 0.0))
         elif rho.kind in ("step", "table"):
@@ -478,19 +483,14 @@ def cone_extension(
     if any(i < 0 or i >= y.n for i in f_assignment):
         raise StructuralError("partial map has image indices outside the target")
     rho = rho_from_control(rho_prime)
-    x0_list = list(x0.indices)
-    image_of = dict(zip(x0_list, f_assignment))
-    nearest = []
-    heights = []
-    for i in range(space.n):
-        dists = [space.dist[i, j] for j in x0_list]
-        h = min(dists)
-        nearest.append(x0_list[dists.index(h)])  # first minimum: lowest index
-        heights.append(float(h))
+    dist, nearest = nearest_points(space, x0)
+    heights = dist.tolist()
     height_set = sorted(set(heights) | {0.0})
     sample = cone_sample(rho, y, height_set, sample_id=f"C({y.id})|ext({space.id})")
-    first = {h: k * y.n for k, h in enumerate(height_set)}  # index of (y_0, h)
-    assignment = tuple(first[heights[i]] + image_of[nearest[i]] for i in range(space.n))
+    levels = np.array(height_set)  # (y_j, h) is point k |Y| + j of the sample, h the k-th level
+    f = np.array(f_assignment, dtype=np.intp)
+    targets = np.searchsorted(levels, dist) * y.n + f[np.searchsorted(x0.indices, nearest)]
+    assignment = tuple(targets.tolist())
     src = MetricFamily(space.id, (space,))
     tgt = MetricFamily(sample.id, (sample,))
     full_map = FamilyMap(src.id, tgt.id, (MapFunction(space.id, sample.id, assignment),))
@@ -498,15 +498,15 @@ def cone_extension(
     part_family = MetricFamily(part.id, (part,))
 
     def part_map(images):
-        return FamilyMap(part_family.id, tgt.id, (MapFunction(part.id, sample.id, tuple(images)),))
+        return FamilyMap(part_family.id, tgt.id, (MapFunction(part.id, sample.id, tuple(images.tolist())),))
 
-    restricted = part_map(assignment[i] for i in x0_list)
-    slice_map = part_map(first[0.0] + image_of[i] for i in x0_list)
+    restricted = part_map(targets[list(x0.indices)])
+    slice_map = part_map(np.searchsorted(levels, 0.0) * y.n + f)
     return ConeExtension(
         rho=rho,
         sample=sample,
         heights=tuple(heights),
-        nearest=tuple(nearest),
+        nearest=tuple(nearest.tolist()),
         full_map=full_map,
         source_family=src,
         target_family=tgt,

@@ -111,8 +111,7 @@ def shell_sequence(
     shells = [first]
     for k in range(2, len(seeds) + 1):
         grown = neighborhood(space, shells[-1], float(k - 1)) if len(shells[-1]) else shells[-1]
-        merged = tuple(sorted(set(grown.indices) | set(seeds[k - 1].indices)))
-        shells.append(PointSubset(space.id, merged))
+        shells.append(PointSubset(space.id, grown.indices + seeds[k - 1].indices))
     covers = len(shells[-1]) == space.n
     return shells, covers
 

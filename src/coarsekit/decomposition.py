@@ -29,7 +29,7 @@ from .metric import (
     ball,
     check_certificate_family,
     member_lookup,
-    point_to_set_distance,
+    nearest_points,
     separation,
 )
 from .report import CheckItem, Verdict, fmt_num, verdict
@@ -543,17 +543,15 @@ def union_separator_map(
     """
     if (multiplicity(space, (x1, x2)) == 0).any():
         raise PreconditionError(f"X1 and X2 do not cover {space.id!r}")
-    values = tuple(
-        point_to_set_distance(space, i, x2) - point_to_set_distance(space, i, x1)
-        for i in range(space.n)
-    )
+    values = tuple((nearest_points(space, x2)[0] - nearest_points(space, x1)[0]).tolist())
     levels = sorted(set(values))
     line = FiniteMetricSpace(
         f"{space.id}|separator-line",
         tuple(fmt_num(v) for v in levels),
         np.abs(np.subtract.outer(np.array(levels), np.array(levels))),
     )
-    assignment = tuple(levels.index(v) for v in values)
+    position = {v: k for k, v in enumerate(levels)}
+    assignment = tuple(map(position.__getitem__, values))
     fmap = FamilyMap(
         space.id, line.id, (MapFunction(space.id, line.id, assignment),)
     )

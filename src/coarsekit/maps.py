@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, StructuralError
-from .metric import MetricFamily, PointSubset
+from .metric import MetricFamily, PointSubset, nearest_points
 
 
 @dataclass(frozen=True)
@@ -202,9 +202,7 @@ def is_coarsely_onto(
     c = 0.0
     for fn in fmap.functions:
         t = tgt.member(fn.target_member)
-        image = sorted(set(fn.assignment))
-        sel = np.array(image, dtype=int)
-        c = max(c, float(t.dist[:, sel].min(axis=1).max()))
+        c = max(c, float(nearest_points(t, PointSubset(t.id, set(fn.assignment)))[0].max()))  # the image
     return True, c
 
 

@@ -476,12 +476,24 @@ def ball(space: FiniteMetricSpace, center: int, radius: float) -> PointSubset:
     return PointSubset(space.id, tuple(int(i) for i in idx))
 
 
+def nearest_points(space: FiniteMetricSpace, subset: PointSubset) -> tuple[np.ndarray, np.ndarray]:
+    """For every point x, d(x, subset) and the first point of the subset at that
+    distance: x's row over the subset's columns read at its argmin, so ties go to
+    the lowest index and a NaN propagates.  An empty subset gives inf and -1."""
+    sel = np.array(subset.indices, dtype=np.intp)
+    if not sel.size:
+        return np.full(space.n, math.inf), np.full(space.n, -1, dtype=np.intp)
+    block = space.dist[:, sel]
+    arg = block.argmin(axis=1)
+    return block[np.arange(space.n), arg], sel[arg]
+
+
 def neighborhood(space: FiniteMetricSpace, subset: PointSubset, radius: float) -> PointSubset:
     """Closed neighborhood {x : d(x, subset) <= radius}."""
+    if radius < 0:
+        raise PreconditionError("neighborhood radius must be >= 0")
     subset.check_against(space)
-    sel = np.array(subset.indices, dtype=int)
-    dmin = space.dist[:, sel].min(axis=1)
-    return PointSubset(space.id, tuple(int(i) for i in np.nonzero(dmin <= radius)[0]))
+    return PointSubset(space.id, tuple(np.flatnonzero(nearest_points(space, subset)[0] <= radius).tolist()))
 
 
 def separation(
@@ -574,10 +586,3 @@ def _element_stats(
     with np.errstate(invalid="ignore"):  # a NaN reach propagates quietly, as in np.maximum
         np.maximum.at(best, pts, reaches)
     return diams.tolist(), best
-
-
-def point_to_set_distance(space: FiniteMetricSpace, i: int, a: PointSubset) -> float:
-    if not a.indices:
-        return math.inf
-    sa = np.array(a.indices, dtype=int)
-    return float(space.dist[i, sa].min())

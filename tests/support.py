@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 
 import coarsekit
 
-from coarsekit.cone import phi
+from coarsekit.cone import cone_sample, phi, rho_from_control
 from coarsekit.covers import Cover, greedy_color, validate_cover
 from coarsekit.errors import ParseError, PreconditionError, StructuralError
 from coarsekit.generators import _clipped_interval
@@ -407,6 +408,77 @@ def looped_separation(space, pieces, r):
     return dist, None
 
 
+def looped_point_to_set_distance(space: FiniteMetricSpace, i: int, a: PointSubset) -> float:
+    """d(x_i, A) by ``np.min`` over one row, inf for an empty A: the
+    separator's pass before ``metric.nearest_points``."""
+    if not a.indices:
+        return math.inf
+    return float(space.dist[i, np.array(a.indices, dtype=int)].min())
+
+
+def looped_nearest_point(space: FiniteMetricSpace, i: int, a: PointSubset) -> tuple[float, int]:
+    """(d(x_i, A), the first point of A at that distance) by a Python
+    ``min`` and ``list.index`` over x_i's distances: the cone extension's
+    pass before ``metric.nearest_points``."""
+    dists = [space.dist[i, j] for j in a.indices]
+    h = min(dists)
+    return float(h), a.indices[dists.index(h)]
+
+
+def looped_neighborhood(space: FiniteMetricSpace, subset: PointSubset, radius: float) -> tuple[int, ...]:
+    """The indices of the closed neighborhood by a row minimum over the
+    subset's columns."""
+    dmin = space.dist[:, np.array(subset.indices, dtype=int)].min(axis=1)
+    return tuple(int(i) for i in np.nonzero(dmin <= radius)[0])
+
+
+def looped_coarse_onto(fmap, src, tgt) -> tuple[bool, float]:
+    """``maps.is_coarsely_onto`` with each function's row minima over its
+    image columns."""
+    validate_map(fmap, src, tgt)
+    hit = {fn.target_member for fn in fmap.functions}
+    if not all(m in hit for m in tgt.member_ids()):
+        return False, math.inf
+    c = 0.0
+    for fn in fmap.functions:
+        t = tgt.member(fn.target_member)
+        sel = np.array(sorted(set(fn.assignment)), dtype=int)
+        c = max(c, float(t.dist[:, sel].min(axis=1).max()))
+    return True, c
+
+
+def looped_separator(space: FiniteMetricSpace, x1: PointSubset, x2: PointSubset):
+    """The separator's (line, assignment, values) from two single-row
+    distances per point and a ``levels.index`` per point."""
+    values = tuple(
+        looped_point_to_set_distance(space, i, x2) - looped_point_to_set_distance(space, i, x1)
+        for i in range(space.n)
+    )
+    levels = sorted(set(values))
+    line = FiniteMetricSpace(
+        f"{space.id}|separator-line",
+        tuple(fmt_num(v) for v in levels),
+        np.abs(np.subtract.outer(np.array(levels), np.array(levels))),
+    )
+    return line, tuple(levels.index(v) for v in values), values
+
+
+def looped_cone_extension(space, x0: PointSubset, f_assignment, y, rho_prime):
+    """The cone extension's (heights, nearest, sample, assignment,
+    restricted images, height-0 slice images) from one ``looped_nearest_point``
+    per point and dicts of heights and images."""
+    image_of = dict(zip(x0.indices, f_assignment))
+    heights, nearest = zip(*(looped_nearest_point(space, i, x0) for i in range(space.n)))
+    height_set = sorted(set(heights) | {0.0})
+    sample = cone_sample(rho_from_control(rho_prime), y, height_set,
+                         sample_id=f"C({y.id})|ext({space.id})")
+    first = {h: k * y.n for k, h in enumerate(height_set)}
+    assignment = tuple(first[heights[i]] + image_of[nearest[i]] for i in range(space.n))
+    restricted = tuple(assignment[i] for i in x0.indices)
+    height_zero = tuple(first[0.0] + image_of[i] for i in x0.indices)
+    return heights, nearest, sample, assignment, restricted, height_zero
+
+
 def numeric_phi(rho, t, r, u_tol=1e-9):
     """The infimum of 2u + r / max(rho(u + t), 1) over u >= 0 by a bounded
     numeric line search, independent of the closed forms in ``cone``.
@@ -462,6 +534,25 @@ def numeric_phi(rho, t, r, u_tol=1e-9):
     return float(best) if scalar else best
 
 
+def exact_phi(rho, t: float, r: float) -> Decimal:
+    """phi_t(r) for a const or affine rho in 80-digit ``decimal``, from the
+    exact values of the floats and with no exponent limit: the objective
+    2u + r / max(M (u + t) + L, 1) at u = 0 and, for M > 0, at the
+    stationary point u* = (sqrt(r M / 2) - L) / M - t where u* > 0."""
+    slope, offset = (0.0, rho.params[0]) if rho.kind == "const" else rho.params
+    m, ell, t, r = map(Decimal, (slope, offset, t, r))
+    with localcontext(Context(prec=80, Emax=10**6, Emin=-10**6)):
+        def g(u):
+            return 2 * u + r / max(m * (u + t) + ell, Decimal(1))
+
+        best = g(Decimal(0))
+        if m > 0:
+            u = ((r * m / 2).sqrt() - ell) / m - t
+            if u > 0:
+                best = min(best, g(u))
+        return +best
+
+
 def looped_phi(rho, t, r):
     """The exact infimum and a minimizer u*, vectorized, by one pass over
     every candidate with the minimizer kept throughout: the reference for
@@ -502,7 +593,8 @@ def looped_phi(rho, t, r):
     if rho.kind == "affine" and rho.params[0] > 0.0:
         slope, offset = rho.params
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            u = np.maximum(0.0, (np.sqrt(r * slope / 2.0) - offset) / slope - t)
+            root = np.where(r * slope < np.inf, np.sqrt(r * slope / 2.0), np.sqrt(r / 2.0) * np.sqrt(slope))
+            u = np.maximum(0.0, (root - offset) / slope - t)
             consider(u, 2.0 * u + quotient(u + t))
     elif rho.kind in ("step", "table"):
         for s, v in rho.breaks:

@@ -24,7 +24,7 @@ from coarsekit.maps import (
     closeness_constant,
     control_envelope,
 )
-from coarsekit.metric import PointSubset
+from coarsekit.metric import FiniteMetricSpace, PointSubset
 from coarsekit.phisuite import run_phi_suite, standard_rho_family
 from support import integer_points_space, line_space, looped_phi, minimizer_height, numeric_phi
 
@@ -254,6 +254,15 @@ class TestConeExtension:
                 d = float(s.dist[i, j])
                 lhs = sample.dist[assign[i], assign[j]]
                 assert lhs <= d + ext.rho(d) + 1e-7
+
+    @pytest.mark.parametrize("row", [[math.nan, 1.0], [1.0, math.nan]])
+    def test_nan_distance_to_x0_is_refused(self, row):
+        # a NaN is never a height, whether it comes before or after a finite distance
+        s = FiniteMetricSpace("x", ("a", "b", "c"), [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], row + [0.0]])
+        y = line_space([0, 1], space_id="y")
+        env = MonotoneEnvelope(((0.0, 0.0), (1.0, 1.0)))
+        with pytest.raises(PreconditionError, match="cone heights must be finite"):
+            cone_extension(s, PointSubset("x", (0, 1)), (0, 1), y, env)
 
     def test_whole_space_as_x0_reduces_to_slice(self):
         s = line_space([0, 1, 2], space_id="x")

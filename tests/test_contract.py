@@ -7,10 +7,13 @@ large ones.  The phi-family commands take rho literals and options drawn
 at the edges of float range; a stray NumPy warning is an error under the
 test configuration, so it escapes ``run`` as an exception.  ``cone_sample``
 takes such rho literals, heights and base distances directly, under a
-filter that makes every warning an error.
+filter that makes every warning an error.  ``map-analyze`` and ``ray-tree``,
+which reach the nearest-point kernel, run on small generated documents,
+some with one token mutated, under the same filter.
 """
 
 import math
+import re
 import sys
 import warnings
 from contextlib import contextmanager
@@ -24,9 +27,12 @@ from coarsekit.cli import run
 from coarsekit.cone import cone_sample, parse_rho
 from coarsekit.errors import CoarsekitError
 from coarsekit.generators import unit_path
-from coarsekit.io import parse_decomposition_certificate, parse_family, parse_rho_table, write_family
-from coarsekit.metric import FiniteMetricSpace
-from support import family_of
+from coarsekit.io import (
+    parse_decomposition_certificate, parse_family, parse_rho_table, write_family, write_map, write_subsets,
+)
+from coarsekit.maps import FamilyMap, MapFunction
+from coarsekit.metric import FiniteMetricSpace, PointSubset
+from support import family_of, line_space
 
 LOW_RECURSION_LIMIT = 120
 
@@ -194,3 +200,65 @@ def test_cone_sample_raises_only_its_own_errors_at_the_edges(phi_files, args):
         return sample.points, sample.dist.tobytes()
 
     assert outcome() == outcome()
+
+
+# a one-token mutation: a bad number, a stray word or separator, or a deleted token
+MUTANTS = st.sampled_from(["-1", "nan", "inf", "-0", "1e308", "5e-324", "2.5", "zz", ":", ""])
+
+
+@st.composite
+def map_and_ray_tree_command_lines(draw):
+    """A ``map-analyze`` or ``ray-tree`` command line over small generated
+    documents, one of them perhaps mutated in one token, with options at
+    their edges; returns the file texts by name and the command line."""
+    points = st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True)
+    src = family_of(line_space(draw(points), space_id="m"), family_id="F")
+    tgt = family_of(line_space(draw(points), space_id="t"), family_id="T")
+    member, target = src.members[0], tgt.members[0]
+
+    def subset(min_size):
+        return draw(st.lists(st.integers(0, member.n - 1), min_size=min_size, max_size=member.n)
+                    .map(lambda ix: PointSubset("m", ix)))
+
+    if draw(st.booleans()):
+        fmap = FamilyMap("F", "T", (MapFunction("m", "t", tuple(
+            draw(st.lists(st.integers(0, target.n - 1), min_size=member.n, max_size=member.n)))),))
+        docs = {"src.txt": write_family(src), "tgt.txt": write_family(tgt), "map.txt": write_map(fmap, src, tgt)}
+        argv = ["map-analyze", *docs]
+    else:
+        pieces = [("m", f"p{k}", subset(1)) for k in range(draw(st.integers(1, 3)))]
+        shells = [("m", f"s{k}", subset(0)) for k in range(draw(st.integers(1, 4)))]
+        docs = {"src.txt": write_family(src), "pieces.txt": write_subsets("F", pieces, src),
+                "shells.txt": write_subsets("F", shells, src)}
+        argv = ["ray-tree", *docs]
+        if draw(st.booleans()):
+            argv += ["--member", draw(st.sampled_from(["m", "zz"]))]
+    if draw(st.sampled_from([False, False, True])):
+        name = draw(st.sampled_from(sorted(docs)))
+        parts = re.split(r"(\s+)", docs[name])
+        parts[draw(st.sampled_from(range(0, len(parts), 2)))] = draw(MUTANTS)  # not a separator
+        docs[name] = "".join(parts)
+    option = draw(st.sampled_from([None, None, "--tolerance", "--seed", "--jobs"]))
+    if option:
+        argv += [option, draw(EDGE_OPTIONS)]
+    return docs, argv + ["--format", draw(st.sampled_from(["text", "machine"]))]
+
+
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("map-ray")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(map_and_ray_tree_command_lines())
+def test_map_and_ray_tree_commands_keep_the_exit_code_contract(doc_dir, case):
+    docs, argv = case
+    for name, text in docs.items():
+        (doc_dir / name).write_text(text)
+    argv = [str(doc_dir / a) if a in docs else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy warning escapes run as an exception
+        out, code = run(argv)
+        assert code in (0, 1, 2), out
+        assert "Traceback" not in out
+        assert run(argv) == (out, code)

@@ -11,9 +11,14 @@ with their ``looped_*`` versions: the same breakpoints (each source
 distance with its sign of zero) or error, the same space, the same
 coloring.  The leaf-bound items of a decomposition check and the mesh items
 of an AN-control check must equal those of a loop over ``subset_diameter``.
+The nearest-point kernel must agree with the five passes it replaced: its
+distances and points with a per-point ``min`` and ``list.index``, and the
+neighborhood, the two-set separator, the cone extension and the
+coarse-surjectivity constant with their ``looped_*`` versions.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,20 +27,31 @@ from hypothesis import Phase, given, settings, strategies as st
 from coarsekit.covers import ANControlCertificate, ANEntry, Cover, check_an_control
 from coarsekit.decomposition import (
     DecompositionCertificate, MemberDecomposition, _greedy_search, check_decomposition, piece_id,
-    search_decomposition,
+    search_decomposition, union_separator_map,
 )
-from coarsekit.errors import ParseError, StructuralError
+from coarsekit.cone import cone_extension
+from coarsekit.errors import CoarsekitError, ParseError, StructuralError
 from coarsekit.io import (
     _NONE, _OPTIONAL, _Doc, _int, _label_row, _labels_to_indices, parse_family, write_family,
 )
-from coarsekit.maps import FamilyMap, MapFunction, control_envelope, properness_envelope
-from coarsekit.metric import FiniteMetricSpace, MetricFamily, PointSubset, product, validate_metric
+from coarsekit.maps import (
+    FamilyMap, MapFunction, MonotoneEnvelope, control_envelope, is_coarsely_onto, properness_envelope,
+)
+from coarsekit.metric import (
+    FiniteMetricSpace, MetricFamily, PointSubset, nearest_points, neighborhood, product, validate_metric,
+)
 from coarsekit.report import CheckItem, fmt_num
 from support import (
+    looped_coarse_onto,
+    looped_cone_extension,
     looped_control_envelope,
     looped_greedy_search,
+    looped_nearest_point,
+    looped_neighborhood,
+    looped_point_to_set_distance,
     looped_product,
     looped_properness_envelope,
+    looped_separator,
     looped_validate_metric,
     looped_write_family,
     scanned_parse_family,
@@ -582,3 +598,95 @@ def test_leaf_and_mesh_items_match_the_per_piece_loop(case):
         entries.append(ANEntry(scale, tuple(covers)))
     v = check_an_control(ANControlCertificate("F", n, 2.0, bound, tuple(entries)), fam)
     assert [i for i in v.items if i.path.endswith(".mesh")] == want
+
+
+# a zero diagonal of either sign; off it, ties among 0, -0.0, repeated
+# values and inf, in rows that need not match their columns
+NEAREST_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, 1.0, 2.0, 3.5, math.inf])
+CONE_TARGET = FiniteMetricSpace("Y", ("a", "b", "c"), [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+CONE_CONTROL = MonotoneEnvelope(((0.0, 0.0), (1.0, 2.0), (4.0, 5.0)))
+
+
+@st.composite
+def nearest_point_case(draw):
+    """A 1- to 6-point space, a subset (often a singleton or the whole
+    space), a radius and two non-empty sets that cover the space."""
+    n = draw(st.integers(1, 6))
+    d = _matrix(draw, n, NEAREST_ENTRIES)
+    np.fill_diagonal(d, [draw(st.sampled_from([0.0, -0.0])) for _ in range(n)])
+    space = FiniteMetricSpace("X", tuple(f"p{i}" for i in range(n)), d, pseudo=True)
+    points = st.integers(0, n - 1)
+
+    def subset():
+        return PointSubset("X", draw(st.one_of(
+            st.lists(points, min_size=1, max_size=n), points.map(lambda i: [i]), st.just(range(n)))))
+
+    a, x1 = subset(), subset()
+    x2 = PointSubset("X", tuple(set(range(n)) - set(x1.indices)) + subset().indices)
+    return space, a, draw(st.sampled_from([0.0, 1.0, 2.0, 3.5, math.inf])), x1, x2
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _caught(call):
+    """What ``call()`` returns, or the text of the library error or NumPy
+    warning it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return call()
+        except (CoarsekitError, RuntimeWarning) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+def _separator_parts(line, assignment, values):
+    return line.id, line.points, line.dist.tobytes(), assignment, _bits(np.add(values, 0.0)), values
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(nearest_point_case(), family_map(), st.data())
+def test_nearest_point_kernel_matches_the_passes_it_replaced(case, onto_case, data):
+    space, a, radius, x1, x2 = case
+    dist, point = nearest_points(space, a)
+    looped = [looped_nearest_point(space, i, a) for i in range(space.n)]
+    assert _bits(dist) == _bits([h for h, _ in looped])
+    assert point.tolist() == [p for _, p in looped]
+    # np.min may keep another of two tied zeros: equal values, not always equal bits
+    assert dist.tolist() == [looped_point_to_set_distance(space, i, a) for i in range(space.n)]
+    assert neighborhood(space, a, radius).indices == looped_neighborhood(space, a, radius)
+
+    def separator():
+        line, fmap, values = union_separator_map(space, x1, x2)
+        return _separator_parts(line, fmap.functions[0].assignment, values)
+
+    got, want = _caught(separator), _caught(lambda: _separator_parts(*looped_separator(space, x1, x2)))
+    if isinstance(want, str):  # an inf value puts inf - inf on the line
+        assert got == want
+    else:
+        # the values up to the sign of a zero; each zero keeps the sign of
+        # the entries at the first nearest points
+        assert got[:-1] == want[:-1]
+        first = [[looped_nearest_point(space, i, x)[0] for x in (x1, x2)] for i in range(space.n)]
+        assert _bits(got[-1]) == _bits([d2 - d1 for d1, d2 in first])
+
+    f = tuple(data.draw(st.lists(st.integers(0, 2), min_size=len(a), max_size=len(a))))
+
+    def extension():
+        ext = cone_extension(space, a, f, CONE_TARGET, CONE_CONTROL)
+        return (_bits(ext.heights), ext.nearest, ext.sample.points, ext.sample.dist.tobytes(),
+                ext.full_map.functions[0].assignment, ext.restricted_map.functions[0].assignment,
+                ext.slice_of_partial.functions[0].assignment)
+
+    def looped_extension():
+        heights, nearest, sample, *images = looped_cone_extension(space, a, f, CONE_TARGET, CONE_CONTROL)
+        return (_bits(heights), nearest, sample.points, sample.dist.tobytes(), *images)
+
+    # a point at distance inf from X0 has no finite height: both refuse it
+    assert _caught(extension) == _caught(looped_extension)
+
+    got, want = _caught(lambda: is_coarsely_onto(*onto_case)), _caught(lambda: looped_coarse_onto(*onto_case))
+    assert got == want
+    if not isinstance(got, str):
+        assert _bits(got[1]) == _bits(want[1])

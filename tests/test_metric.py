@@ -7,7 +7,9 @@ from coarsekit.errors import PreconditionError, StructuralError
 from coarsekit.metric import (
     FiniteMetricSpace,
     GroupAction,
+    PointSubset,
     ball,
+    nearest_points,
     neighborhood,
     product,
     quotient,
@@ -201,6 +203,23 @@ class TestBall:
         s = line_space([0, 1, 2, 3, 4])
         sub = ball(s, 0, 0)
         assert neighborhood(s, sub, 2).indices == (0, 1, 2)
+
+    def test_negative_neighborhood_radius_refused(self):
+        s = line_space([0, 1, 2])
+        with pytest.raises(PreconditionError, match="neighborhood radius must be >= 0"):
+            neighborhood(s, ball(s, 0, 0), -1.0)
+
+    def test_nearest_points_rows_are_the_points(self):
+        # d(a, b) = 1 but d(b, a) = 3: x's own row gives d(x, A)
+        s = space_from_matrix([[0, 1, 5], [3, 0, 2], [2, 2, 0]], pseudo=True)
+        dist, point = nearest_points(s, PointSubset(s.id, (0, 2)))
+        assert dist.tolist() == [0.0, 2.0, 0.0] and point.tolist() == [0, 2, 2]
+        dist, point = nearest_points(s, PointSubset(s.id, (1, 2)))
+        assert dist.tolist() == [1.0, 0.0, 0.0] and point.tolist() == [1, 1, 2]
+        # ties go to the lowest index; an empty subset is at distance inf
+        assert nearest_points(line_space([0, 1, 2]), PointSubset("line", (0, 2)))[1].tolist() == [0, 0, 2]
+        dist, point = nearest_points(s, PointSubset(s.id, ()))
+        assert dist.tolist() == [math.inf] * 3 and point.tolist() == [-1] * 3
 
 
 def test_validate_action_checks_group_axioms():

@@ -14,6 +14,9 @@ errors of ``looped_cone_sample`` (phi on the full matrix, then
 samples that ``validate_metric`` passes.
 """
 
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,6 +30,7 @@ from coarsekit.metric import FiniteMetricSpace, _min_plus_tiles, validate_metric
 from coarsekit.phisuite import INVERSE_TOL, _bisect_inverse, run_phi_suite, standard_rho_family
 from support import (
     cone_sample_matrix,
+    exact_phi,
     heap_chain_oracle,
     integer_points_space,
     looped_cone_sample,
@@ -137,6 +141,7 @@ def phi_arguments(draw):
 @example(ROUNDING_CASE)
 @example((ROUNDING_CASE[0], np.array([[0.101], [0.428], [0.5]]), np.array([[0.0, 40.0, np.inf, 4.0**40]])))
 @example((RhoFunction.affine(1e308, 1e308), np.array([[0.0], [5.0]]), np.array([[0.0, 1.0, np.inf, 4.0**40]])))
+@example((RhoFunction.affine(1e10, 0.0), 1.0, 1e300))  # r M overflows
 def test_phi_matches_the_full_scan_bit_for_bit(args):
     rho, t, r = args
     ref_val, _ = looped_phi(rho, t, r)
@@ -204,6 +209,51 @@ def test_standard_family_never_bisects(monkeypatch, seed):
 
     monkeypatch.setattr(phisuite, "_bisect_inverse", refuse)
     assert run_phi_suite(seed=seed).passed
+
+
+# M t + L passes float max for these rhos at every sampled height t >= 0.5
+OVERFLOWING_RHOS = [RhoFunction.affine(1e308, 1e308), RhoFunction.affine(1e308, 0.0)]
+
+
+@pytest.mark.parametrize("rho", OVERFLOWING_RHOS)
+def test_closed_form_inverse_where_rho_overflows(rho):
+    rng = np.random.default_rng(11)
+    t = np.concatenate(([0.5, 3.0, 9.0], rng.uniform(0.0, 10.0, 1000)))
+    r = np.concatenate(([1.0, 1.0, 1.0], rng.uniform(0.0, 100.0, 1000)))
+    assert (np.abs(_phi_inverse(rho, t, phi(rho, t, r)) - r) <= INVERSE_TOL).all()
+
+
+def test_phi_suite_never_bisects_where_rho_overflows(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the bisection ran")
+
+    monkeypatch.setattr(phisuite, "_bisect_inverse", refuse)
+    v = run_phi_suite(OVERFLOWING_RHOS, samples=50)
+    assert all(item.passed for item in v.items if item.path.endswith(".bijection"))
+
+
+# t, r, M and L at the edges of float range, subnormals among them
+PHI_EDGES = [0.0, 5e-324, 2.5e-310, 1e-300, 1.0, 1e300, 1.79e308]
+PHI_ULPS = 2  # the most measured over 44 000 such draws was 1.75
+
+
+def test_const_and_affine_phi_within_two_ulps_of_the_exact_infimum():
+    rng = np.random.default_rng(7)
+
+    def draw():
+        kind = rng.integers(3)
+        if kind == 0:
+            return float(rng.choice(PHI_EDGES))
+        return float(rng.uniform(0.0, 10.0) if kind == 1 else 10.0 ** rng.uniform(-300.0, 300.0))
+
+    cases = [(RhoFunction.affine(1e10, 0.0), 1.0, 1e300)]  # r M overflows
+    for _ in range(2000):
+        t, r, slope, offset = draw(), draw(), draw(), draw()
+        rho = RhoFunction.constant(slope) if rng.integers(4) == 0 else RhoFunction.affine(slope, offset)
+        cases.append((rho, t, r))
+    for rho, t, r in cases:
+        exact = exact_phi(rho, t, r)
+        assert abs(Decimal(phi(rho, t, r)) - exact) <= PHI_ULPS * Decimal(math.ulp(float(exact))), (rho, t, r)
 
 
 @SETTINGS
