@@ -200,9 +200,8 @@ def ray_tree_embed(
     depth = len(shells) + 1
     ray_ids = tuple(str(j) for j in range(len(pieces)))
     tree = build_ray_tree(space.id, ray_ids, depth)
-    label_index = {lbl: k for k, lbl in enumerate(tree.space.points)}
     assignment = [
-        label_index["root" if n == 1 else f"r{j}:{n - 1}"]
+        tree.space.index("root" if n == 1 else f"r{j}:{n - 1}")
         for n, j in zip(shell_index.tolist(), owner.tolist())
     ]
     fmap = FamilyMap(

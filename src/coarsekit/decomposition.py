@@ -545,10 +545,12 @@ def union_separator_map(
         raise PreconditionError(f"X1 and X2 do not cover {space.id!r}")
     values = tuple((nearest_points(space, x2)[0] - nearest_points(space, x1)[0]).tolist())
     levels = sorted(set(values))
+    n = len(levels)
     line = FiniteMetricSpace(
         f"{space.id}|separator-line",
         tuple(fmt_num(v) for v in levels),
-        np.abs(np.subtract.outer(np.array(levels), np.array(levels))),
+        # off the diagonal only: an infinite level less itself would be NaN
+        np.abs(np.subtract.outer(levels, levels, out=np.zeros((n, n)), where=~np.eye(n, dtype=bool))),
     )
     position = {v: k for k, v in enumerate(levels)}
     assignment = tuple(map(position.__getitem__, values))

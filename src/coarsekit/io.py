@@ -52,8 +52,10 @@ keyword shown alone takes none.
 
   rho table file           <s> <value>                          (one per line)
 
-A missing token of a keyword line is reported just past the line's last
-token and an extra one at its own column.  The ``<member-id>`` of a subsets,
+Each row is split once on whitespace; the column of a token is worked out
+from the row's text only for the error that names it.  A missing token of
+a keyword line is reported just past the line's last token and an extra
+one at its own column.  The ``<member-id>`` of a subsets,
 action or certificate document, and each member of a ``function`` line, must
 name a member of the family the document is read against, and an action
 document, a certificate entry or a decomposition stage names each member
@@ -91,8 +93,8 @@ _NONE, _ONE, _OPTIONAL, _MANY = range(1), range(1, 2), range(2), range(1, sys.ma
 
 class _Doc:
     """Scanned document: the non-blank lines, comments stripped, with line
-    numbers.  A line is split into (token, column) pairs only when a parser
-    takes it, so a bulk reader of ``lines`` pays nothing per token."""
+    numbers.  A parser takes a line as its split tokens; the column of a
+    token is worked out only for the error that names it."""
 
     def __init__(self, text: str):
         self.lines: list[tuple[int, str]] = []
@@ -116,144 +118,121 @@ class _Doc:
             return None
         return _TOKEN.search(self.lines[self.pos][1]).group()
 
-    def take(self) -> tuple[int, list[tuple[str, int]]]:
+    def take(self) -> tuple[int, list[str]]:
         if self.eof():
             raise ParseError("unexpected end of document", self.line_no())
         ln, body = self.lines[self.pos]
         self.pos += 1
-        return ln, [(m.group(), m.start() + 1) for m in _TOKEN.finditer(body)]
+        return ln, body.split()
 
-    def error(self, message: str) -> ParseError:
-        """A ParseError at the first token of the row taken last."""
+    def error(self, message: str, k: int = 0, past: bool = False) -> ParseError:
+        """A ParseError at token ``k`` of the row taken last (a negative
+        ``k`` counts from its end), or just past that token with ``past``."""
         ln, body = self.lines[self.pos - 1]
-        return ParseError(message, ln, _TOKEN.search(body).start() + 1)
+        token = list(_TOKEN.finditer(body))[k]
+        return ParseError(message, ln, (token.end() if past else token.start()) + 1)
 
-    def expect(self, key: str, nargs, usage: str | None = None) -> tuple[int, list[tuple[str, int]]]:
+    def expect(self, key: str, nargs, usage: str | None = None) -> tuple[int, list[str]]:
         """Take a ``<key> <arg...>`` line of ``nargs`` (an int or a range)
-        arguments; return its line number and the (token, column) pairs after
-        the key.  An arity error is reported at the token, or as ``usage``."""
+        arguments; return its line number and the tokens after the key, so
+        argument j is token j + 1.  An arity error is reported at the
+        token, or as ``usage``."""
         ln, toks = self.take()
-        word, col = toks[0]
-        if word != key:
-            raise ParseError(f"expected {key!r}, found {word!r}", ln, col)
+        if toks[0] != key:
+            raise self.error(f"expected {key!r}, found {toks[0]!r}")
         args = toks[1:]
         arity = nargs if isinstance(nargs, range) else range(nargs, nargs + 1)
         if len(args) in arity:
             return ln, args
         if usage:
-            raise ParseError(usage, ln, col)
+            raise self.error(usage)
         if len(args) < arity.start:
-            raise ParseError(f"missing argument on the {key!r} line", ln, toks[-1][1] + len(toks[-1][0]))
-        extra, extra_col = args[arity.stop - 1]
-        raise ParseError(f"unexpected token {extra!r} on the {key!r} line", ln, extra_col)
+            raise self.error(f"missing argument on the {key!r} line", -1, past=True)
+        raise self.error(f"unexpected token {args[arity.stop - 1]!r} on the {key!r} line", arity.stop)
 
     def word(self, key: str) -> str:
-        _, [(tok, _)] = self.expect(key, 1)
+        _, [tok] = self.expect(key, 1)
         return tok
 
     def num(self, key: str) -> float:
-        ln, [(tok, col)] = self.expect(key, 1)
-        return _num(tok, ln, col)
+        _, [tok] = self.expect(key, 1)
+        return self.number(tok, 1)
 
     def int(self, key: str) -> int:
-        ln, [(tok, col)] = self.expect(key, 1)
-        return _int(tok, ln, col)
+        _, [tok] = self.expect(key, 1)
+        return self.integer(tok, 1)
 
     def colon_row(self, key: str | None, nhead: range, usage: str, ntail=range(sys.maxsize)):
         """Take a ``[<key>] <head...> : <tail...>`` row; return its line
-        number, head and tail.  A head of a length outside ``nhead``, or a
-        tail outside ``ntail``, is ``usage`` at the row's start."""
+        number, head, tail and the row index of the tail's first token.  A
+        head of a length outside ``nhead``, or a tail outside ``ntail``, is
+        ``usage`` at the row's start."""
         ln, toks = self.take()
+        start = 0
         if key is not None:
-            if len(toks) == 1 or toks[0][0] != key:  # a bare or foreign line: expect() names it
+            if len(toks) == 1 or toks[0] != key:  # a bare or foreign line: expect() names it
                 self.pos -= 1
                 self.expect(key, _MANY)
-            del toks[0]
-        for k, (tok, _) in enumerate(toks):
-            if tok == ":":
-                break
-        else:
-            raise ParseError("missing ':' separator", ln, toks[-1][1])
-        head, tail = toks[:k], toks[k + 1:]
+            start = 1
+        try:
+            k = toks.index(":", start)
+        except ValueError:
+            raise self.error("missing ':' separator", -1) from None
+        head, tail = toks[start:k], toks[k + 1:]
         if len(head) not in nhead or len(tail) not in ntail:
             raise self.error(usage)
-        return ln, head, tail
+        return ln, head, tail, k + 1
 
+    def number(self, tok: str, k: int) -> float:
+        """Token ``k`` of the row taken last, ``tok``, as a number: ``inf``
+        is the unbounded sentinel, integer literals are converted exactly,
+        a literal beyond the float range is out of range, and nan in any
+        spelling is rejected."""
+        if tok == "inf":
+            return math.inf
+        try:
+            v = float(int(tok)) if _INTEGER.fullmatch(tok) else float(tok)
+        except ValueError:
+            raise self.error(f"not a number: {tok!r}", k) from None
+        except OverflowError:
+            raise self.error(f"number out of range: {tok!r}", k) from None
+        if math.isinf(v) and tok.lstrip("+-").lower() not in ("inf", "infinity"):
+            raise self.error(f"number out of range: {tok!r}", k)
+        if math.isnan(v):
+            raise self.error(f"nan is not accepted as a number: {tok!r}", k)
+        return v
 
-def _num(tok: str, ln: int, col: int) -> float:
-    """A number token: ``inf`` is the unbounded sentinel, integer literals
-    are converted exactly, a literal beyond the float range is out of range,
-    and nan in any spelling is rejected."""
-    if tok == "inf":
-        return math.inf
-    try:
-        v = float(int(tok)) if _INTEGER.fullmatch(tok) else float(tok)
-    except ValueError:
-        raise ParseError(f"not a number: {tok!r}", ln, col) from None
-    except OverflowError:
-        raise ParseError(f"number out of range: {tok!r}", ln, col) from None
-    if math.isinf(v) and tok.lstrip("+-").lower() not in ("inf", "infinity"):
-        raise ParseError(f"number out of range: {tok!r}", ln, col)
-    if math.isnan(v):
-        raise ParseError(f"nan is not accepted as a number: {tok!r}", ln, col)
-    return v
+    def integer(self, tok: str, k: int) -> int:
+        """Token ``k`` of the row taken last, ``tok``, as an integer."""
+        try:
+            return int(tok)
+        except ValueError:
+            raise self.error(f"not an integer: {tok!r}", k) from None
 
+    def labels(self, toks: list[str], k: int, space: FiniteMetricSpace) -> tuple[int, ...]:
+        """The point indices of the labels ``toks``, tokens k, k + 1, ...
+        of the row taken last, in ``space``'s label dict."""
+        try:
+            return tuple(map(space._index.__getitem__, toks))
+        except KeyError:
+            j = next(j for j, tok in enumerate(toks) if tok not in space._index)
+            raise self.error(f"unknown point {toks[j]!r} of {space.id!r}", k + j) from None
 
-def _int(tok: str, ln: int, col: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"not an integer: {tok!r}", ln, col) from None
-
-
-def _member_of(member_id: str, col: int, family: MetricFamily, ln: int) -> FiniteMetricSpace:
-    try:
-        return family.member(member_id)
-    except StructuralError as exc:
-        raise ParseError(str(exc), ln, col) from None
+    def member(self, member_id: str, k: int, family: MetricFamily) -> FiniteMetricSpace:
+        """The member of ``family`` named by token k, ``member_id``."""
+        try:
+            return family.member(member_id)
+        except StructuralError as exc:
+            raise self.error(str(exc), k) from None
 
 
 def _member_line(doc: _Doc, family: MetricFamily, seen) -> FiniteMetricSpace:
     """A ``member <member-id>`` line, resolved against ``family``; an id in
     ``seen`` (the members of the enclosing entry or stage) is a repeat."""
-    ln, [(tok, col)] = doc.expect("member", 1)
+    _, [tok] = doc.expect("member", 1)
     if tok in seen:
-        raise ParseError(f"repeated member block for {tok!r}", ln, col)
-    return _member_of(tok, col, family, ln)
-
-
-def _label_index(label: str, col: int, space: FiniteMetricSpace, ln: int) -> int:
-    try:
-        return space.index(label)
-    except StructuralError:
-        raise ParseError(f"unknown point {label!r} of {space.id!r}", ln, col) from None
-
-
-def _labels_to_indices(labels, space: FiniteMetricSpace, ln: int) -> tuple[int, ...]:
-    return tuple(_label_index(lbl, col, space, ln) for lbl, col in labels)
-
-
-def _label_row(doc: _Doc, key: str, nhead: range, usage: str,
-               space: FiniteMetricSpace) -> tuple[int, list[int], tuple[int, ...]]:
-    """Take a ``<key> <int...> : <label...>`` row of ``space``; return its
-    line number, its head as ints and its labels as point indices.  The row
-    is split once and its labels looked up in the space's label dict; a row
-    that fails any check is re-read by ``colon_row`` for its diagnostic, so
-    columns are worked out only for a rejected row."""
-    ln, body = doc.lines[doc.pos]
-    toks = body.split()
-    k = toks.index(":") if ":" in toks else 0
-    if k and toks[0] == key and k - 1 in nhead:
-        try:
-            head = [int(tok) for tok in toks[1:k]]
-            indices = tuple(map(space._index.__getitem__, toks[k + 1:]))
-        except (ValueError, KeyError):
-            pass
-        else:
-            doc.pos += 1
-            return ln, head, indices
-    ln, head, tail = doc.colon_row(key, nhead, usage)
-    return ln, [_int(tok, ln, col) for tok, col in head], _labels_to_indices(tail, space, ln)
+        raise doc.error(f"repeated member block for {tok!r}", 1)
+    return doc.member(tok, 1, family)
 
 
 # family documents
@@ -302,7 +281,7 @@ def _bulk_block(doc: _Doc, n: int) -> np.ndarray | None:
     any other is split and converted with one float pass.  Returns None,
     consuming nothing, when some row needs ``_scan_block``: the block is
     cut short or ragged, a token is not a number, or a value is not finite
-    or is -0.0 (``_num`` reads the literal ``-0`` as +0.0).
+    or is -0.0 (``_Doc.number`` reads the literal ``-0`` as +0.0).
     """
     bodies = [body for _, body in doc.lines[doc.pos:doc.pos + n - 1]]
     if len(bodies) != n - 1:
@@ -368,32 +347,30 @@ def _scan_block(doc: _Doc, n: int, member_id: str) -> np.ndarray:
     values: list[float] = []
     for i in range(1, n):
         ended = doc.peek_key() in ("member", "family")
-        ln, row = doc.take()
+        _, row = doc.take()
         if ended:
             raise doc.error(f"triangular block for {member_id!r} ended early (row {i} of {n - 1})")
         if len(row) != i:
-            _, col = row[min(i, len(row) - 1)]
-            raise ParseError(f"ragged block: row {i} of member {member_id!r} needs {i} numbers, "
-                             f"found {len(row)}", ln, col)
-        values.extend(_num(tok, ln, col) for tok, col in row)
+            raise doc.error(f"ragged block: row {i} of member {member_id!r} needs {i} numbers, "
+                            f"found {len(row)}", min(i, len(row) - 1))
+        values.extend(doc.number(tok, k) for k, tok in enumerate(row))
     return np.array(values, dtype=np.float64)
 
 
 def parse_family(text: str) -> MetricFamily:
     doc = _Doc(text)
-    _, [(fam_id, _)] = doc.expect("family", 1, "family header needs exactly one id")
+    _, [fam_id] = doc.expect("family", 1, "family header needs exactly one id")
     members: list[FiniteMetricSpace] = []
     while not doc.eof():
         usage = "member line is 'member <id> [pseudo]'"
-        _, [(member_id, _), *flag] = doc.expect("member", range(1, 3), usage)
-        if [tok for tok, _ in flag] not in ([], ["pseudo"]):
+        _, [member_id, *flag] = doc.expect("member", range(1, 3), usage)
+        if flag not in ([], ["pseudo"]):
             raise doc.error(usage)
-        ln, points = doc.expect("points", _MANY, "member has no points")
-        labels = [t for t, _ in points]
+        _, labels = doc.expect("points", _MANY, "member has no points")
         seen: set[str] = set()
-        for label, col in points:
+        for k, label in enumerate(labels, start=1):
             if label in seen:
-                raise ParseError(f"duplicate point label {label!r}", ln, col)
+                raise doc.error(f"duplicate point label {label!r}", k)
             seen.add(label)
         n = len(labels)
         values = _bulk_block(doc, n)
@@ -449,21 +426,20 @@ def parse_action(text: str, family: MetricFamily) -> ActionDocument:
     ``family``, at most once."""
     doc = _Doc(text)
     action_id = doc.word("action")
-    _, args = doc.expect("elements", _MANY)
-    elements = tuple(t for t, _ in args)
+    elements = tuple(doc.expect("elements", _MANY)[1])
     pos = {e: i for i, e in enumerate(elements)}
     compose_rows: dict[str, tuple[int, ...]] = {}
     while doc.peek_key() == "compose":
-        ln, [(e, col)], tail = doc.colon_row(
+        _, [e], tail, t = doc.colon_row(
             "compose", _ONE, "compose row is 'compose <element> : <element...>'")
         if e in compose_rows:
-            raise ParseError(f"repeated compose row for {e!r}", ln, col)
-        for tok, col in [(e, col), *tail]:
+            raise doc.error(f"repeated compose row for {e!r}", 1)
+        for k, tok in [(1, e), *enumerate(tail, t)]:
             if tok not in pos:
-                raise ParseError(f"unknown element {tok!r}", ln, col)
+                raise doc.error(f"unknown element {tok!r}", k)
         if len(tail) != len(elements):
             raise doc.error(f"compose row for {e!r} needs {len(elements)} entries")
-        compose_rows[e] = tuple(pos[tok] for tok, _ in tail)
+        compose_rows[e] = tuple(map(pos.__getitem__, tail))
     missing = [e for e in elements if e not in compose_rows]
     if missing:
         raise ParseError(f"missing compose row for {missing[0]!r}", doc.line_no())
@@ -474,12 +450,12 @@ def parse_action(text: str, family: MetricFamily) -> ActionDocument:
         table: dict[str, tuple[int, ...]] = {}
         while doc.peek_key() == "perm":
             usage = "perm row is 'perm <element> : <indices...>'"
-            ln, [(e, col)], tail = doc.colon_row("perm", _ONE, usage)
+            ln, [e], tail, t = doc.colon_row("perm", _ONE, usage)
             if e not in pos:
                 raise doc.error(usage)
             if e in table:
-                raise ParseError(f"repeated perm row for {e!r}", ln, col)
-            table[e] = tuple(_int(t, ln, c) for t, c in tail)
+                raise doc.error(f"repeated perm row for {e!r}", 1)
+            table[e] = tuple(doc.integer(tok, k) for k, tok in enumerate(tail, t))
         if set(table) != set(elements):
             raise ParseError(f"member {member_id!r} is missing permutations", ln)
         perms[member_id] = table
@@ -507,18 +483,18 @@ def parse_map(text: str, src: MetricFamily, tgt: MetricFamily) -> FamilyMap:
     functions: list[MapFunction] = []
     while not doc.eof():
         usage = "function line is 'function <src> -> <tgt>'"
-        ln, [s_id, (arrow, _), t_id] = doc.expect("function", 3, usage)
+        ln, [s_id, arrow, t_id] = doc.expect("function", 3, usage)
         if arrow != "->":
             raise doc.error(usage)
-        s = _member_of(*s_id, src, ln)
-        t = _member_of(*t_id, tgt, ln)
+        s = doc.member(s_id, 1, src)
+        t = doc.member(t_id, 3, tgt)
         assign: dict[int, int] = {}
         while not doc.eof() and doc.peek_key() != "function":
-            ln, [point], [image] = doc.colon_row(None, _ONE, "assignment line is '<point> : <image>'", _ONE)
-            i = _label_index(*point, s, ln)
+            ln, [point], [image], _ = doc.colon_row(None, _ONE, "assignment line is '<point> : <image>'", _ONE)
+            [i] = doc.labels([point], 0, s)
             if i in assign:
-                raise ParseError(f"repeated assignment row for {point[0]!r}", ln, point[1])
-            assign[i] = _label_index(*image, t, ln)
+                raise doc.error(f"repeated assignment row for {point!r}")
+            [assign[i]] = doc.labels([image], 2, t)
         if len(assign) != s.n:
             raise ParseError(f"function {s.id!r} -> {t.id!r} assigns {len(assign)} of {s.n} points", ln)
         functions.append(MapFunction(s.id, t.id, tuple(assign[i] for i in range(s.n))))
@@ -541,19 +517,19 @@ def write_subsets(family_id: str, entries, family: MetricFamily) -> str:
 
 def parse_subsets(text: str, family: MetricFamily) -> list[tuple[str, str, PointSubset]]:
     doc = _Doc(text)
-    ln, [(fam_id, col)] = doc.expect("subsets", 1)
+    _, [fam_id] = doc.expect("subsets", 1)
     if fam_id != family.id:
-        raise ParseError(f"subsets are for {fam_id!r}, not family {family.id!r}", ln, col)
+        raise doc.error(f"subsets are for {fam_id!r}, not family {family.id!r}", 1)
     out: list[tuple[str, str, PointSubset]] = []
     member = None
     while not doc.eof():
         if doc.peek_key() == "member":
             member = _member_line(doc, family, ())
             continue
-        ln, [(name, _)], tail = doc.colon_row(None, _ONE, "subset line is '<name> : <label...>'")
+        _, [name], tail, t = doc.colon_row(None, _ONE, "subset line is '<name> : <label...>'")
         if member is None:
             raise doc.error("subset line before any member line")
-        out.append((member.id, name, PointSubset(member.id, _labels_to_indices(tail, member, ln))))
+        out.append((member.id, name, PointSubset(member.id, doc.labels(tail, t, member))))
     return out
 
 
@@ -575,10 +551,10 @@ def _parse_covers(doc: _Doc, family: MetricFamily) -> tuple[tuple[str, Cover], .
         elements: list[PointSubset] = []
         colors: list[int] = []
         while doc.peek_key() == "element":
-            ln, head, indices = _label_row(
-                doc, "element", _OPTIONAL, "element line is 'element [<color>] : <label...>'", member)
-            colors += head
-            elements.append(PointSubset(member.id, indices))
+            ln, head, tail, t = doc.colon_row(
+                "element", _OPTIONAL, "element line is 'element [<color>] : <label...>'")
+            colors += (doc.integer(tok, 1) for tok in head)
+            elements.append(PointSubset(member.id, doc.labels(tail, t, member)))
         if colors and len(colors) != len(elements):
             raise ParseError("either all or no elements of a cover carry colors", ln)
         covers[member.id] = Cover(member.id, tuple(elements), tuple(colors) if colors else None)
@@ -677,8 +653,7 @@ def parse_decomposition_certificate(text: str, family: MetricFamily) -> Decompos
     doc = _Doc(text)
     cert = _parse_decomposition(doc, family)
     if not doc.eof():
-        key = doc.peek_key()
-        doc.take()
+        _, [key, *_] = doc.take()
         raise doc.error(f"expected end of document, found {key!r}")
     return cert
 
@@ -698,13 +673,12 @@ def _parse_decomposition(doc: _Doc, family: MetricFamily) -> DecompositionCertif
             member = _member_line(doc, family, members)
             groups: list[tuple[PointSubset, ...]] = []
             while doc.peek_key() == "color":
-                ln, [(tok, col)] = doc.expect("color", 1)
-                if _int(tok, ln, col) != len(groups):
-                    raise ParseError(f"colors must appear in order; expected {len(groups)}", ln, col)
+                if doc.int("color") != len(groups):
+                    raise doc.error(f"colors must appear in order; expected {len(groups)}", 1)
                 pieces: list[PointSubset] = []
                 while doc.peek_key() == "piece":
-                    _, _, indices = _label_row(doc, "piece", _NONE, "piece line is 'piece : <label...>'", member)
-                    pieces.append(PointSubset(member.id, indices))
+                    _, _, tail, t = doc.colon_row("piece", _NONE, "piece line is 'piece : <label...>'")
+                    pieces.append(PointSubset(member.id, doc.labels(tail, t, member)))
                 groups.append(tuple(pieces))
             members[member.id] = MemberDecomposition(member.id, tuple(groups))
         stage = (fam_id, r, n, tuple(members.values()))
@@ -742,16 +716,16 @@ def parse_fibering_witness(
 ) -> FiberingWitness:
     doc = _Doc(text)
     doc.expect("fibering-witness", 0)
-    ln, args = doc.expect("schedule", _MANY)
-    schedule = tuple(_num(t, ln, c) for t, c in args)
+    _, args = doc.expect("schedule", _MANY)
+    schedule = tuple(doc.number(tok, k) for k, tok in enumerate(args, start=1))
     doc.expect("target-certificate", 0)
     target_cert = parse_asdim_certificate(doc, tgt, stop_keys=frozenset({"inner"}))
     inner: dict[float, DecompositionCertificate] = {}
     while not doc.eof():
-        ln, [(tok, col)] = doc.expect("inner", 1)
-        radius = _num(tok, ln, col)
+        _, [tok] = doc.expect("inner", 1)
+        radius = doc.number(tok, 1)
         if radius in inner:
-            raise ParseError(f"repeated inner block for radius {tok!r}", ln, col)
+            raise doc.error(f"repeated inner block for radius {tok!r}", 1)
         fam = ball_preimage_family(fmap, src, tgt, radius)
         inner[radius] = _parse_decomposition(doc, fam)
     return FiberingWitness(fmap, schedule, tuple(inner.items()), target_cert)
@@ -763,10 +737,10 @@ def parse_rho_table(text: str) -> tuple[tuple[float, float], ...]:
     doc = _Doc(text)
     pairs = []
     while not doc.eof():
-        ln, row = doc.take()
+        _, row = doc.take()
         if len(row) != 2:
             raise doc.error("rho table rows are '<s> <value>'")
-        pairs.append(tuple(_num(tok, ln, col) for tok, col in row))
+        pairs.append(tuple(doc.number(tok, k) for k, tok in enumerate(row)))
     return tuple(pairs)
 
 

@@ -193,17 +193,18 @@ def is_coarsely_onto(
 ) -> tuple[bool, float]:
     """(every target member is the range of some function, least C such that
     every point of each function's codomain is within C of that function's
-    image).  C is the inf sentinel when some member is hit by no function."""
+    image).  C is the inf sentinel when some member is hit by no function,
+    and NaN when a point's distance to an image is NaN."""
     validate_map(fmap, src, tgt)
     hit = {fn.target_member for fn in fmap.functions}
     all_hit = all(m in hit for m in tgt.member_ids())
     if not all_hit:
         return False, math.inf
     c = 0.0
-    for fn in fmap.functions:
+    for fn in fmap.functions:  # np.maximum, unlike max, keeps a NaN
         t = tgt.member(fn.target_member)
-        c = max(c, float(nearest_points(t, PointSubset(t.id, set(fn.assignment)))[0].max()))  # the image
-    return True, c
+        c = np.maximum(c, nearest_points(t, PointSubset(t.id, set(fn.assignment)))[0].max())  # the image
+    return True, float(c)
 
 
 def preimage_family(

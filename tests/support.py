@@ -443,8 +443,8 @@ def looped_coarse_onto(fmap, src, tgt) -> tuple[bool, float]:
     for fn in fmap.functions:
         t = tgt.member(fn.target_member)
         sel = np.array(sorted(set(fn.assignment)), dtype=int)
-        c = max(c, float(t.dist[:, sel].min(axis=1).max()))
-    return True, c
+        c = np.maximum(c, t.dist[:, sel].min(axis=1).max())
+    return True, float(c)
 
 
 def looped_separator(space: FiniteMetricSpace, x1: PointSubset, x2: PointSubset):
@@ -455,11 +455,9 @@ def looped_separator(space: FiniteMetricSpace, x1: PointSubset, x2: PointSubset)
         for i in range(space.n)
     )
     levels = sorted(set(values))
-    line = FiniteMetricSpace(
-        f"{space.id}|separator-line",
-        tuple(fmt_num(v) for v in levels),
-        np.abs(np.subtract.outer(np.array(levels), np.array(levels))),
-    )
+    gaps = np.array([[abs(a - b) if i != j else 0.0 for j, b in enumerate(levels)]
+                     for i, a in enumerate(levels)])
+    line = FiniteMetricSpace(f"{space.id}|separator-line", tuple(fmt_num(v) for v in levels), gaps)
     return line, tuple(levels.index(v) for v in values), values
 
 
@@ -830,6 +828,50 @@ def scanned_num(tok: str, ln: int, col: int) -> float:
         return float(tok)
     except ValueError:
         raise ParseError(f"not a number: {tok!r}", ln, col) from None
+
+
+def scanned_colon_row(doc: ScannedDoc, key: str | None, nhead: range, usage: str,
+                      ntail: range = range(sys.maxsize)):
+    """The eager row reader that ``_Doc.colon_row`` replaced: a ``[<key>]
+    <head...> : <tail...>`` row as its line number and the (token, column)
+    pairs of its head and tail.  A bare or foreign key line, a missing
+    ``:`` or a head or tail of the wrong length is a ParseError."""
+    ln, toks = doc.take()
+    first = toks[0][1]
+    if key is not None:
+        word, col = toks[0]
+        if word != key:
+            raise ParseError(f"expected {key!r}, found {word!r}", ln, col)
+        if len(toks) == 1:
+            raise ParseError(f"missing argument on the {key!r} line", ln, col + len(word))
+        toks = toks[1:]
+    for k, (tok, _) in enumerate(toks):
+        if tok == ":":
+            break
+    else:
+        raise ParseError("missing ':' separator", ln, toks[-1][1])
+    head, tail = toks[:k], toks[k + 1:]
+    if len(head) not in nhead or len(tail) not in ntail:
+        raise ParseError(usage, ln, first)
+    return ln, head, tail
+
+
+def scanned_int(tok: str, ln: int, col: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"not an integer: {tok!r}", ln, col) from None
+
+
+def scanned_labels(pairs, space: FiniteMetricSpace, ln: int) -> tuple[int, ...]:
+    """The point indices of (label, column) pairs, one lookup each."""
+    out = []
+    for label, col in pairs:
+        try:
+            out.append(space.index(label))
+        except StructuralError:
+            raise ParseError(f"unknown point {label!r} of {space.id!r}", ln, col) from None
+    return tuple(out)
 
 
 def scanned_parse_family(text: str) -> MetricFamily:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,7 @@ from support import (
     integer_points_space,
     l1_points_space,
     line_space,
+    looped_separator,
     random_symmetric_matrix,
     space_from_matrix,
 )
@@ -389,6 +393,15 @@ class TestSeparator:
                 sup = {i for i in range(s.n) if values[i] >= -bound}
                 balls1 = {i for i in range(s.n) if min(s.dist[i, j] for j in x1.indices) <= bound}
                 assert sup == balls1
+
+    def test_inf_distance_gives_a_zero_diagonal_and_no_warning(self):
+        s = FiniteMetricSpace("s", ("a", "b"), [[0, math.inf], [math.inf, 0]])
+        for separate in (union_separator_map, looped_separator):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                line, _, values = separate(s, PointSubset("s", (0,)), PointSubset("s", (1,)))
+            assert values == (math.inf, -math.inf)
+            assert line.dist.tolist() == [[0.0, math.inf], [math.inf, 0.0]]
 
     def test_cover_precondition(self):
         s = unit_path(4, "p")

@@ -4,8 +4,10 @@ The bulk family reader must agree with the token-by-token parser, the block
 writer with the row-by-row writer, and the tiled triangle check with the
 per-point loop, all kept in support.py: equal distance bytes or the same
 parse error (message, line, column), equal documents, and equal validation
-reports in the same order.  The one-split reader of certificate label rows
-must agree with ``colon_row`` and ``_labels_to_indices`` in the same way.
+reports in the same order.  The one-split row reader, which works out a
+token's column only for the error that names it, must agree with the eager
+reader that paired every token with its column, in the same way, on every
+kind of ``:`` row.
 The map envelopes, the l^p product grid and greedy ball seeding must agree
 with their ``looped_*`` versions: the same breakpoints (each source
 distance with its sign of zero) or error, the same space, the same
@@ -18,6 +20,7 @@ coarse-surjectivity constant with their ``looped_*`` versions.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -31,9 +34,7 @@ from coarsekit.decomposition import (
 )
 from coarsekit.cone import cone_extension
 from coarsekit.errors import CoarsekitError, ParseError, StructuralError
-from coarsekit.io import (
-    _NONE, _OPTIONAL, _Doc, _int, _label_row, _labels_to_indices, parse_family, write_family,
-)
+from coarsekit.io import _NONE, _ONE, _OPTIONAL, _Doc, parse_family, write_family
 from coarsekit.maps import (
     FamilyMap, MapFunction, MonotoneEnvelope, control_envelope, is_coarsely_onto, properness_envelope,
 )
@@ -54,6 +55,10 @@ from support import (
     looped_separator,
     looped_validate_metric,
     looped_write_family,
+    ScannedDoc,
+    scanned_colon_row,
+    scanned_int,
+    scanned_labels,
     scanned_parse_family,
     subset_diameter,
 )
@@ -169,62 +174,108 @@ def test_bulk_reader_matches_token_scanner(text):
 
 LABELS = ("p0", "p1", "q", "x:y", "٣", "7")
 ROW_SPACE = FiniteMetricSpace("m", LABELS, np.ones((6, 6)) - np.eye(6))
-ROW_USAGE = {"element": (_OPTIONAL, "element line is 'element [<color>] : <label...>'"),
-             "piece": (_NONE, "piece line is 'piece : <label...>'")}
+ELEMENTS = {"e": 0, "g": 1, "٣": 2}
+ANY = range(sys.maxsize)
+# each row kind of the documents: key, head and tail lengths, usage, and how
+# its head and tail are read (as they are by the parser that takes the row)
+ROWS = {
+    "element": ("element", _OPTIONAL, ANY, "element line is 'element [<color>] : <label...>'", "int", "label"),
+    "piece": ("piece", _NONE, ANY, "piece line is 'piece : <label...>'", "raw", "label"),
+    "compose": ("compose", _ONE, ANY, "compose row is 'compose <element> : <element...>'", "element", "element"),
+    "perm": ("perm", _ONE, ANY, "perm row is 'perm <element> : <indices...>'", "raw", "int"),
+    "assignment": (None, _ONE, _ONE, "assignment line is '<point> : <image>'", "label", "label"),
+    "subset": (None, _ONE, ANY, "subset line is '<name> : <label...>'", "raw", "label"),
+}
+VALUES = {"int": ["0", "3", "12"], "label": LABELS, "element": sorted(ELEMENTS), "raw": ["A", "e", "x:y"]}
 
 
 @st.composite
 def label_row_text(draw):
-    """An ``element`` or ``piece`` row of ROW_SPACE, valid or with one defect,
-    its tokens joined by ASCII or Unicode whitespace."""
-    key = draw(st.sampled_from(sorted(ROW_USAGE)))
-    head = [draw(st.sampled_from(["0", "3", "12"]))] if key == "element" and draw(st.booleans()) else []
-    labels = draw(st.lists(st.sampled_from(LABELS), max_size=5))
-    tokens = [key, *head, ":", *labels]
+    """A row of every kind that ``_Doc.colon_row`` takes, over ROW_SPACE,
+    valid or with one defect, its tokens joined by ASCII or Unicode
+    whitespace."""
+    kind = draw(st.sampled_from(sorted(ROWS)))
+    key, nhead, ntail, _, head_as, tail_as = ROWS[kind]
+    lead = [] if key is None else [key]
+    head = draw(st.lists(st.sampled_from(VALUES[head_as]), min_size=nhead.start, max_size=nhead.stop - 1))
+    tail = draw(st.lists(st.sampled_from(VALUES[tail_as]), min_size=min(ntail.start, 1),
+                         max_size=min(ntail.stop - 1, 5)))
+    tokens = [*lead, *head, ":", *tail]
     defect = draw(st.sampled_from(
-        ["none", "none", "unknown", "repeat", "no-colon", "colon-colon", "extra-head", "color",
+        ["none", "none", "unknown", "repeat", "no-colon", "colon-colon", "extra-head", "head",
          "bare", "foreign"]))
     if defect == "unknown":
-        tokens.insert(draw(st.integers(len(head) + 2, len(tokens))), draw(st.sampled_from(["zz", "P0", "-"])))
-    elif defect == "repeat" and labels:
-        tokens.append(labels[0])
+        tokens.insert(draw(st.integers(len(lead), len(tokens))), draw(st.sampled_from(["zz", "P0", "-"])))
+    elif defect == "repeat" and tail:
+        tokens.append(tail[0])
     elif defect == "no-colon":
         tokens.remove(":")
     elif defect == "colon-colon":
-        tokens.insert(len(head) + 1, ":")
+        tokens.insert(len(lead) + len(head), ":")
     elif defect == "extra-head":
-        tokens[1:1] = ["1", "2"] if key == "element" else ["1"]
-    elif defect == "color":
-        tokens[1:1 + len(head)] = [draw(st.sampled_from(["+1", "٣", "x", "-2", "1_0"]))]
+        tokens[len(lead):len(lead)] = ["1", "2"] if nhead.stop > 2 else ["1"]
+    elif defect == "head":
+        tokens[len(lead):len(lead) + len(head)] = [draw(st.sampled_from(["+1", "٣", "x", "-2", "1_0"]))]
     elif defect == "bare":
-        tokens = [key]
+        tokens = tokens[:1]
     elif defect == "foreign":
-        tokens[0] = draw(st.sampled_from(["color", "pieces", "element:"]))
+        tokens[0] = draw(st.sampled_from(["color", "pieces", "element:", "perm"]))
     separators = st.sampled_from([" ", "\t", "  ", "\xa0", "　", "\u2003", "\x1f", "\u3000\t"])
-    return key, draw(st.sampled_from(["", " "])) + "".join(t + draw(separators) for t in tokens)
+    return kind, draw(st.sampled_from(["", " "])) + "".join(t + draw(separators) for t in tokens)
 
 
-def _row_outcome(read, key, text):
-    doc = _Doc(text)
+def _read_row(doc, kind):
+    """The row through ``_Doc``: one split, columns only for an error."""
+    key, nhead, ntail, usage, *read_as = ROWS[kind]
+    ln, head, tail, t = doc.colon_row(key, nhead, usage, ntail)
+    parts = []
+    for toks, k, how in zip((head, tail), (0 if key is None else 1, t), read_as):
+        if how == "int":
+            toks = [doc.integer(tok, j) for j, tok in enumerate(toks, k)]
+        elif how == "label":
+            toks = doc.labels(toks, k, ROW_SPACE)
+        elif how == "element":
+            for j, tok in enumerate(toks, k):
+                if tok not in ELEMENTS:
+                    raise doc.error(f"unknown element {tok!r}", j)
+            toks = [ELEMENTS[tok] for tok in toks]
+        parts.append(toks)
+    return ln, *parts
+
+
+def _scanned_read_row(doc, kind):
+    """The row through the eager reader: a (token, column) pair per token."""
+    key, nhead, ntail, usage, *read_as = ROWS[kind]
+    ln, *pairs = scanned_colon_row(doc, key, nhead, usage, ntail)
+    parts = []
+    for toks, how in zip(pairs, read_as):
+        if how == "int":
+            parts.append([scanned_int(tok, ln, col) for tok, col in toks])
+        elif how == "label":
+            parts.append(scanned_labels(toks, ROW_SPACE, ln))
+        elif how == "element":
+            for tok, col in toks:
+                if tok not in ELEMENTS:
+                    raise ParseError(f"unknown element {tok!r}", ln, col)
+            parts.append([ELEMENTS[tok] for tok, _ in toks])
+        else:
+            parts.append([tok for tok, _ in toks])
+    return ln, *parts
+
+
+def _row_outcome(read, doc, kind):
     try:
-        ln, head, indices = read(doc, key)
+        ln, head, tail = read(doc, kind)
     except ParseError as err:
         return ("error", str(err), err.line, err.column)
-    return ("ok", ln, head, indices, doc.pos)
-
-
-def _colon_row_read(doc, key):
-    nhead, usage = ROW_USAGE[key]
-    ln, head, tail = doc.colon_row(key, nhead, usage)
-    return ln, [_int(tok, ln, col) for tok, col in head], _labels_to_indices(tail, ROW_SPACE, ln)
+    return ("ok", ln, head, tail, doc.pos)
 
 
 @SETTINGS
 @given(label_row_text())
 def test_split_label_row_matches_colon_row(row):
-    key, text = row
-    split = _row_outcome(lambda doc, k: _label_row(doc, k, *ROW_USAGE[k], ROW_SPACE), key, text)
-    assert split == _row_outcome(_colon_row_read, key, text)
+    kind, text = row
+    assert _row_outcome(_read_row, _Doc(text), kind) == _row_outcome(_scanned_read_row, ScannedDoc(text), kind)
 
 
 EDGE_VALUES = st.sampled_from(
@@ -661,15 +712,13 @@ def test_nearest_point_kernel_matches_the_passes_it_replaced(case, onto_case, da
         line, fmap, values = union_separator_map(space, x1, x2)
         return _separator_parts(line, fmap.functions[0].assignment, values)
 
+    # an inf value gives the line an inf level, at 0 from itself and with no warning
     got, want = _caught(separator), _caught(lambda: _separator_parts(*looped_separator(space, x1, x2)))
-    if isinstance(want, str):  # an inf value puts inf - inf on the line
-        assert got == want
-    else:
-        # the values up to the sign of a zero; each zero keeps the sign of
-        # the entries at the first nearest points
-        assert got[:-1] == want[:-1]
-        first = [[looped_nearest_point(space, i, x)[0] for x in (x1, x2)] for i in range(space.n)]
-        assert _bits(got[-1]) == _bits([d2 - d1 for d1, d2 in first])
+    # the values up to the sign of a zero; each zero keeps the sign of
+    # the entries at the first nearest points
+    assert got[:-1] == want[:-1]
+    first = [[looped_nearest_point(space, i, x)[0] for x in (x1, x2)] for i in range(space.n)]
+    assert _bits(got[-1]) == _bits([d2 - d1 for d1, d2 in first])
 
     f = tuple(data.draw(st.lists(st.integers(0, 2), min_size=len(a), max_size=len(a))))
 

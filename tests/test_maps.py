@@ -17,8 +17,8 @@ from coarsekit.maps import (
     properness_envelope,
     validate_map,
 )
-from coarsekit.metric import PointSubset
-from support import family_of, identity_map, integer_points_space, line_space
+from coarsekit.metric import FiniteMetricSpace, PointSubset
+from support import family_of, identity_map, integer_points_space, line_space, looped_coarse_onto
 
 
 def doubling_fixture():
@@ -172,6 +172,15 @@ class TestCoarselyOnto:
         fmap = FamilyMap("S", "T", (MapFunction("dom", "r1", (0, 1)),))
         onto, c = is_coarsely_onto(fmap, fam_s, fam_t)
         assert onto is False and math.isinf(c)
+
+    def test_nan_distance_to_the_image_gives_nan(self):
+        # max(0.0, nan) is 0.0: a Python max over the functions dropped the NaN
+        tgt = FiniteMetricSpace("ran", ("a", "b", "c"), [[0, math.nan, 5], [math.nan, 0, 1], [5, 1, 0]])
+        fam_s, fam_t = family_of(line_space([0], space_id="dom"), family_id="S"), family_of(tgt, family_id="T")
+        fmap = FamilyMap("S", "T", (MapFunction("dom", "ran", (0,)),))
+        onto, c = is_coarsely_onto(fmap, fam_s, fam_t)
+        assert onto is True and math.isnan(c)
+        assert math.isnan(looped_coarse_onto(fmap, fam_s, fam_t)[1])
 
 
 class TestPreimages:
