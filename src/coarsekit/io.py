@@ -55,13 +55,13 @@ keyword shown alone takes none.
 Each row is split once on whitespace; the column of a token is worked out
 from the row's text only for the error that names it.  A missing token of
 a keyword line is reported just past the line's last token and an extra
-one at its own column.  The ``<member-id>`` of a subsets,
-action or certificate document, and each member of a ``function`` line, must
-name a member of the family the document is read against, and an action
+one at its own column.  The ``<member-id>`` of a subsets, action or
+certificate document, and each member of a ``function`` line, must name a
+member of the family the document is read against, and a family or action
 document, a certificate entry or a decomposition stage names each member
-once (a fibering witness, each inner radius once).  Ragged triangular blocks
-and malformed rows are rejected with 1-based line/column diagnostics.  Every
-writer/parser pair round-trips exactly.
+once (a fibering witness, each inner radius once).  Ragged triangular
+blocks and malformed rows are rejected with 1-based line/column
+diagnostics.  Every writer/parser pair round-trips exactly.
 """
 
 from __future__ import annotations
@@ -360,12 +360,14 @@ def _scan_block(doc: _Doc, n: int, member_id: str) -> np.ndarray:
 def parse_family(text: str) -> MetricFamily:
     doc = _Doc(text)
     _, [fam_id] = doc.expect("family", 1, "family header needs exactly one id")
-    members: list[FiniteMetricSpace] = []
+    members: dict[str, FiniteMetricSpace] = {}
     while not doc.eof():
         usage = "member line is 'member <id> [pseudo]'"
         _, [member_id, *flag] = doc.expect("member", range(1, 3), usage)
         if flag not in ([], ["pseudo"]):
             raise doc.error(usage)
+        if member_id in members:
+            raise doc.error(f"family {fam_id!r} has duplicate member id {member_id!r}", 1)
         _, labels = doc.expect("points", _MANY, "member has no points")
         seen: set[str] = set()
         for k, label in enumerate(labels, start=1):
@@ -382,8 +384,8 @@ def parse_family(text: str) -> MetricFamily:
         lower = np.tri(n, k=-1, dtype=bool)
         d[lower] = values
         d.T[lower] = values
-        members.append(FiniteMetricSpace(member_id, tuple(labels), d, pseudo=bool(flag)))
-    return MetricFamily(fam_id, tuple(members))
+        members[member_id] = FiniteMetricSpace(member_id, tuple(labels), d, pseudo=bool(flag))
+    return MetricFamily(fam_id, tuple(members.values()))
 
 
 # action documents

@@ -355,24 +355,22 @@ def _block_sums(rows: np.ndarray, cols: np.ndarray):
 
 
 def validate_action(action: GroupAction, space: FiniteMetricSpace) -> None:
-    """Reject actions that are not honest isometric group actions.
-
-    Checked exhaustively: identity element, group axioms of the composition
-    table, compatibility of the permutation table with composition, and
-    isometry of every permutation.
+    """Reject actions that are not honest isometric group actions.  Checked
+    exhaustively, in order: the space; k permutations and k composition rows
+    of k entries; each permutation of the n points; a two-sided identity
+    acting as the identity permutation; rows, then columns, of the table as
+    permutations; associativity; compatibility of the permutation table with
+    composition; isometry of every permutation.
     """
     k = action.order
     n = space.n
     if action.space_id != space.id:
         raise StructuralError(f"action targets {action.space_id!r}, not {space.id!r}")
-    if len(action.perms) != k or len(action.compose) != k:
+    if len(action.perms) != k or [len(row) for row in action.compose] != [k] * k:
         raise StructuralError("action tables do not match the element list")
     for p in action.perms:
         if sorted(p) != list(range(n)):
             raise StructuralError(f"action on {space.id!r}: not a permutation of {n} points")
-    ident = [i for i in range(k) if action.perms[i] == tuple(range(n))]
-    if not ident:
-        raise StructuralError("no element acts as the identity permutation")
     e = None
     for i in range(k):
         if all(action.compose[i][j] == j and action.compose[j][i] == j for j in range(k)):

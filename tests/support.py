@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -24,8 +25,9 @@ import coarsekit
 
 from coarsekit.cone import cone_sample, phi, rho_from_control
 from coarsekit.covers import Cover, greedy_color, validate_cover
+from coarsekit.decomposition import DecompositionCertificate, MemberDecomposition, piece_family
 from coarsekit.errors import ParseError, PreconditionError, StructuralError
-from coarsekit.generators import _clipped_interval
+from coarsekit.generators import _clipped_interval, path_decomposition
 from coarsekit.maps import FamilyMap, MapFunction, MonotoneEnvelope, validate_map
 from coarsekit.metric import (
     FiniteMetricSpace,
@@ -141,6 +143,21 @@ GRID14_L1 = ((0, 0), (3, 0), (3, 3), (1, 0), (1, 3), (0, 3), (2, 0), (0, 2),
 
 def family_of(*spaces, family_id="fam"):
     return MetricFamily(family_id, tuple(spaces))
+
+
+def path_tower(family: MetricFamily, r: int, stages: int = 2) -> DecompositionCertificate:
+    """A one- or two-stage decomposition certificate over a family of
+    integer paths: each member in ``path_decomposition``'s alternating
+    blocks of r + 1 points, then, at a second stage, each of those pieces
+    whole in the one color of n = 0.  Every leaf bound is r."""
+    members = tuple(path_decomposition(m, r).members[0] for m in family.members)
+    top = DecompositionCertificate(family.id, float(r), 1, members, leaf_bound=float(r))
+    if stages == 1:
+        return top
+    pieces = piece_family(top, family)
+    whole = tuple(MemberDecomposition(m.id, ((PointSubset(m.id, range(m.n)),),)) for m in pieces.members)
+    child = DecompositionCertificate(pieces.id, float(r), 0, whole, leaf_bound=float(r))
+    return DecompositionCertificate(family.id, float(r), 1, members, child=child)
 
 
 def subset(space, labels):
@@ -532,11 +549,21 @@ def numeric_phi(rho, t, r, u_tol=1e-9):
     return float(best) if scalar else best
 
 
-def exact_phi(rho, t: float, r: float) -> Decimal:
-    """phi_t(r) for a const or affine rho in 80-digit ``decimal``, from the
-    exact values of the floats and with no exponent limit: the objective
-    2u + r / max(M (u + t) + L, 1) at u = 0 and, for M > 0, at the
-    stationary point u* = (sqrt(r M / 2) - L) / M - t where u* > 0."""
+def exact_phi(rho, t: float, r: float) -> Decimal | Fraction:
+    """phi_t(r) from the exact values of the finite floats t and r.
+
+    Const and affine rho in 80-digit ``decimal`` with no exponent limit: the
+    objective 2u + r / max(M (u + t) + L, 1) at u = 0 and, for M > 0, at
+    the stationary point u* = (sqrt(r M / 2) - L) / M - t where u* > 0.
+    Step and table rho exactly, in ``fractions.Fraction``: the objective is
+    2u + r / max(v, 1) on each constant piece, so the minimum is over u = 0,
+    r / max(rho(t), 1), and every breakpoint s > t, 2 (s - t) + r / max(v, 1).
+    Every candidate's terms are non-negative."""
+    if rho.kind in ("step", "table"):
+        t, r = Fraction(t), Fraction(r)
+        at_t = [v for s, v in rho.breaks if s <= t] or [rho.breaks[0][1]]  # constant below the first
+        return min([r / max(Fraction(at_t[-1]), 1)] + [
+            2 * (Fraction(s) - t) + r / max(Fraction(v), 1) for s, v in rho.breaks if s > t])
     slope, offset = (0.0, rho.params[0]) if rho.kind == "const" else rho.params
     m, ell, t, r = map(Decimal, (slope, offset, t, r))
     with localcontext(Context(prec=80, Emax=10**6, Emin=-10**6)):
@@ -887,6 +914,8 @@ def scanned_parse_family(text: str) -> MetricFamily:
         if len(toks) not in (2, 3) or (len(toks) == 3 and toks[2][0] != "pseudo"):
             raise ParseError("member line is 'member <id> [pseudo]'", ln, toks[0][1])
         member_id = toks[1][0]
+        if any(m.id == member_id for m in members):
+            raise ParseError(f"family {fam_id!r} has duplicate member id {member_id!r}", ln, toks[1][1])
         pseudo = len(toks) == 3
         ln, toks = doc.expect("points")
         labels = [t for t, _ in toks[1:]]

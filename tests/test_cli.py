@@ -16,6 +16,7 @@ from coarsekit.io import (
     write_action,
     write_an_certificate,
     write_asdim_certificate,
+    write_decomposition_certificate,
     write_family,
     write_fibering_witness,
     write_map,
@@ -29,6 +30,7 @@ from support import (
     family_of,
     l1_points_space,
     line_space,
+    path_tower,
     run_child,
     space_from_matrix,
 )
@@ -578,3 +580,94 @@ def test_machine_reports_identical_across_jobs(files):
         for jobs in (1, 4)
     }
     assert outs[1] == outs[4]
+
+
+def edited(text, old, new):
+    """``text`` with its one occurrence of ``old`` replaced by ``new``."""
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+def test_child_stage_for_another_family_fails_the_stage_gate(files):
+    save, _ = files
+    fam = MetricFamily("paths200", (unit_path(200, "path200"),))
+    cert = edited(write_decomposition_certificate(path_tower(fam, 3), fam), "family paths200|pieces\n", "family wrong\n")
+    argv = ["check-cert", save("fam.txt", write_family(fam)), save("cert.txt", cert)]
+    assert run(argv) == ("structural error: certificate is for 'wrong', not family 'paths200|pieces'\n", 2)
+
+
+@pytest.fixture()
+def grid_fibering(files):
+    """The paths of the 6 x 6 grid projection's source, target, map and
+    witness documents, and a function that saves an edited copy of one."""
+    save, _ = files
+    src, tgt, fmap, witness = grid_projection_fixture(6, schedule=(1, 2, 5))
+    texts = {"src": write_family(src), "tgt": write_family(tgt), "map": write_map(fmap, src, tgt),
+             "witness": write_fibering_witness(witness, src, tgt)}
+    paths = {name: save(f"{name}.txt", text) for name, text in texts.items()}
+
+    def with_edit(name, old, new):
+        return {**paths, name: save(f"edited-{name}.txt", edited(texts[name], old, new))}
+
+    return paths, with_edit
+
+
+def test_inner_block_for_another_family_fails_the_stage_gate(grid_fibering):
+    _, with_edit = grid_fibering
+    paths = with_edit("witness", "family grid-fam|preimages@2\n", "family wrong\n")
+    argv = ["check-fibering", paths["src"], paths["tgt"], paths["map"], paths["witness"]]
+    assert run(argv) == ("structural error: certificate is for 'wrong', not family 'grid-fam|preimages@2'\n", 2)
+
+
+@pytest.mark.parametrize("command", ["map-analyze", "check-fibering"])
+@pytest.mark.parametrize("line, message", [
+    ("source grid-fam", "map source 'x' is not family 'grid-fam'"),
+    ("target line-fam", "map target 'x' is not family 'line-fam'"),
+], ids=["source", "target"])
+def test_map_for_another_family_is_structural(grid_fibering, command, line, message):
+    _, with_edit = grid_fibering
+    paths = with_edit("map", line + "\n", line.split()[0] + " x\n")
+    argv = [command, paths["src"], paths["tgt"], paths["map"]] + [paths["witness"]] * (command == "check-fibering")
+    assert run(argv) == (f"structural error: {message}\n", 2)
+
+
+def test_function_line_needs_an_arrow(grid_fibering):
+    _, with_edit = grid_fibering
+    paths = with_edit("map", "function grid -> line\n", "function grid => line\n")
+    assert run(["map-analyze", paths["src"], paths["tgt"], paths["map"]]) == (
+        "parse error: line 4, column 1: function line is 'function <src> -> <tgt>'\n", 2)
+
+
+def test_action_with_no_identity_permutation_is_structural(files):
+    save, _ = files
+    s = line_space([-2, -1, 0, 1, 2], space_id="z")
+    fam = family_of(s, family_id="F")
+    action = ActionDocument("flip", ("e", "g"), ((0, 1), (1, 0)), {"z": {"e": FLIP["g"], "g": FLIP["g"]}})
+    argv = [save("fam.txt", write_family(fam)), save("act.txt", write_action(action)),
+            save("cert.txt", write_asdim_certificate(path_asdim_certificate(fam, [1]), fam))]
+    assert run(["quotient-cover", *argv]) == (
+        "structural error: composition table has no identity acting as identity permutation\n", 2)
+
+
+def test_quotient_cover_needs_an_action_block_for_each_covered_member(files):
+    save, _ = files
+    z = line_space([-2, -1, 0, 1, 2], space_id="z")
+    fam = family_of(z, line_space([0, 1, 2, 3, 4], space_id="w"), family_id="F")
+    action = ActionDocument("flip", ("e", "g"), ((0, 1), (1, 0)), {"z": FLIP})
+    argv = [save("fam.txt", write_family(fam)), save("act.txt", write_action(action)),
+            save("cert.txt", write_asdim_certificate(path_asdim_certificate(fam, [1]), fam))]
+    assert run(["quotient-cover", *argv]) == ("structural error: action 'flip' has no block for member 'w'\n", 2)
+
+
+def test_cover_with_some_colored_elements_is_a_parse_error(files):
+    save, _ = files
+    fam = MetricFamily("paths", (unit_path(12, "p"),))
+    cert = edited(write_an_certificate(path_an_certificate(fam, [2]), fam), "element 0 : 8 9 10 11", "element : 8 9 10 11")
+    argv = ["an-check", save("fam.txt", write_family(fam)), save("cert.txt", cert)]
+    assert run(argv) == ("parse error: line 11, column 1: either all or no elements of a cover carry colors\n", 2)
+
+
+def test_repeated_member_id_exits_two_at_its_line_and_column(files):
+    save, _ = files
+    path = save("fam.txt", "family f\nmember a\npoints x y\n1\nmember a\npoints u v\n2\n")
+    assert run(["validate", path]) == ("parse error: line 5, column 8: family 'f' has duplicate member id 'a'\n", 2)

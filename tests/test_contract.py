@@ -9,7 +9,9 @@ test configuration, so it escapes ``run`` as an exception.  ``cone_sample``
 takes such rho literals, heights and base distances directly, under a
 filter that makes every warning an error.  ``map-analyze`` and ``ray-tree``,
 which reach the nearest-point kernel, run on small generated documents,
-some with one token mutated, under the same filter.
+some with one token mutated, under the same filter, and so do
+``check-cert``, ``check-fibering``, ``cover-check`` and ``an-check`` on
+one- and two-stage towers, grid-projection witnesses and path covers.
 """
 
 import math
@@ -26,13 +28,14 @@ from hypothesis import example, given, settings, strategies as st
 from coarsekit.cli import run
 from coarsekit.cone import cone_sample, parse_rho
 from coarsekit.errors import CoarsekitError
-from coarsekit.generators import unit_path
+from coarsekit.generators import grid_projection_fixture, path_an_certificate, path_asdim_certificate, unit_path
 from coarsekit.io import (
-    parse_decomposition_certificate, parse_family, parse_rho_table, write_family, write_map, write_subsets,
+    parse_decomposition_certificate, parse_family, parse_rho_table, write_an_certificate, write_asdim_certificate,
+    write_decomposition_certificate, write_family, write_fibering_witness, write_map, write_subsets,
 )
 from coarsekit.maps import FamilyMap, MapFunction
-from coarsekit.metric import FiniteMetricSpace, PointSubset
-from support import family_of, line_space
+from coarsekit.metric import FiniteMetricSpace, MetricFamily, PointSubset
+from support import family_of, line_space, path_tower
 
 LOW_RECURSION_LIMIT = 120
 
@@ -233,6 +236,12 @@ def map_and_ray_tree_command_lines(draw):
         argv = ["ray-tree", *docs]
         if draw(st.booleans()):
             argv += ["--member", draw(st.sampled_from(["m", "zz"]))]
+    return mutated_with_options(draw, docs, argv)
+
+
+def mutated_with_options(draw, docs, argv):
+    """``docs``, one of them perhaps mutated in one token, and ``argv`` with
+    perhaps an option at its edge and a format."""
     if draw(st.sampled_from([False, False, True])):
         name = draw(st.sampled_from(sorted(docs)))
         parts = re.split(r"(\s+)", docs[name])
@@ -246,19 +255,77 @@ def map_and_ray_tree_command_lines(draw):
 
 @pytest.fixture(scope="module")
 def doc_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("map-ray")
+    return tmp_path_factory.mktemp("contract-docs")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(map_and_ray_tree_command_lines())
-def test_map_and_ray_tree_commands_keep_the_exit_code_contract(doc_dir, case):
+def run_documents_twice(doc_dir, case):
+    """Write the drawn documents and run the command line twice with every
+    warning an error: a NumPy warning escapes ``run`` as an exception."""
     docs, argv = case
     for name, text in docs.items():
         (doc_dir / name).write_text(text)
     argv = [str(doc_dir / a) if a in docs else a for a in argv]
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a NumPy warning escapes run as an exception
+        warnings.simplefilter("error")
         out, code = run(argv)
         assert code in (0, 1, 2), out
         assert "Traceback" not in out
         assert run(argv) == (out, code)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(map_and_ray_tree_command_lines())
+def test_map_and_ray_tree_commands_keep_the_exit_code_contract(doc_dir, case):
+    run_documents_twice(doc_dir, case)
+
+
+@st.composite
+def certificate_command_lines(draw):
+    """A ``check-cert``, ``check-fibering``, ``cover-check`` or ``an-check``
+    command line over small generated documents, one of them perhaps
+    mutated in one token (a nested stage's ``family`` line as well), with
+    options at their edges; returns the file texts by name and the command
+    line.  Towers have one or two stages over integer paths; a fibering
+    witness is the grid projection of a g x g grid, g <= 4."""
+    command = draw(st.sampled_from(["check-cert", "check-fibering", "cover-check", "an-check"]))
+    if command == "check-fibering":
+        schedule = sorted(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True)))
+        src, tgt, fmap, witness = grid_projection_fixture(draw(st.integers(1, 4)), schedule)
+        docs = {"src.txt": write_family(src), "tgt.txt": write_family(tgt), "map.txt": write_map(fmap, src, tgt),
+                "witness.txt": write_fibering_witness(witness, src, tgt)}
+    else:
+        sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))
+        fam = MetricFamily("F", tuple(unit_path(n, f"m{k}") for k, n in enumerate(sizes)))
+        scale = draw(st.integers(1, 3))
+        if command == "check-cert":
+            cert = write_decomposition_certificate(path_tower(fam, scale, draw(st.integers(1, 2))), fam)
+        elif command == "cover-check":
+            cert = write_asdim_certificate(path_asdim_certificate(fam, [scale]), fam)
+        else:
+            cert = write_an_certificate(path_an_certificate(fam, [scale]), fam)
+        docs = {"fam.txt": write_family(fam), "cert.txt": cert}
+    return mutated_with_options(draw, docs, [command, *docs])
+
+
+def mutated_nested_family_line(command):
+    """A two-stage tower, or the 3 x 3 grid projection's witness, with the
+    ``family`` line of its child stage or of its radius-2 block mutated."""
+    if command == "check-cert":
+        fam = MetricFamily("F", (unit_path(5, "m0"),))
+        docs = {"fam.txt": write_family(fam), "cert.txt": write_decomposition_certificate(path_tower(fam, 1), fam)}
+        name, line = "cert.txt", "family F|pieces\n"
+    else:
+        src, tgt, fmap, witness = grid_projection_fixture(3, (1, 2))
+        docs = {"src.txt": write_family(src), "tgt.txt": write_family(tgt), "map.txt": write_map(fmap, src, tgt),
+                "witness.txt": write_fibering_witness(witness, src, tgt)}
+        name, line = "witness.txt", "family grid-fam|preimages@2\n"
+    docs[name] = docs[name].replace(line, "family zz\n")
+    return docs, [command, *docs]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(certificate_command_lines())
+@example(mutated_nested_family_line("check-cert"))
+@example(mutated_nested_family_line("check-fibering"))
+def test_certificate_commands_keep_the_exit_code_contract(doc_dir, case):
+    run_documents_twice(doc_dir, case)

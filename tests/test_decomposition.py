@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from coarsekit.decomposition import (
     DecompositionCertificate,
     FiberingWitness,
     MemberDecomposition,
+    _ranges,
     ball_preimage_family,
     check_decomposition,
     check_fibering_witness,
@@ -43,6 +45,7 @@ from support import (
     l1_points_space,
     line_space,
     looped_separator,
+    path_tower,
     random_symmetric_matrix,
     space_from_matrix,
 )
@@ -152,6 +155,22 @@ class TestCheckDecomposition:
         cert = DecompositionCertificate("grid", r, 1, (stage1,), child=child)
         assert cert.depth() == 2
         assert check_decomposition(cert, fam).passed
+
+    def test_child_for_another_family_fails_the_stage_gate(self):
+        fam = family_of(unit_path(8, "p"), family_id="P")
+        tower = path_tower(fam, 1)
+        wrong = replace(tower, child=replace(tower.child, family_id="wrong"))
+        with pytest.raises(StructuralError, match=r"^certificate is for 'wrong', not family 'P\|pieces'$"):
+            check_decomposition(wrong, fam)
+
+    def test_child_piece_outside_the_piece_family_fails_member_lookup(self):
+        # two unknown pieces: the first listed is named, not the first in sorted order
+        fam = family_of(unit_path(8, "p"), family_id="P")
+        tower = path_tower(fam, 1)
+        extra = tuple(MemberDecomposition(pid, ((PointSubset(pid, (0,)),),)) for pid in ("z", "y"))
+        dangling = replace(tower, child=replace(tower.child, members=tower.child.members + extra))
+        with pytest.raises(StructuralError, match=r"^family 'P\|pieces' has no member 'z'$"):
+            check_decomposition(dangling, fam)
 
     def test_round_trip_to_cover(self):
         s = unit_path(30, "p")
@@ -347,6 +366,21 @@ class TestFibering:
                                 witness.target_certificate)
         with pytest.raises(StructuralError, match="inner radius more than once"):
             check_fibering_witness(twice, src, tgt)
+
+    def test_inner_certificate_for_another_family_fails_the_stage_gate(self):
+        src, tgt, fmap, witness = grid_projection_fixture(6, schedule=(1, 2, 5))
+        inner = tuple((r, replace(c, family_id="wrong") if r == 2.0 else c) for r, c in witness.inner)
+        wrong = replace(witness, inner=inner)
+        with pytest.raises(StructuralError,
+                           match=r"^certificate is for 'wrong', not family 'grid-fam\|preimages@2'$"):
+            check_fibering_witness(wrong, src, tgt)
+
+    @pytest.mark.parametrize("indices, ranges", [
+        ((4,), "4"), ((0, 1, 2), "0-2"), ((0, 1, 2, 5, 7, 8, 9), "0-2,5,7-9"), ((1, 3, 4, 6), "1,3-4,6"),
+    ])
+    def test_preimage_ids_name_index_ranges_with_gaps(self, indices, ranges):
+        assert _ranges(indices) == ranges
+        assert decomposition.preimage_member_id(PointSubset("m", indices)) == f"m/{ranges}"
 
     def test_schedule_must_reach_target_diameter(self):
         src, tgt, fmap, witness = grid_projection_fixture(6, schedule=(1, 2))

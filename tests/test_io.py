@@ -12,6 +12,7 @@ from coarsekit.generators import (
     path_decomposition,
     unit_path,
 )
+from coarsekit import io
 from coarsekit.io import (
     ActionDocument,
     parse_action,
@@ -88,6 +89,30 @@ def test_duplicate_label_is_rejected_at_second_occurrence():
         parse_family("family f\nmember m\npoints a b  a\n1\n1 1\n")
     assert (err.value.line, err.value.column) == (3, 13)
     assert "duplicate point label 'a'" in str(err.value)
+
+
+def test_repeated_member_id_is_rejected_at_its_member_line():
+    text = "family f\nmember a\npoints x y\n1\nmember a\npoints u v\n2\n"
+    with pytest.raises(ParseError) as err:
+        parse_family(text)
+    assert (err.value.line, err.value.column) == (5, 8)
+    assert str(err.value) == "line 5, column 8: family 'f' has duplicate member id 'a'"
+
+
+@pytest.mark.parametrize("wide", ["9223372036854775809", "12345678901234567891", "1" + "0" * 24])
+def test_block_with_a_literal_wider_than_int64_digits_leaves_the_byte_reader(wide):
+    # 46 points make a block of 1 035 unsigned literals, past the byte
+    # reader's minimum; one literal of more than 18 digits sends it back
+    n = 46
+    rows = [[str(i - j) for j in range(i)] for i in range(1, n)]
+    rows[30][7] = wide
+    assert n * (n - 1) // 2 >= io._DIGIT_BLOCK_MIN and len(wide) > io._DIGIT_MAX_WIDTH
+    bodies = [" ".join(row) for row in rows]
+    assert io._digit_block(bodies, n * (n - 1) // 2) is None
+    points = " ".join(f"p{k}" for k in range(n))
+    member = parse_family(f"family f\nmember m\npoints {points}\n" + "\n".join(bodies) + "\n").members[0]
+    assert member.d(31, 7) == member.d(7, 31) == float(int(wide))
+    assert member.d(31, 6) == 25.0
 
 
 def test_write_family_matches_fmt_num_per_entry():

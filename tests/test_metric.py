@@ -230,6 +230,23 @@ def test_validate_action_checks_group_axioms():
         validate_action(bad, s)
 
 
+def test_validate_action_needs_an_element_acting_as_the_identity():
+    # both elements swap the two points; the table alone is a group
+    s = line_space([0, 1])
+    act = GroupAction(s.id, ("e", "g"), ((1, 0), (1, 0)), ((0, 1), (1, 0)))
+    with pytest.raises(StructuralError, match=r"^composition table has no identity acting as identity permutation$"):
+        validate_action(act, s)
+
+
+@pytest.mark.parametrize("compose", [((0,), (1, 0)), ((0, 1), (1, 0, 1)), ((0, 1),)],
+                         ids=["short-row", "long-row", "missing-row"])
+def test_validate_action_needs_k_composition_rows_of_k_entries(compose):
+    s = line_space([0, 1])
+    act = GroupAction(s.id, ("e", "g"), ((0, 1), (1, 0)), compose)
+    with pytest.raises(StructuralError, match=r"^action tables do not match the element list$"):
+        validate_action(act, s)
+
+
 def test_validate_action_names_the_first_non_associative_triple():
     # a Latin square with identity e (a loop of order 5) that is not a group
     s = line_space([0, 1])

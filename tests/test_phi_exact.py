@@ -16,6 +16,7 @@ samples that ``validate_metric`` passes.
 
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,7 +235,8 @@ def test_phi_suite_never_bisects_where_rho_overflows(monkeypatch):
 
 # t, r, M and L at the edges of float range, subnormals among them
 PHI_EDGES = [0.0, 5e-324, 2.5e-310, 1e-300, 1.0, 1e300, 1.79e308]
-PHI_ULPS = 2  # the most measured over 44 000 such draws was 1.75
+PHI_ULPS = 2  # the most measured over 44 000 const and affine draws was 1.75; over
+# 100 000 step and table draws (seeds 0-49), 0.96
 
 
 def test_const_and_affine_phi_within_two_ulps_of_the_exact_infimum():
@@ -254,6 +256,33 @@ def test_const_and_affine_phi_within_two_ulps_of_the_exact_infimum():
     for rho, t, r in cases:
         exact = exact_phi(rho, t, r)
         assert abs(Decimal(phi(rho, t, r)) - exact) <= PHI_ULPS * Decimal(math.ulp(float(exact))), (rho, t, r)
+
+
+def ulps_off(value: float, exact) -> Fraction:
+    """|value - exact| in ulps of the float nearest ``exact``: every
+    candidate's terms are non-negative, so their magnitude is the value."""
+    exact = Fraction(exact)
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+
+
+def test_step_and_table_phi_within_two_ulps_of_the_exact_infimum():
+    # breakpoints, values, t and r at the float edges or uniform, and a
+    # breakpoint at t or one ulp either side of it a quarter of the time
+    rng = np.random.default_rng(7)
+
+    def draw():
+        kind = rng.integers(3)
+        if kind == 0:
+            return float(rng.choice(PHI_EDGES))
+        return float(rng.uniform(0.0, 10.0) if kind == 1 else 10.0 ** rng.uniform(-300.0, 300.0))
+
+    for _ in range(2000):
+        t, r = draw(), draw()
+        near = [t, float(np.nextafter(t, np.inf)), float(np.nextafter(t, 0.0))]
+        ss = sorted({float(rng.choice(near)) if rng.integers(4) == 0 else draw() for _ in range(rng.integers(1, 5))})
+        vs = sorted(draw() for _ in ss)
+        rho = (RhoFunction.step if rng.integers(2) else RhoFunction.table)(tuple(zip(ss, vs)))
+        assert ulps_off(phi(rho, t, r), exact_phi(rho, t, r)) <= PHI_ULPS, (rho, t, r)
 
 
 @SETTINGS
