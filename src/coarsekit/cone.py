@@ -494,7 +494,7 @@ def cone_extension(
     src = MetricFamily(space.id, (space,))
     tgt = MetricFamily(sample.id, (sample,))
     full_map = FamilyMap(src.id, tgt.id, (MapFunction(space.id, sample.id, assignment),))
-    part = space.subspace(x0.indices, f"{space.id}|X0")
+    part = space.subspace(x0, f"{space.id}|X0")
     part_family = MetricFamily(part.id, (part,))
 
     def part_map(images):

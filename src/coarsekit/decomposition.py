@@ -161,9 +161,7 @@ def piece_family(
         space = family.member(entry.member_id)
         for color, group in enumerate(entry.pieces):
             for k, piece in enumerate(group):
-                members.append(
-                    space.subspace(piece.indices, piece_id(entry.member_id, color, k))
-                )
+                members.append(space.subspace(piece, piece_id(entry.member_id, color, k)))
     return MetricFamily(f"{family.id}|pieces", tuple(members))
 
 
@@ -436,7 +434,7 @@ def ball_preimage_family(
             balls.append(ball(member, y, radius))
     subsets = preimage_family(fmap, src, tgt, balls)
     members = tuple(
-        src.member(ps.space_id).subspace(ps.indices, preimage_member_id(ps))
+        src.member(ps.space_id).subspace(ps, preimage_member_id(ps))
         for ps in subsets
     )
     return MetricFamily(f"{src.id}|preimages@{fmt_num(radius)}", members)

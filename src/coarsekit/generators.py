@@ -2,7 +2,7 @@
 trees) and the standard covers, decompositions and fibering fixtures built
 on them.  Cover synthesis for arbitrary spaces is out of scope; these
 builders exist so certificates for the bundled shapes can be generated and
-then independently checked.
+then independently checked.  A window or stride below 1 is refused.
 """
 
 from __future__ import annotations
@@ -10,19 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from .constructions import star_space
-from .covers import (
-    ANControlCertificate,
-    ANEntry,
-    AsdimCertificate,
-    AsdimEntry,
-    Cover,
-)
+from .covers import ANControlCertificate, ANEntry, AsdimCertificate, AsdimEntry, Cover
 from .decomposition import (
-    DecompositionCertificate,
-    FiberingWitness,
-    MemberDecomposition,
-    ball_preimage_family,
+    DecompositionCertificate, FiberingWitness, MemberDecomposition, ball_preimage_family,
 )
+from .errors import PreconditionError
 from .maps import FamilyMap, MapFunction
 from .metric import FiniteMetricSpace, MetricFamily, PointSubset
 
@@ -48,23 +40,32 @@ def star_tree(rays: int, length: int, space_id: str = "star") -> FiniteMetricSpa
     return star_space(space_id, "c", [str(j) for j in range(rays)], length)
 
 
+def _at_least_one(value: int, what: str) -> int:
+    if value < 1:
+        raise PreconditionError(f"{what} must be >= 1, got {value}")
+    return value
+
+
 def _clipped_interval(space: FiniteMetricSpace, lo: int, hi: int) -> PointSubset | None:
-    idx = tuple(i for i in range(space.n) if lo <= i <= hi)
+    idx = range(max(lo, 0), min(hi + 1, space.n))
     return PointSubset(space.id, idx) if idx else None
+
+
+def _blocks(n: int, length: int) -> list[range]:
+    """The consecutive windows [s, s + length - 1] of 0..n-1, clipped to it,
+    for s in range(0, n, length); block k takes color k % 2 below."""
+    _at_least_one(length, "block length")
+    return [range(s, min(s + length, n)) for s in range(0, n, length)]
 
 
 def path_interval_cover(space: FiniteMetricSpace, scale: int) -> Cover:
     """Length-4r intervals with stride 2r: dimension 1, Lebesgue >= r,
     mesh <= 4r on an integer path."""
-    r = int(scale)
-    elements = []
-    k = -2
-    while 2 * r * k < space.n:
-        el = _clipped_interval(space, 2 * r * k, 2 * r * k + 4 * r - 1)
-        if el is not None and (not elements or el != elements[-1]):
-            elements.append(el)
-        k += 1
-    return Cover(space.id, tuple(elements))
+    r = _at_least_one(int(scale), "scale")
+    # the first window is [-2r, 2r - 1]; on a path of at most 2r points it
+    # clips to the next one, so the cover starts at 0
+    starts = range(-2 * r if space.n > 2 * r else 0, space.n, 2 * r)
+    return Cover(space.id, tuple(_clipped_interval(space, s, s + 4 * r - 1) for s in starts))
 
 
 def path_asdim_certificate(family: MetricFamily, scales) -> AsdimCertificate:
@@ -82,104 +83,75 @@ def path_an_certificate(family: MetricFamily, scales) -> ANControlCertificate:
         big_r = int(scale)
         covers = []
         for m in family.members:
-            elements, colors = [], []
-            start = 0
-            color = 0
-            while start < m.n:
-                el = _clipped_interval(m, start, start + 2 * big_r - 1)
-                if el is not None:
-                    elements.append(el)
-                    colors.append(color)
-                start += 2 * big_r
-                color ^= 1
-            covers.append((m.id, Cover(m.id, tuple(elements), tuple(colors))))
+            blocks = _blocks(m.n, 2 * big_r)
+            elements = tuple(PointSubset(m.id, b) for b in blocks)
+            covers.append((m.id, Cover(m.id, elements, tuple(k % 2 for k in range(len(blocks))))))
         entries.append(ANEntry(float(big_r), tuple(covers)))
     return ANControlCertificate(family.id, 1, 4.0, 0.0, tuple(entries))
+
+
+def _star_levels(member: FiniteMetricSpace) -> tuple[list[int], dict[str, list[tuple[int, int]]]]:
+    """Each point's level (the center ``c`` at 0), and each ray's (point,
+    level) pairs in point order."""
+    levels, rays = [], {}
+    for idx, lbl in enumerate(member.points):
+        if lbl == "c":
+            levels.append(0)
+            continue
+        rid, _, mm = lbl.partition(":")
+        levels.append(int(mm))
+        rays.setdefault(rid, []).append((idx, levels[-1]))
+    return levels, rays
 
 
 def star_an_certificate(family: MetricFamily, scales) -> ANControlCertificate:
     """For star trees: the (R-1)-ball around the center plus per-ray
     length-R segments colored by parity, mesh <= 3R."""
+    stars = [(m, *_star_levels(m)) for m in family.members]
     entries = []
     for scale in scales:
-        big_r = int(scale)
+        big_r = _at_least_one(int(scale), "scale")
         covers = []
-        for m in family.members:
-            level = {}
-            ray = {}
-            for idx, lbl in enumerate(m.points):
-                if lbl == "c":
-                    level[idx] = 0
-                    ray[idx] = -1
-                else:
-                    rid, _, mm = lbl.partition(":")
-                    level[idx] = int(mm)
-                    ray[idx] = rid
-            elements, colors = [], []
-            blob = tuple(i for i in range(m.n) if level[i] <= big_r - 1)
-            elements.append(PointSubset(m.id, blob))
-            colors.append(0)
-            rays = sorted({ray[i] for i in range(m.n) if ray[i] != -1})
-            max_level = max(level.values())
-            for rid in rays:
-                k = 1
-                while k * big_r <= max_level:
-                    seg = tuple(
-                        i
-                        for i in range(m.n)
-                        if ray[i] == rid and k * big_r <= level[i] <= (k + 1) * big_r - 1
-                    )
-                    if seg:
-                        elements.append(PointSubset(m.id, seg))
-                        colors.append(k % 2)
-                    k += 1
+        for m, levels, rays in stars:
+            elements = [PointSubset(m.id, [i for i, lv in enumerate(levels) if lv < big_r])]
+            colors = [0]
+            for rid in sorted(rays):  # ray ids sort as strings
+                segments: dict[int, list[int]] = {}
+                for i, lv in rays[rid]:
+                    if lv >= big_r:
+                        segments.setdefault(lv // big_r, []).append(i)
+                for k in sorted(segments):
+                    elements.append(PointSubset(m.id, segments[k]))
+                    colors.append(k % 2)
             covers.append((m.id, Cover(m.id, tuple(elements), tuple(colors))))
         entries.append(ANEntry(float(big_r), tuple(covers)))
     return ANControlCertificate(family.id, 1, 3.0, 0.0, tuple(entries))
 
 
+def _two_colors(blocks: list[PointSubset]) -> tuple[tuple[PointSubset, ...], ...]:
+    """Block k in color k % 2, empty blocks dropped."""
+    return tuple(tuple(b for b in blocks[c::2] if b) for c in (0, 1))
+
+
 def path_decomposition(space: FiniteMetricSpace, r: int) -> DecompositionCertificate:
     """(r, 1)-decomposition of an integer path into alternating blocks of
     length r+1, leaf bound r."""
-    length = r + 1
-    colors: list[list[PointSubset]] = [[], []]
-    start = 0
-    color = 0
-    while start < space.n:
-        el = _clipped_interval(space, start, start + length - 1)
-        if el is not None:
-            colors[color].append(el)
-        start += length
-        color ^= 1
-    return DecompositionCertificate(
-        family_id=space.id,
-        r=float(r),
-        n=1,
-        members=(MemberDecomposition(space.id, (tuple(colors[0]), tuple(colors[1]))),),
-        leaf_bound=float(r),
-    )
+    blocks = [PointSubset(space.id, b) for b in _blocks(space.n, r + 1)]
+    members = (MemberDecomposition(space.id, _two_colors(blocks)),)
+    return DecompositionCertificate(space.id, float(r), 1, members, leaf_bound=float(r))
 
 
 def _strip_decomposition(
-    member: FiniteMetricSpace, grid_cols: int, r: int
+    member: FiniteMetricSpace, cols: list[int], grid_cols: int, r: int
 ) -> MemberDecomposition:
-    """Decompose a full-width strip of a row-major grid along its second
-    coordinate into alternating column bands of width r+1."""
-    length = r + 1
-    col_of = {}
-    for pos, lbl in enumerate(member.points):
-        _, _, j = lbl.partition(",")
-        col_of[pos] = int(j)
-    colors: list[list[PointSubset]] = [[], []]
-    start = 0
-    color = 0
-    while start < grid_cols:
-        band = tuple(p for p in range(member.n) if start <= col_of[p] <= start + length - 1)
-        if band:
-            colors[color].append(PointSubset(member.id, band))
-        start += length
-        color ^= 1
-    return MemberDecomposition(member.id, (tuple(colors[0]), tuple(colors[1])))
+    """Decompose a full-width strip of a row-major grid, its points in
+    columns ``cols``, into alternating column bands of width r+1."""
+    by_col: dict[int, list[int]] = {}
+    for p, j in enumerate(cols):
+        by_col.setdefault(j, []).append(p)
+    bands = [PointSubset(member.id, [p for j in b for p in by_col.get(j, ())])
+             for b in _blocks(grid_cols, r + 1)]
+    return MemberDecomposition(member.id, _two_colors(bands))
 
 
 def grid_projection_fixture(
@@ -197,24 +169,14 @@ def grid_projection_fixture(
     inner = []
     for radius in schedule:
         fam = ball_preimage_family(fmap, src, tgt, float(radius))
-        members = tuple(_strip_decomposition(m, n, int(radius)) for m in fam.members)
-        rows = max(
-            (max(int(lbl.partition(",")[0]) for lbl in m.points)
-             - min(int(lbl.partition(",")[0]) for lbl in m.points))
-            for m in fam.members
-        )
-        cert = DecompositionCertificate(
-            family_id=fam.id,
-            r=float(radius),
-            n=1,
-            members=members,
-            leaf_bound=float(radius + rows),
-        )
+        members, rows = [], 0
+        for m in fam.members:
+            coords = [lbl.partition(",") for lbl in m.points]
+            row = [int(i) for i, _, _ in coords]
+            members.append(_strip_decomposition(m, [int(j) for _, _, j in coords], n, int(radius)))
+            rows = max(rows, max(row) - min(row))
+        cert = DecompositionCertificate(fam.id, float(radius), 1, tuple(members),
+                                        leaf_bound=float(radius + rows))
         inner.append((float(radius), cert))
-    witness = FiberingWitness(
-        fmap=fmap,
-        radius_schedule=tuple(float(rr) for rr in schedule),
-        inner=tuple(inner),
-        target_certificate=target_cert,
-    )
-    return src, tgt, fmap, witness
+    schedule = tuple(float(rr) for rr in schedule)
+    return src, tgt, fmap, FiberingWitness(fmap, schedule, tuple(inner), target_cert)

@@ -34,14 +34,14 @@ keyword shown alone takes none.
 
   asdim certificate        asdim-certificate / family <id> / n <int>
                            entry / lambda <num> / bound <num>
-                           member <member-id> / element [<color>] : [<label...>]
+                           member <member-id> / element [<color>] : <label...>
 
   an certificate           an-certificate / family <id> / n <int> / M <num> / b <num>
                            entry / R <num>
-                           member <member-id> / element [<color>] : [<label...>]
+                           member <member-id> / element [<color>] : <label...>
 
   decomposition            decomposition-certificate / family <id> / r <num> / n <int>
-  certificate              member <member-id> / color <int> / piece : [<label...>]
+  certificate              member <member-id> / color <int> / piece : <label...>
                            then either  leaf-bound <num>
                            or           child + a nested certificate block
 
@@ -61,7 +61,9 @@ member of the family the document is read against, and a family or action
 document, a certificate entry or a decomposition stage names each member
 once (a fibering witness, each inner radius once).  Ragged triangular
 blocks and malformed rows are rejected with 1-based line/column
-diagnostics.  Every writer/parser pair round-trips exactly.
+diagnostics.  An element or piece row names at least one point, while a
+subsets row may be empty (a shell seed may be).  Every writer/parser pair
+round-trips exactly.
 """
 
 from __future__ import annotations
@@ -554,7 +556,7 @@ def _parse_covers(doc: _Doc, family: MetricFamily) -> tuple[tuple[str, Cover], .
         colors: list[int] = []
         while doc.peek_key() == "element":
             ln, head, tail, t = doc.colon_row(
-                "element", _OPTIONAL, "element line is 'element [<color>] : <label...>'")
+                "element", _OPTIONAL, "element line is 'element [<color>] : <label...>'", _MANY)
             colors += (doc.integer(tok, 1) for tok in head)
             elements.append(PointSubset(member.id, doc.labels(tail, t, member)))
         if colors and len(colors) != len(elements):
@@ -679,7 +681,8 @@ def _parse_decomposition(doc: _Doc, family: MetricFamily) -> DecompositionCertif
                     raise doc.error(f"colors must appear in order; expected {len(groups)}", 1)
                 pieces: list[PointSubset] = []
                 while doc.peek_key() == "piece":
-                    _, _, tail, t = doc.colon_row("piece", _NONE, "piece line is 'piece : <label...>'")
+                    _, _, tail, t = doc.colon_row(
+                        "piece", _NONE, "piece line is 'piece : <label...>'", _MANY)
                     pieces.append(PointSubset(member.id, doc.labels(tail, t, member)))
                 groups.append(tuple(pieces))
             members[member.id] = MemberDecomposition(member.id, tuple(groups))

@@ -69,17 +69,14 @@ class FiniteMetricSpace:
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n else 0.0
 
-    def subspace(self, indices, sub_id: str) -> "FiniteMetricSpace":
-        """Metric restriction to the given point indices (kept in sorted order)."""
-        idx = sorted(set(map(int, indices)))
-        if not idx:
-            raise PreconditionError(f"empty subspace of {self.id!r}")
-        if idx[0] < 0 or idx[-1] >= self.n:
-            raise StructuralError(f"subspace indices out of range for {self.id!r}")
-        sel = np.array(idx, dtype=int)
+    def subspace(self, subset: "PointSubset", sub_id: str) -> "FiniteMetricSpace":
+        """Metric restriction to a nonempty subset of this space, its points
+        in index order."""
+        subset.check_against(self)
+        sel = np.array(subset.indices, dtype=int)
         return FiniteMetricSpace(
             sub_id,
-            tuple(self.points[i] for i in idx),
+            tuple(self.points[i] for i in subset.indices),
             self.dist[np.ix_(sel, sel)],
             pseudo=self.pseudo,
         )

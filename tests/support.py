@@ -24,10 +24,14 @@ import numpy as np
 import coarsekit
 
 from coarsekit.cone import cone_sample, phi, rho_from_control
-from coarsekit.covers import Cover, greedy_color, validate_cover
-from coarsekit.decomposition import DecompositionCertificate, MemberDecomposition, piece_family
+from coarsekit.covers import (
+    ANControlCertificate, ANEntry, AsdimCertificate, AsdimEntry, Cover, greedy_color, validate_cover,
+)
+from coarsekit.decomposition import (
+    DecompositionCertificate, FiberingWitness, MemberDecomposition, ball_preimage_family, piece_family,
+)
 from coarsekit.errors import ParseError, PreconditionError, StructuralError
-from coarsekit.generators import _clipped_interval, path_decomposition
+from coarsekit.generators import _clipped_interval, integer_grid, path_decomposition, unit_path
 from coarsekit.maps import FamilyMap, MapFunction, MonotoneEnvelope, validate_map
 from coarsekit.metric import (
     FiniteMetricSpace,
@@ -350,6 +354,155 @@ def path_multiplicity_cover(space: FiniteMetricSpace) -> Cover:
                 colors.append(c)
             k += 1
     return Cover(space.id, tuple(elements), tuple(colors))
+
+
+# The fixture builders as they were written before `generators._blocks`: a
+# mutable start and color stepped by hand, each label parsed per scale, ray
+# and band.  Each returns what its `generators` namesake must equal.
+
+def looped_path_interval_cover(space: FiniteMetricSpace, scale: int) -> Cover:
+    r = int(scale)
+    elements = []
+    k = -2
+    while 2 * r * k < space.n:
+        el = _clipped_interval(space, 2 * r * k, 2 * r * k + 4 * r - 1)
+        if el is not None and (not elements or el != elements[-1]):
+            elements.append(el)
+        k += 1
+    return Cover(space.id, tuple(elements))
+
+
+def looped_path_an_certificate(family: MetricFamily, scales) -> ANControlCertificate:
+    entries = []
+    for scale in scales:
+        big_r = int(scale)
+        covers = []
+        for m in family.members:
+            elements, colors = [], []
+            start = 0
+            color = 0
+            while start < m.n:
+                el = _clipped_interval(m, start, start + 2 * big_r - 1)
+                if el is not None:
+                    elements.append(el)
+                    colors.append(color)
+                start += 2 * big_r
+                color ^= 1
+            covers.append((m.id, Cover(m.id, tuple(elements), tuple(colors))))
+        entries.append(ANEntry(float(big_r), tuple(covers)))
+    return ANControlCertificate(family.id, 1, 4.0, 0.0, tuple(entries))
+
+
+def looped_star_an_certificate(family: MetricFamily, scales) -> ANControlCertificate:
+    entries = []
+    for scale in scales:
+        big_r = int(scale)
+        covers = []
+        for m in family.members:
+            level = {}
+            ray = {}
+            for idx, lbl in enumerate(m.points):
+                if lbl == "c":
+                    level[idx] = 0
+                    ray[idx] = -1
+                else:
+                    rid, _, mm = lbl.partition(":")
+                    level[idx] = int(mm)
+                    ray[idx] = rid
+            elements, colors = [], []
+            blob = tuple(i for i in range(m.n) if level[i] <= big_r - 1)
+            elements.append(PointSubset(m.id, blob))
+            colors.append(0)
+            rays = sorted({ray[i] for i in range(m.n) if ray[i] != -1})
+            max_level = max(level.values())
+            for rid in rays:
+                k = 1
+                while k * big_r <= max_level:
+                    seg = tuple(
+                        i
+                        for i in range(m.n)
+                        if ray[i] == rid and k * big_r <= level[i] <= (k + 1) * big_r - 1
+                    )
+                    if seg:
+                        elements.append(PointSubset(m.id, seg))
+                        colors.append(k % 2)
+                    k += 1
+            covers.append((m.id, Cover(m.id, tuple(elements), tuple(colors))))
+        entries.append(ANEntry(float(big_r), tuple(covers)))
+    return ANControlCertificate(family.id, 1, 3.0, 0.0, tuple(entries))
+
+
+def looped_path_decomposition(space: FiniteMetricSpace, r: int) -> DecompositionCertificate:
+    length = r + 1
+    colors: list[list[PointSubset]] = [[], []]
+    start = 0
+    color = 0
+    while start < space.n:
+        el = _clipped_interval(space, start, start + length - 1)
+        if el is not None:
+            colors[color].append(el)
+        start += length
+        color ^= 1
+    return DecompositionCertificate(
+        family_id=space.id,
+        r=float(r),
+        n=1,
+        members=(MemberDecomposition(space.id, (tuple(colors[0]), tuple(colors[1]))),),
+        leaf_bound=float(r),
+    )
+
+
+def _looped_strip_decomposition(member: FiniteMetricSpace, grid_cols: int, r: int) -> MemberDecomposition:
+    length = r + 1
+    col_of = {}
+    for pos, lbl in enumerate(member.points):
+        _, _, j = lbl.partition(",")
+        col_of[pos] = int(j)
+    colors: list[list[PointSubset]] = [[], []]
+    start = 0
+    color = 0
+    while start < grid_cols:
+        band = tuple(p for p in range(member.n) if start <= col_of[p] <= start + length - 1)
+        if band:
+            colors[color].append(PointSubset(member.id, band))
+        start += length
+        color ^= 1
+    return MemberDecomposition(member.id, (tuple(colors[0]), tuple(colors[1])))
+
+
+def looped_grid_projection_fixture(n: int = 16, schedule=(1, 2, 4, 8, 15)):
+    grid = integer_grid(n, n, "grid")
+    src = MetricFamily("grid-fam", (grid,))
+    line = unit_path(n, "line")
+    tgt = MetricFamily("line-fam", (line,))
+    assignment = tuple(k // n for k in range(grid.n))
+    fmap = FamilyMap(src.id, tgt.id, (MapFunction(grid.id, line.id, assignment),))
+    target_cert = AsdimCertificate(tgt.id, 1, tuple(
+        AsdimEntry(float(r), 4.0 * r, ((line.id, looped_path_interval_cover(line, r)),)) for r in (1, 2, 4)))
+    inner = []
+    for radius in schedule:
+        fam = ball_preimage_family(fmap, src, tgt, float(radius))
+        members = tuple(_looped_strip_decomposition(m, n, int(radius)) for m in fam.members)
+        rows = max(
+            (max(int(lbl.partition(",")[0]) for lbl in m.points)
+             - min(int(lbl.partition(",")[0]) for lbl in m.points))
+            for m in fam.members
+        )
+        cert = DecompositionCertificate(
+            family_id=fam.id,
+            r=float(radius),
+            n=1,
+            members=members,
+            leaf_bound=float(radius + rows),
+        )
+        inner.append((float(radius), cert))
+    witness = FiberingWitness(
+        fmap=fmap,
+        radius_schedule=tuple(float(rr) for rr in schedule),
+        inner=tuple(inner),
+        target_certificate=target_cert,
+    )
+    return src, tgt, fmap, witness
 
 
 def decomposition_to_cover(cert, member: FiniteMetricSpace) -> Cover:

@@ -11,7 +11,9 @@ filter that makes every warning an error.  ``map-analyze`` and ``ray-tree``,
 which reach the nearest-point kernel, run on small generated documents,
 some with one token mutated, under the same filter, and so do
 ``check-cert``, ``check-fibering``, ``cover-check`` and ``an-check`` on
-one- and two-stage towers, grid-projection witnesses and path covers.
+one- and two-stage towers, grid-projection witnesses and path covers, and
+``validate`` and ``components`` on small paths, grids, stars and drawn
+lower triangles.
 """
 
 import math
@@ -28,7 +30,9 @@ from hypothesis import example, given, settings, strategies as st
 from coarsekit.cli import run
 from coarsekit.cone import cone_sample, parse_rho
 from coarsekit.errors import CoarsekitError
-from coarsekit.generators import grid_projection_fixture, path_an_certificate, path_asdim_certificate, unit_path
+from coarsekit.generators import (
+    grid_projection_fixture, integer_grid, path_an_certificate, path_asdim_certificate, star_tree, unit_path,
+)
 from coarsekit.io import (
     parse_decomposition_certificate, parse_family, parse_rho_table, write_an_certificate, write_asdim_certificate,
     write_decomposition_certificate, write_family, write_fibering_witness, write_map, write_subsets,
@@ -328,4 +332,42 @@ def mutated_nested_family_line(command):
 @example(mutated_nested_family_line("check-cert"))
 @example(mutated_nested_family_line("check-fibering"))
 def test_certificate_commands_keep_the_exit_code_contract(doc_dir, case):
+    run_documents_twice(doc_dir, case)
+
+
+# a drawn lower triangle's entries: zeros and inf break the axioms, 2.5 and
+# 5e-324 are not integers
+ENTRIES = st.sampled_from([0.0, 1.0, 2.0, 3.0, 7.0, 2.5, 5e-324, math.inf])
+
+
+@st.composite
+def family_command_lines(draw):
+    """A ``validate`` or ``components`` command line over a small family of
+    paths, grids, stars and drawn lower triangles, perhaps mutated in one
+    token, with options at their edges."""
+    members = []
+    for k in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["path", "grid", "star", "drawn"]))
+        if kind == "path":
+            members.append(unit_path(draw(st.integers(1, 8)), f"m{k}"))
+        elif kind == "grid":
+            members.append(integer_grid(draw(st.integers(1, 3)), draw(st.integers(1, 3)), f"m{k}"))
+        elif kind == "star":
+            members.append(star_tree(draw(st.integers(1, 3)), draw(st.integers(1, 3)), f"m{k}"))
+        else:
+            n = draw(st.integers(1, 5))
+            d = np.zeros((n, n))
+            d[np.tril_indices(n, -1)] = draw(st.lists(ENTRIES, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+            members.append(FiniteMetricSpace(f"m{k}", tuple(f"p{i}" for i in range(n)), d + d.T))
+    docs = {"fam.txt": write_family(MetricFamily("F", tuple(members)))}
+    if draw(st.booleans()):
+        argv = ["validate", "fam.txt"]
+    else:
+        argv = ["components", "fam.txt", "--r", draw(EDGE_OPTIONS)]
+    return mutated_with_options(draw, docs, argv)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(family_command_lines())
+def test_validate_and_components_keep_the_exit_code_contract(doc_dir, case):
     run_documents_twice(doc_dir, case)

@@ -17,6 +17,10 @@ The nearest-point kernel must agree with the five passes it replaced: its
 distances and points with a per-point ``min`` and ``list.index``, and the
 neighborhood, the two-set separator, the cone extension and the
 coarse-surjectivity constant with their ``looped_*`` versions.
+The fixture builders of ``generators``, which take their windows from one
+``range`` helper, must build the covers, certificates and witnesses of the
+loops they replaced, with the same element order, colors and ray order, and
+refuse a window or stride below 1.
 """
 
 import math
@@ -33,8 +37,12 @@ from coarsekit.decomposition import (
     search_decomposition, union_separator_map,
 )
 from coarsekit.cone import cone_extension
-from coarsekit.errors import CoarsekitError, ParseError, StructuralError
-from coarsekit.io import _NONE, _ONE, _OPTIONAL, _Doc, parse_family, write_family
+from coarsekit.errors import CoarsekitError, ParseError, PreconditionError, StructuralError
+from coarsekit.generators import (
+    grid_projection_fixture, path_an_certificate, path_decomposition, path_interval_cover, star_an_certificate,
+    star_tree, unit_path,
+)
+from coarsekit.io import _MANY, _NONE, _ONE, _OPTIONAL, _Doc, parse_family, write_family
 from coarsekit.maps import (
     FamilyMap, MapFunction, MonotoneEnvelope, control_envelope, is_coarsely_onto, properness_envelope,
 )
@@ -47,12 +55,17 @@ from support import (
     looped_cone_extension,
     looped_control_envelope,
     looped_greedy_search,
+    looped_grid_projection_fixture,
     looped_nearest_point,
     looped_neighborhood,
+    looped_path_an_certificate,
+    looped_path_decomposition,
+    looped_path_interval_cover,
     looped_point_to_set_distance,
     looped_product,
     looped_properness_envelope,
     looped_separator,
+    looped_star_an_certificate,
     looped_validate_metric,
     looped_write_family,
     ScannedDoc,
@@ -179,8 +192,8 @@ ANY = range(sys.maxsize)
 # each row kind of the documents: key, head and tail lengths, usage, and how
 # its head and tail are read (as they are by the parser that takes the row)
 ROWS = {
-    "element": ("element", _OPTIONAL, ANY, "element line is 'element [<color>] : <label...>'", "int", "label"),
-    "piece": ("piece", _NONE, ANY, "piece line is 'piece : <label...>'", "raw", "label"),
+    "element": ("element", _OPTIONAL, _MANY, "element line is 'element [<color>] : <label...>'", "int", "label"),
+    "piece": ("piece", _NONE, _MANY, "piece line is 'piece : <label...>'", "raw", "label"),
     "compose": ("compose", _ONE, ANY, "compose row is 'compose <element> : <element...>'", "element", "element"),
     "perm": ("perm", _ONE, ANY, "perm row is 'perm <element> : <indices...>'", "raw", "int"),
     "assignment": (None, _ONE, _ONE, "assignment line is '<point> : <image>'", "label", "label"),
@@ -739,3 +752,42 @@ def test_nearest_point_kernel_matches_the_passes_it_replaced(case, onto_case, da
     assert got == want
     if not isinstance(got, str):
         assert _bits(got[1]) == _bits(want[1])
+
+
+def test_path_builders_match_the_loops():
+    for n in range(1, 41):
+        path = unit_path(n, f"p{n}")
+        family = MetricFamily("F", (path,))
+        assert path_an_certificate(family, range(1, 10)) == looped_path_an_certificate(family, range(1, 10))
+        for scale in range(1, 10):
+            assert path_interval_cover(path, scale) == looped_path_interval_cover(path, scale)
+        for r in range(0, 10):
+            assert path_decomposition(path, r) == looped_path_decomposition(path, r)
+
+
+def test_star_builder_matches_the_loop_in_string_ray_order():
+    for rays in range(1, 12):
+        for length in (1, 2, 5, 9):
+            family = MetricFamily("S", (star_tree(rays, length, f"s{rays}x{length}"),))
+            assert star_an_certificate(family, range(1, 11)) == looped_star_an_certificate(family, range(1, 11))
+    star = star_tree(11, 3, "s")
+    cover = star_an_certificate(MetricFamily("S", (star,)), [1]).entries[0].covers[0][1]
+    rays = [star.points[el.indices[0]].partition(":")[0] for el in cover.elements[1::3]]
+    assert rays == ["r0", "r1", "r10", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9"]
+
+
+@pytest.mark.parametrize("g", range(2, 17))
+def test_grid_projection_fixture_matches_the_loop(g):
+    schedule = tuple(sorted({1, 2, 4, 8, g - 1}))
+    assert grid_projection_fixture(g, schedule) == looped_grid_projection_fixture(g, schedule)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: path_an_certificate(MetricFamily("F", (unit_path(5, "p"),)), [0]),
+    lambda: path_interval_cover(unit_path(5, "p"), 0),
+    lambda: path_decomposition(unit_path(5, "p"), -1),
+    lambda: star_an_certificate(MetricFamily("S", (star_tree(3, 4, "s"),)), [0]),
+], ids=["an-blocks", "interval-stride", "decomposition-blocks", "star-segments"])
+def test_fixture_builders_refuse_a_window_below_one(build):
+    with pytest.raises(PreconditionError, match="must be >= 1"):
+        build()

@@ -371,3 +371,32 @@ def test_repeated_row_is_exit_two_at_its_key(workdir, kind, row, expected):
     text = KINDS[kind][0].replace(row + "\n", row + "\n" + row + "\n", 1)
     out = run_kind(workdir, kind, text)
     assert out == (f"parse error: {expected}\n", 2)
+
+
+TWO_POINTS = "family F\nmember m\npoints a b\n1\n"
+EMPTY_ROWS = [
+    pytest.param(["check-cert"], "decomposition-certificate\nfamily F\nr 0.5\nn 0\nmember m\ncolor 0\n"
+                 "piece : a b\npiece :\nchild\ndecomposition-certificate\nfamily F|pieces\nr 0.5\nn 0\n"
+                 "member m.0.0\ncolor 0\npiece : a b\nleaf-bound 1\n",
+                 "line 8, column 1: piece line is 'piece : <label...>'", id="child-stage-piece"),
+    pytest.param(["check-cert"], "decomposition-certificate\nfamily F\nr 0.5\nn 0\nmember m\ncolor 0\n"
+                 "piece : a b\npiece :\nleaf-bound 1\n",
+                 "line 8, column 1: piece line is 'piece : <label...>'", id="leaf-stage-piece"),
+    pytest.param(["cover-check"], "asdim-certificate\nfamily F\nn 0\nentry\nlambda 0\nbound 1\nmember m\n"
+                 "element : a b\nelement :\n",
+                 "line 9, column 1: element line is 'element [<color>] : <label...>'", id="cover-element"),
+    pytest.param(["an-check"], "an-certificate\nfamily F\nn 1\nM 1\nb 0\nentry\nR 1\nmember m\n"
+                 "element 0 : a b\nelement 1 :\n",
+                 "line 10, column 1: element line is 'element [<color>] : <label...>'", id="an-element"),
+]
+
+
+@pytest.mark.parametrize("command, cert, expected", EMPTY_ROWS)
+def test_empty_piece_or_element_row_is_exit_two_at_the_row(tmp_path, command, cert, expected):
+    """A piece or element row with no label is refused where it stands, in
+    a stage with a child stage too (the piece family of that stage is never
+    built)."""
+    (tmp_path / "fam.txt").write_text(TWO_POINTS)
+    (tmp_path / "cert.txt").write_text(cert)
+    assert run([*command, str(tmp_path / "fam.txt"), str(tmp_path / "cert.txt")]) == (
+        f"parse error: {expected}\n", 2)

@@ -261,3 +261,9 @@ def test_fibering_witness_round_trip():
 def test_rho_table_round_trip():
     pairs = ((0.0, 0.5), (1.5, 2.0), (4.0, 11.25))
     assert parse_rho_table(write_rho_table(pairs)) == pairs
+
+
+def test_empty_subsets_row_parses():
+    fam = family_of(unit_path(3, "p"), family_id="F")
+    assert parse_subsets("subsets F\nmember p\nseed :\nall : 0 1 2\n", fam) == [
+        ("p", "seed", PointSubset("p", ())), ("p", "all", PointSubset("p", (0, 1, 2)))]
