@@ -430,6 +430,7 @@ def quotient(space: FiniteMetricSpace, action: GroupAction) -> FiniteMetricSpace
     return quotient_with_map(action, space)[0]
 
 
+@np.errstate(all="ignore")  # out-of-range powers are refused below, not warned about
 def product(spaces: list[FiniteMetricSpace], p: float) -> FiniteMetricSpace:
     """l^p product of finitely many spaces.
 
@@ -448,16 +449,26 @@ def product(spaces: list[FiniteMetricSpace], p: float) -> FiniteMetricSpace:
     # axis-0 sum or max over stacked N x N matrices does (so a lone -0.0
     # sums to 0.0); each partial result spans only the factors folded so
     # far, and the last is the one N x N array.
+    # With 1 < p < inf a pair's sum of p-th powers must be >= 0, and normal
+    # unless its largest absolute factor distance ``top`` is 0 or inf, or
+    # else its p-th root is NaN or has lost the distance: it is refused.
     k = len(spaces)
     power = not (math.isinf(p) or p == 1.0)
     op, acc = (np.maximum, -math.inf) if math.isinf(p) else (np.add, 0.0)
+    top = 0.0
     for f, s in enumerate(spaces):
         shape = [1] * (2 * k)
         shape[f] = shape[k + f] = s.n
         term = s.dist.reshape(shape)
         acc = op(acc, term**p if power else term)
+        if power:
+            top = np.maximum(top, np.abs(term))
     d = acc.reshape(len(labels), len(labels))
     if power:
+        normal = (acc >= np.finfo(float).tiny) & (acc < math.inf)
+        lost = ~(acc >= 0.0) | (~normal & (top > 0) & (top < math.inf))
+        if lost.any():
+            raise PreconditionError(f"p = {p:g} takes a sum of p-th powers of factor distances out of float range")
         d **= 1.0 / p
     pid = "x".join(s.id for s in spaces) + f"|l{p:g}"
     return FiniteMetricSpace(pid, labels, d, pseudo=any(s.pseudo for s in spaces))

@@ -1299,3 +1299,9 @@ def run_child(argv, entry=("-m", "coarsekit.cli")):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *entry, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def edited(text, old, new):
+    """``text`` with its one occurrence of ``old`` replaced by ``new``."""
+    assert text.count(old) == 1
+    return text.replace(old, new)

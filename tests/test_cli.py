@@ -27,6 +27,7 @@ from coarsekit.metric import MetricFamily, PointSubset
 from support import (
     GRID14_L1,
     SEVEN_POINT_L1,
+    edited,
     family_of,
     l1_points_space,
     line_space,
@@ -582,18 +583,26 @@ def test_machine_reports_identical_across_jobs(files):
     assert outs[1] == outs[4]
 
 
-def edited(text, old, new):
-    """``text`` with its one occurrence of ``old`` replaced by ``new``."""
-    assert text.count(old) == 1
-    return text.replace(old, new)
-
-
-def test_child_stage_for_another_family_fails_the_stage_gate(files):
-    save, _ = files
+def path200_tower():
     fam = MetricFamily("paths200", (unit_path(200, "path200"),))
-    cert = edited(write_decomposition_certificate(path_tower(fam, 3), fam), "family paths200|pieces\n", "family wrong\n")
-    argv = ["check-cert", save("fam.txt", write_family(fam)), save("cert.txt", cert)]
-    assert run(argv) == ("structural error: certificate is for 'wrong', not family 'paths200|pieces'\n", 2)
+    return write_family(fam), write_decomposition_certificate(path_tower(fam, 3), fam)
+
+
+def two_point_tower():
+    return ("family F\nmember m\npoints a b\n1\n",
+            "decomposition-certificate\nfamily F\nr 0.5\nn 0\nmember m\ncolor 0\npiece : a b\nchild\n"
+            "decomposition-certificate\nfamily F|pieces\nr 0.5\nn 0\nmember m.0.0\ncolor 0\npiece : a b\nleaf-bound 1\n")
+
+
+@pytest.mark.parametrize("tower", [path200_tower, two_point_tower], ids=["200-points", "2-points"])
+def test_child_stage_for_another_family_fails_the_stage_gate(files, tower):
+    save, _ = files
+    fam_text, cert = tower()
+    pieces = fam_text.split()[1] + "|pieces"
+    argv = ["check-cert", save("fam.txt", fam_text), save("cert.txt", edited(cert, f"family {pieces}\n", "family wrong\n"))]
+    assert run(argv) == (f"structural error: certificate is for 'wrong', not family '{pieces}'\n", 2)
+    argv[2] = save("good.txt", cert)
+    assert run(argv)[1] == 0
 
 
 @pytest.fixture()

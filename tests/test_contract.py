@@ -13,7 +13,8 @@ some with one token mutated, under the same filter, and so do
 ``check-cert``, ``check-fibering``, ``cover-check`` and ``an-check`` on
 one- and two-stage towers, grid-projection witnesses and path covers, and
 ``validate`` and ``components`` on small paths, grids, stars and drawn
-lower triangles.
+lower triangles, and ``quotient-cover``, ``product``, ``decompose`` and
+``ultrametric`` on small families of points on a line.
 """
 
 import math
@@ -29,13 +30,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from coarsekit.cli import run
 from coarsekit.cone import cone_sample, parse_rho
+from coarsekit.covers import AsdimCertificate, AsdimEntry, Cover
 from coarsekit.errors import CoarsekitError
 from coarsekit.generators import (
     grid_projection_fixture, integer_grid, path_an_certificate, path_asdim_certificate, star_tree, unit_path,
 )
 from coarsekit.io import (
-    parse_decomposition_certificate, parse_family, parse_rho_table, write_an_certificate, write_asdim_certificate,
-    write_decomposition_certificate, write_family, write_fibering_witness, write_map, write_subsets,
+    ActionDocument, parse_decomposition_certificate, parse_family, parse_rho_table, write_action, write_an_certificate,
+    write_asdim_certificate, write_decomposition_certificate, write_family, write_fibering_witness, write_map,
+    write_subsets,
 )
 from coarsekit.maps import FamilyMap, MapFunction
 from coarsekit.metric import FiniteMetricSpace, MetricFamily, PointSubset
@@ -370,4 +373,40 @@ def family_command_lines(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(family_command_lines())
 def test_validate_and_components_keep_the_exit_code_contract(doc_dir, case):
+    run_documents_twice(doc_dir, case)
+
+
+@st.composite
+def construction_command_lines(draw):
+    """A ``quotient-cover``, ``product``, ``decompose`` (exact or greedy) or
+    ``ultrametric`` command line over a family of 1-3 members of 1-4 points
+    on a line, with an identity or flip action and a certificate of one
+    element per member, one document perhaps mutated in one token, with
+    options at their edges."""
+    points = st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True)
+    fam = MetricFamily("F", tuple(line_space(draw(points), space_id=f"m{k}") for k in range(draw(st.integers(1, 3)))))
+    command = draw(st.sampled_from(["product", "quotient-cover", "decompose", "ultrametric"]))
+    docs = {"fam.txt": write_family(fam)}
+    if command == "quotient-cover":
+        flip = draw(st.booleans())
+        elements, compose = (("e", "g"), ((0, 1), (1, 0))) if flip else (("e",), ((0,),))
+        perms = {m.id: dict(zip(elements, (tuple(range(m.n)), tuple(range(m.n))[::-1]))) for m in fam.members}
+        whole = AsdimEntry(1.0, 9.0, tuple((m.id, Cover(m.id, (PointSubset(m.id, tuple(range(m.n))),)))
+                                           for m in fam.members))
+        docs["act.txt"] = write_action(ActionDocument("flip" if flip else "id", elements, compose, perms))
+        docs["cert.txt"] = write_asdim_certificate(AsdimCertificate("F", 0, (whole,)), fam)
+        argv = [command, *docs]
+    elif command == "product":
+        argv = [command, "fam.txt", "--p", draw(st.sampled_from(["2", "3", "700", "1.5"]) | EDGE_OPTIONS)]
+    elif command == "decompose":
+        argv = [command, "fam.txt", "--r", draw(st.sampled_from(["0", "1", "2.5"])), "--n", draw(st.sampled_from(["0", "1"])),
+                "--bound", draw(st.sampled_from(["0", "1", "3"])), draw(st.sampled_from(["--exact", "--greedy"]))]
+    else:
+        argv = [command, "fam.txt"]
+    return mutated_with_options(draw, docs, argv)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(construction_command_lines())
+def test_construction_commands_keep_the_exit_code_contract(doc_dir, case):
     run_documents_twice(doc_dir, case)

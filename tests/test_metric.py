@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,28 @@ class TestProduct:
             product([], 2)
         with pytest.raises(PreconditionError):
             product([two_point()], 0.5)
+
+    @pytest.mark.parametrize(
+        "first, second, p",
+        [(two_point(3.0), two_point(4.0), 700.0),  # 3^700 overflows; the distance is about 4
+         (two_point(1e-200), two_point(1e-200), 2.0),  # the squares underflow to 0
+         (space_from_matrix([[0, 1, -1], [1, 0, 1], [-1, 1, 0]]), two_point(2.0), 3.0)],  # -1 has no cube root
+        ids=["overflow", "underflow", "negative"],
+    )
+    def test_refuses_p_th_powers_out_of_float_range(self, first, second, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match=f"^p = {p:g} takes a sum of p-th powers"):
+                product([first, second], p)
+
+    def test_keeps_zero_and_infinite_factor_distances_at_any_p(self):
+        a = space_from_matrix([[0, math.inf], [math.inf, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = product([a, two_point()], 700.0).dist
+            assert (d[0, 0], d[0, 1], d[0, 3]) == (0, 1, math.inf)
+            d = product([two_point(1e-150)] * 2, 2.0).dist
+            assert d[0, 3] == pytest.approx(math.sqrt(2) * 1e-150, rel=1e-15)
 
     def test_lp_comparison_inequalities(self):
         rng = np.random.default_rng(3)
