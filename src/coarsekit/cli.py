@@ -3,8 +3,9 @@ reports, and exit codes 0 (all verdicts pass), 1 (a verdict failed or a
 construction was refused), 2 (parse or structural error).
 
 Reports echo semantic arguments only; execution flags (--jobs, --format)
-never appear in machine output.  Every command runs serially: --jobs is
-accepted and has no effect.  There is no environment-variable configuration.
+never appear in machine output.  A subcommand takes only the options it
+reads, and --jobs, which has no effect (every command runs serially) but is
+kept for c13 and the benchmark.  There is no environment-variable configuration.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _finish_verdict(report: Report, v: Verdict) -> int:
 def _emit_document(report: Report, args, text: str) -> None:
     import hashlib  # only the emitting subcommands need it: kept off the import path
 
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -367,7 +368,8 @@ def cmd_ray_tree(args, report: Report) -> int:
 
 
 class UsageError(CoarsekitError):
-    """A command line argparse rejects; the message is its usage and error text."""
+    """A command line argparse answers itself; its args are the text to print
+    and the exit code: usage and error text with 2, or help text with 0."""
 
 
 def number(text: str) -> float:
@@ -426,7 +428,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf)", re.IGNORECASE)
 
     def error(self, message: str):
-        raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n", EXIT_ERROR)
+
+    def print_help(self, file=None):  # argparse prints it and exits; ``run`` returns it
+        raise UsageError(self.format_help(), EXIT_PASS)
 
 
 @functools.cache
@@ -434,20 +439,20 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every
     later ``run`` in the process (``parse_args`` keeps no state between
     calls)."""
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False)  # every subcommand
     common.add_argument("--format", choices=("text", "machine"), default="text",
                         help="report format (machine is line-oriented key=value)")
-    common.add_argument("--tolerance", type=tolerance, default=metric_mod.DEFAULT_TOL,
-                        help="absolute tolerance for certificate comparisons")
-    common.add_argument("--seed", type=count, default=0, help="seed for randomized suites")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; every command runs serially")
-    common.add_argument("--out", default=None, help="write emitted documents to this file")
+    common.add_argument("--jobs", type=int, default=1, help="no effect: every command runs serially")
+    tol = argparse.ArgumentParser(add_help=False)  # the checkers
+    tol.add_argument("--tolerance", type=tolerance, default=metric_mod.DEFAULT_TOL,
+                     help="absolute tolerance for certificate comparisons")
+    out = argparse.ArgumentParser(add_help=False)  # the emitters
+    out.add_argument("--out", default=None, help="write the emitted document to this file")
 
     parser = _Parser(prog="coarsekit", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check metric axioms of a family")
+    p = sub.add_parser("validate", parents=[common, tol], help="check metric axioms of a family")
     p.add_argument("family")
     p.set_defaults(fn=cmd_validate)
 
@@ -456,29 +461,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=number, required=True)
     p.set_defaults(fn=cmd_components)
 
-    p = sub.add_parser("cover-check", parents=[common], help="check a staged cover certificate")
+    p = sub.add_parser("cover-check", parents=[common, tol], help="check a staged cover certificate")
     p.add_argument("family")
     p.add_argument("certificate")
     p.set_defaults(fn=cmd_cover_check)
 
-    p = sub.add_parser("an-check", parents=[common], help="check an affine control certificate")
+    p = sub.add_parser("an-check", parents=[common, tol], help="check an affine control certificate")
     p.add_argument("family")
     p.add_argument("certificate")
     p.set_defaults(fn=cmd_an_check)
 
-    p = sub.add_parser("quotient-cover", parents=[common],
+    p = sub.add_parser("quotient-cover", parents=[common, tol, out],
                        help="push a cover certificate to a finite quotient")
     p.add_argument("family")
     p.add_argument("action")
     p.add_argument("certificate")
     p.set_defaults(fn=cmd_quotient_cover)
 
-    p = sub.add_parser("product", parents=[common], help="l^p product of the family members")
+    p = sub.add_parser("product", parents=[common, out], help="l^p product of the family members")
     p.add_argument("family")
     p.add_argument("--p", type=exponent, default="2")
     p.set_defaults(fn=cmd_product)
 
-    p = sub.add_parser("decompose", parents=[common], help="search for a decomposition")
+    p = sub.add_parser("decompose", parents=[common, out], help="search for a decomposition")
     p.add_argument("family")
     p.add_argument("--r", type=number, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -487,12 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--greedy", dest="mode", action="store_const", const="greedy")
     p.set_defaults(fn=cmd_decompose)
 
-    p = sub.add_parser("check-cert", parents=[common], help="check a decomposition certificate")
+    p = sub.add_parser("check-cert", parents=[common, tol], help="check a decomposition certificate")
     p.add_argument("family")
     p.add_argument("certificate")
     p.set_defaults(fn=cmd_check_cert)
 
-    p = sub.add_parser("check-fibering", parents=[common], help="check a fibering witness")
+    p = sub.add_parser("check-fibering", parents=[common, tol], help="check a fibering witness")
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("map")
@@ -514,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi-suite", parents=[common], help="randomized phi property suite")
     p.add_argument("--rho", action="append", default=None)
     p.add_argument("--samples", type=positive_count, default=1000)
+    p.add_argument("--seed", type=count, default=0, help="seed of the sampled inputs")
     p.set_defaults(fn=cmd_phi_suite)
 
     p = sub.add_parser("cone-dist", parents=[common], help="cone distance between two cone points")
@@ -526,11 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height-b", type=number, required=True)
     p.set_defaults(fn=cmd_cone_dist)
 
-    p = sub.add_parser("ultrametric", parents=[common], help="minimax-path ultrametric of a family")
+    p = sub.add_parser("ultrametric", parents=[common, out], help="minimax-path ultrametric of a family")
     p.add_argument("family")
     p.set_defaults(fn=cmd_ultrametric)
 
-    p = sub.add_parser("ray-tree", parents=[common], help="ray-tree embedding from pieces and shells")
+    p = sub.add_parser("ray-tree", parents=[common, out], help="ray-tree embedding from pieces and shells")
     p.add_argument("family")
     p.add_argument("pieces")
     p.add_argument("shells")
@@ -541,15 +547,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> tuple[str, int]:
-    """Run one invocation; returns (rendered report, exit code).  A command
-    line argparse rejects returns its usage and error text with exit 2."""
+    """Run one invocation; returns (rendered report, exit code), or for a
+    usage error or a help request, argparse's text with exit 2 or 0."""
     report = Report()
     try:
         args = build_parser().parse_args(argv)
         report.add("command", args.subcommand)
         code = args.fn(args, report)
     except UsageError as exc:
-        return str(exc), EXIT_ERROR
+        return exc.args
     except ParseError as exc:
         return f"parse error: {exc}\n", EXIT_ERROR
     except StructuralError as exc:

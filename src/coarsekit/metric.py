@@ -436,12 +436,18 @@ def product(spaces: list[FiniteMetricSpace], p: float) -> FiniteMetricSpace:
 
     Points are tuples in row-major order (last factor varies fastest),
     labeled by joining factor labels with ",".  p = inf takes the max of the
-    factor distances.
+    factor distances.  A negative or NaN factor distance is refused at any p.
     """
     if not spaces:
         raise PreconditionError("product of an empty list of spaces")
     if not (p >= 1.0):
         raise PreconditionError(f"p = {p} is not a metric exponent (need p >= 1)")
+    for s in spaces:  # the fold below would hide the sign (p = 2, inf) or keep it (p = 1)
+        bad = np.argwhere(~(s.dist >= 0.0))
+        if len(bad):
+            i, j = bad[0]
+            raise PreconditionError(f"factor {s.id!r} has d({s.points[i]}, {s.points[j]}) = "
+                                    f"{float(s.dist[i, j])!r}, not a distance >= 0")
     labels = tuple(",".join(c) for c in itertools.product(*(s.points for s in spaces)))
     # Factor f's term spans axes f (row) and k + f (column) of a 2k-axis
     # grid, so a row-major reshape of the folded grid is the N x N matrix.
@@ -449,9 +455,9 @@ def product(spaces: list[FiniteMetricSpace], p: float) -> FiniteMetricSpace:
     # axis-0 sum or max over stacked N x N matrices does (so a lone -0.0
     # sums to 0.0); each partial result spans only the factors folded so
     # far, and the last is the one N x N array.
-    # With 1 < p < inf a pair's sum of p-th powers must be >= 0, and normal
-    # unless its largest absolute factor distance ``top`` is 0 or inf, or
-    # else its p-th root is NaN or has lost the distance: it is refused.
+    # With 1 < p < inf a pair's sum of p-th powers must be normal unless its
+    # largest factor distance ``top`` is 0 or inf, or else its p-th root has
+    # lost the distance: it is refused.
     k = len(spaces)
     power = not (math.isinf(p) or p == 1.0)
     op, acc = (np.maximum, -math.inf) if math.isinf(p) else (np.add, 0.0)
@@ -462,11 +468,11 @@ def product(spaces: list[FiniteMetricSpace], p: float) -> FiniteMetricSpace:
         term = s.dist.reshape(shape)
         acc = op(acc, term**p if power else term)
         if power:
-            top = np.maximum(top, np.abs(term))
+            top = np.maximum(top, term)
     d = acc.reshape(len(labels), len(labels))
     if power:
         normal = (acc >= np.finfo(float).tiny) & (acc < math.inf)
-        lost = ~(acc >= 0.0) | (~normal & (top > 0) & (top < math.inf))
+        lost = ~normal & (top > 0) & (top < math.inf)
         if lost.any():
             raise PreconditionError(f"p = {p:g} takes a sum of p-th powers of factor distances out of float range")
         d **= 1.0 / p

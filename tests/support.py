@@ -7,6 +7,7 @@ distances and quotient minima then compare exactly, with no rounding slack.
 
 from __future__ import annotations
 
+import argparse
 import heapq
 import itertools
 import math
@@ -23,6 +24,7 @@ import numpy as np
 
 import coarsekit
 
+from coarsekit.cli import build_parser
 from coarsekit.cone import cone_sample, phi, rho_from_control
 from coarsekit.covers import (
     ANControlCertificate, ANEntry, AsdimCertificate, AsdimEntry, Cover, greedy_color, validate_cover,
@@ -1299,6 +1301,16 @@ def run_child(argv, entry=("-m", "coarsekit.cli")):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *entry, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def subcommand_parsers() -> dict:
+    """Each subcommand's parser in ``cli.build_parser()``, by name."""
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def subcommand_options(command: str) -> list:
+    """The options of ``command``'s parser, ``-h/--help`` left out, sorted."""
+    return sorted({s for a in subcommand_parsers()[command]._actions for s in a.option_strings} - {"-h", "--help"})
 
 
 def edited(text, old, new):

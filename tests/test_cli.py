@@ -1,9 +1,12 @@
 import math
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
 from coarsekit import decomposition as dec_mod
-from coarsekit.cli import build_parser, run
+from coarsekit.cli import build_parser, main, run
 from coarsekit.generators import (
     grid_projection_fixture,
     path_an_certificate,
@@ -34,6 +37,8 @@ from support import (
     path_tower,
     run_child,
     space_from_matrix,
+    subcommand_options,
+    subcommand_parsers,
 )
 
 
@@ -416,7 +421,7 @@ NAN = "invalid number value: 'nan'"
         (["validate", "{fam}", "--tolerance", "-1"], "--tolerance", "tolerance below 0: '-1'"),
         (["validate", "{fam}", "--tolerance", "-1e-9"], "--tolerance",
          "tolerance below 0: '-1e-9'"),
-        (["components", "{fam}", "--r", "1", "--tolerance", "-0.5"], "--tolerance",
+        (["check-cert", "{fam}", "cert.txt", "--tolerance", "-0.5"], "--tolerance",
          "tolerance below 0: '-0.5'"),
         (["components", "{fam}", "--r", "nan"], "--r", NAN),
         (["decompose", "{fam}", "--r", "nan", "--n", "1", "--bound", "2"], "--r", NAN),
@@ -436,7 +441,7 @@ NAN = "invalid number value: 'nan'"
         (["phi-suite", "--seed", "-1"], "--seed", "invalid count value: '-1'"),
     ],
     ids=["tolerance", "tolerance-negative", "tolerance-negative-exponent",
-         "components-tolerance-negative", "components-r",
+         "check-cert-tolerance-negative", "components-r",
          "decompose-r", "bound", "t", "phi-r", "height-a", "height-b", "p", "p-nan", "samples",
          "samples-float", "samples-zero", "seed"],
 )
@@ -491,6 +496,82 @@ def test_cached_parser_matches_a_fresh_parse(files):
     assert text.endswith("\ncoarsekit components: error: the following arguments are required: --r\n")
     assert fresh[3][0] != fresh[2][0]
     assert build_parser() is build_parser()
+
+
+# each subcommand's positional arguments and required options, and the
+# options of its own
+REQUIRED = {
+    "validate": ["f"], "components": ["f", "--r", "1"], "cover-check": ["f", "c"], "an-check": ["f", "c"],
+    "quotient-cover": ["f", "a", "c"], "product": ["f"], "decompose": ["f", "--r", "1", "--n", "1", "--bound", "1"],
+    "check-cert": ["f", "c"], "check-fibering": ["s", "t", "m", "w"], "map-analyze": ["s", "t", "m"],
+    "phi": ["--rho", "exp", "--t", "1", "--r", "1"], "phi-suite": [],
+    "cone-dist": ["f", "--rho", "exp", "--base-a", "a", "--height-a", "1", "--base-b", "b", "--height-b", "1"],
+    "ultrametric": ["f"], "ray-tree": ["f", "p", "s"],
+}
+OWN = {
+    "components": {"--r"}, "product": {"--p"}, "decompose": {"--r", "--n", "--bound", "--exact", "--greedy"},
+    "phi": {"--rho", "--t", "--r"}, "phi-suite": {"--rho", "--samples"},
+    "cone-dist": {"--rho", "--member", "--base-a", "--height-a", "--base-b", "--height-b"}, "ray-tree": {"--member"},
+}
+# the five options shared between subcommands: the subcommands that take each,
+# and a value as typed and as parsed
+TAKES = {
+    "--format": set(REQUIRED), "--jobs": set(REQUIRED),
+    "--tolerance": {"validate", "cover-check", "an-check", "quotient-cover", "check-cert", "check-fibering"},
+    "--out": {"quotient-cover", "product", "decompose", "ultrametric", "ray-tree"},
+    "--seed": {"phi-suite"},
+}
+VALUES = {"--format": ("machine", "machine"), "--jobs": ("3", 3), "--tolerance": ("0.5", 0.5),
+          "--out": ("o.txt", "o.txt"), "--seed": ("7", 7)}
+OPTION = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
+
+
+@pytest.mark.parametrize("command", REQUIRED)
+def test_a_subcommand_takes_only_the_shared_options_it_reads(command):
+    argv = [command, *REQUIRED[command]]
+    for option, (text, value) in VALUES.items():
+        if command in TAKES[option]:
+            assert getattr(build_parser().parse_args(argv + [option, text]), option[2:]) == value
+        else:
+            out, code = run(argv + [option, text])
+            assert code == 2 and "Traceback" not in out
+            assert out.endswith(f"\ncoarsekit: error: unrecognized arguments: {option} {text}\n")
+    shared = {option for option in TAKES if command in TAKES[option]}
+    assert subcommand_options(command) == sorted(OWN.get(command, set()) | shared)
+
+
+def test_the_shared_options_fill_42_of_75_slots():
+    assert sorted(subcommand_parsers()) == sorted(REQUIRED)
+    assert sum(len(commands) for commands in TAKES.values()) == 42
+
+
+def test_help_is_returned_and_main_prints_it(capsys, monkeypatch):
+    text, code = run(["validate", "--help"])
+    assert capsys.readouterr() == ("", "")
+    assert code == 0 and text.startswith("usage: coarsekit validate [-h]")
+    assert "--tolerance" in text and "--seed" not in text and "--out" not in text
+    monkeypatch.setattr(sys, "argv", ["coarsekit", "validate", "--help"])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == 0 and capsys.readouterr() == (text, "")
+    text, code = run(["-h"])
+    assert code == 0 and text.startswith("usage: coarsekit [-h]") and "phi-suite" in text
+
+
+@pytest.mark.parametrize("command", REQUIRED)
+def test_a_subcommand_help_lists_exactly_its_options(command):
+    text, code = run([command, "-h"])
+    assert code == 0
+    assert sorted(set(OPTION.findall(text))) == sorted(subcommand_options(command) + ["--help"])
+
+
+def test_readme_synopsis_names_every_option_of_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    lines = {line.split()[0]: line for line in block.splitlines()}
+    assert len(block.splitlines()) == len(lines) and sorted(lines) == sorted(REQUIRED)
+    for command, line in lines.items():
+        assert sorted(OPTION.findall(line)) == subcommand_options(command), line
 
 
 def test_cone_dist_unknown_base_exits_two(files):

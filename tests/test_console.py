@@ -82,6 +82,7 @@ THREE_FACTORS = "family F\nmember A\npoints a b\n1\nmember B\npoints x y\n2\nmem
 EIGHT_POINTS = "family F|product\nmember AxBxC|{}\npoints a,x,u a,x,v a,y,u a,y,v b,x,u b,x,v b,y,u b,y,v\n"
 L1 = EIGHT_POINTS.format("l1") + "4\n2 6\n6 2 4\n1 5 3 7\n5 1 7 3 4\n3 7 1 5 2 6\n7 3 5 1 6 2 4\n"
 LINF = EIGHT_POINTS.format("linf") + "4\n2 4\n4 2 4\n1 4 2 4\n4 1 4 2 4\n2 4 1 4 2 4\n4 2 4 1 4 2 4\n"
+NEGATIVE_FACTOR = "family F\nmember A\npoints x y z\n1\n-1 1\nmember B\npoints u v\n1\n"
 
 ROWS = {
     "truncated-certificate": Row(
@@ -100,6 +101,9 @@ ROWS = {
     "l1-product": Row("product fac.txt --p 1 --out prod1.txt", 0, {"fac.txt": THREE_FACTORS}, files={"prod1.txt": L1}),
     "linf-product": Row(
         "product fac.txt --p inf --out prodinf.txt", 0, {"fac.txt": THREE_FACTORS}, files={"prodinf.txt": LINF}),
+    "l2-product-of-a-negative-distance": Row(
+        "product fac.txt --p 2", 1, {"fac.txt": NEGATIVE_FACTOR},
+        ("refused: factor 'A' has d(x, z) = -1.0, not a distance >= 0",)),
     "product-past-float-range": Row(
         "product fac.txt --p 700", 1, {"fac.txt": "family F\nmember A\npoints a b\n3\nmember B\npoints x y\n4\n"},
         parts=("refused: p = 700 takes a sum of p-th powers",)),

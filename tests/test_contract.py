@@ -14,7 +14,9 @@ some with one token mutated, under the same filter, and so do
 one- and two-stage towers, grid-projection witnesses and path covers, and
 ``validate`` and ``components`` on small paths, grids, stars and drawn
 lower triangles, and ``quotient-cover``, ``product``, ``decompose`` and
-``ultrametric`` on small families of points on a line.
+``ultrametric`` on small families of points on a line; these documents
+run under the low recursion limit too.  A drawn option is one the command
+takes, or now and then one it does not, which is a usage error.
 """
 
 import math
@@ -42,7 +44,7 @@ from coarsekit.io import (
 )
 from coarsekit.maps import FamilyMap, MapFunction
 from coarsekit.metric import FiniteMetricSpace, MetricFamily, PointSubset
-from support import family_of, line_space, path_tower
+from support import family_of, line_space, path_tower, subcommand_options
 
 LOW_RECURSION_LIMIT = 120
 
@@ -154,9 +156,7 @@ def phi_command_lines(draw) -> list[str]:
         base = st.sampled_from(["a", "b", "c", "z"])
         argv = ["cone-dist", "{fam}", "--rho", draw(rho_literals()), "--base-a", draw(base),
                 "--height-a", draw(EDGE_OPTIONS), "--base-b", draw(base), "--height-b", draw(EDGE_OPTIONS)]
-    if draw(st.booleans()):
-        argv += ["--tolerance", draw(EDGE_OPTIONS)]
-    return argv + ["--format", draw(st.sampled_from(["text", "machine"]))]
+    return argv + edge_option(draw, command) + ["--format", draw(st.sampled_from(["text", "machine"]))]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -254,10 +254,17 @@ def mutated_with_options(draw, docs, argv):
         parts = re.split(r"(\s+)", docs[name])
         parts[draw(st.sampled_from(range(0, len(parts), 2)))] = draw(MUTANTS)  # not a separator
         docs[name] = "".join(parts)
-    option = draw(st.sampled_from([None, None, "--tolerance", "--seed", "--jobs"]))
-    if option:
-        argv += [option, draw(EDGE_OPTIONS)]
-    return docs, argv + ["--format", draw(st.sampled_from(["text", "machine"]))]
+    return docs, argv + edge_option(draw, argv[0]) + ["--format", draw(st.sampled_from(["text", "machine"]))]
+
+
+def edge_option(draw, command) -> list:
+    """Perhaps one option at its edge: ``--tolerance``, ``--seed`` or
+    ``--jobs`` where ``command`` takes it, or one it does not take (a usage
+    error, exit 2)."""
+    own = [option for option in ("--tolerance", "--seed", "--jobs") if option in subcommand_options(command)]
+    foreign = next(option for option in ("--seed", "--tolerance") if option not in own)
+    option = draw(st.sampled_from([None, None, *own, foreign]))
+    return [option, draw(EDGE_OPTIONS)] if option else []
 
 
 @pytest.fixture(scope="module")
@@ -266,18 +273,19 @@ def doc_dir(tmp_path_factory):
 
 
 def run_documents_twice(doc_dir, case):
-    """Write the drawn documents and run the command line twice with every
-    warning an error: a NumPy warning escapes ``run`` as an exception."""
+    """Write the drawn documents and run the command line twice under a low
+    recursion limit with every warning an error: a NumPy warning escapes
+    ``run`` as an exception."""
     docs, argv = case
     for name, text in docs.items():
         (doc_dir / name).write_text(text)
     argv = [str(doc_dir / a) if a in docs else a for a in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out, code = run(argv)
-        assert code in (0, 1, 2), out
-        assert "Traceback" not in out
-        assert run(argv) == (out, code)
+        (out, code), again = run_twice_at_low_limit(argv)
+    assert code in (0, 1, 2), out
+    assert "Traceback" not in out
+    assert again == (out, code)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -171,15 +171,25 @@ class TestProduct:
     @pytest.mark.parametrize(
         "first, second, p",
         [(two_point(3.0), two_point(4.0), 700.0),  # 3^700 overflows; the distance is about 4
-         (two_point(1e-200), two_point(1e-200), 2.0),  # the squares underflow to 0
-         (space_from_matrix([[0, 1, -1], [1, 0, 1], [-1, 1, 0]]), two_point(2.0), 3.0)],  # -1 has no cube root
-        ids=["overflow", "underflow", "negative"],
+         (two_point(1e-200), two_point(1e-200), 2.0)],  # the squares underflow to 0
+        ids=["overflow", "underflow"],
     )
     def test_refuses_p_th_powers_out_of_float_range(self, first, second, p):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PreconditionError, match=f"^p = {p:g} takes a sum of p-th powers"):
                 product([first, second], p)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf, 3.0], ids=["1", "2", "inf", "3"])
+    @pytest.mark.parametrize("d", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_refuses_a_negative_or_nan_factor_distance_at_any_p(self, d, p):
+        # unrefused, p = 1 keeps d(x, z) < 0, p = 2 squares its sign away and
+        # p = inf folds it to d((x,u), (z,u)) = 0; at p = 3, -1 has no cube root
+        bad = space_from_matrix([[0, 1, d], [1, 0, 1], [d, 1, 0]], space_id="A", labels=("x", "y", "z"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match=rf"^factor 'A' has d\(x, z\) = {d!r}, not a distance >= 0$"):
+                product([two_point(), bad], p)
 
     def test_keeps_zero_and_infinite_factor_distances_at_any_p(self):
         a = space_from_matrix([[0, math.inf], [math.inf, 0]])
